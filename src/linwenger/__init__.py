@@ -24,26 +24,23 @@ from .errors import (
 )
 from .fields import GF, Field, FieldElement, FpMatrix, fp_rank_kernel, fp_solve
 from .graphs import (
-    CayleySet,
     FamilySpec,
     Graph,
     Line,
     Point,
     adjacent,
     build,
-    cayley_generators,
     export,
     line_through,
     point_through,
 )
-from .linearized import LinPoly, TraceRep, count_roots, rank_count
+from .linearized import LinPoly, count_roots, rank_count
 from .metrics import (
     CycleWitness,
     MetricsReport,
     PathWitness,
     PredictedMetrics,
     common_neighbor,
-    component_diameters,
     components,
     cycle_from_coefficients,
     cycle_witness_6,

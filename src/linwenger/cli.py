@@ -2,7 +2,8 @@
 and run the full verification suite.
 
 Exit codes are a stable contract: 0 success, 1 I/O error, 2 invalid
-configuration, 3 budget exceeded, 4 theorem mismatch or check failure.
+configuration, 3 budget exceeded or out of memory, 4 theorem mismatch, check
+failure or internal error (a failed solve or an acyclic graph).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceeded, ConfigError
+from .errors import Acyclic, BudgetExceeded, ConfigError, SolveFailed
 from .graphs import DEFAULT_VERTEX_BUDGET, FamilySpec, Graph, export
 from .metrics import metrics_report
 from .spectrum import (
@@ -215,12 +216,17 @@ def _add_common(sub: argparse.ArgumentParser, need_graph: bool) -> None:
                      help="irreducible modulus coefficients, low degree first, e.g. 1,1,1")
 
 
-def _add_output(sub: argparse.ArgumentParser) -> None:
+def _add_output(sub: argparse.ArgumentParser, *options: str) -> None:
+    """--out plus the listed options, so each subcommand accepts only what it reads."""
     sub.add_argument("--out", default=None, help="write output to this path")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    sub.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_BUDGET)
-    sub.add_argument("--max-evals", type=int, default=DEFAULT_EVAL_BUDGET)
+    if "json" in options:
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
+    if "seed" in options:
+        sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    if "max_vertices" in options:
+        sub.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_BUDGET)
+    if "max_evals" in options:
+        sub.add_argument("--max-evals", type=int, default=DEFAULT_EVAL_BUDGET)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -234,24 +240,24 @@ def make_parser() -> argparse.ArgumentParser:
     b = subs.add_parser("build", help="construct a graph and export it")
     _add_common(b, need_graph=True)
     b.add_argument("--format", choices=("edgelist", "dimacs", "json"), default="edgelist")
-    _add_output(b)
+    _add_output(b, "max_vertices")
     b.set_defaults(fn=cmd_build)
 
     s = subs.add_parser("spectrum", help="closed-form and/or enumerated spectrum")
     _add_common(s, need_graph=True)
     s.add_argument("--method", choices=("closed", "enum", "both"), default="enum")
-    _add_output(s)
+    _add_output(s, "json", "max_evals")
     s.set_defaults(fn=cmd_spectrum)
 
     mt = subs.add_parser("metrics", help="BFS components, diameter, girth vs predictions")
     _add_common(mt, need_graph=True)
-    _add_output(mt)
+    _add_output(mt, "json", "max_vertices")
     mt.set_defaults(fn=cmd_metrics)
 
     v = subs.add_parser("verify", help="run the full acceptance matrix")
     v.add_argument("--perturb", action="store_true",
                    help="inject a single-edge fault to confirm the checks can fail")
-    _add_output(v)
+    _add_output(v, "json", "seed", "max_vertices", "max_evals")
     v.set_defaults(fn=cmd_verify)
 
     return parser
@@ -265,6 +271,12 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
+    except (SolveFailed, Acyclic) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

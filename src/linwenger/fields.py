@@ -32,6 +32,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_field_params(p, e) -> None:
+    """Reject a characteristic or degree outside what GF(p^e) supports."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise NonPrime(f"characteristic must be prime, got {p}")
+    if p > P_LIMIT:
+        raise NonPrime(f"characteristic {p} exceeds the supported bound {P_LIMIT}")
+    if not isinstance(e, int) or e < 1:
+        raise DegreeMismatch(f"extension degree must be a positive integer, got {e}")
+    if p**e > Q_LIMIT:
+        raise DegreeMismatch(f"field size {p}^{e} exceeds the supported bound {Q_LIMIT}")
+
+
 def prime_divisors(n: int) -> list[int]:
     """Distinct prime divisors of n, ascending."""
     out = []
@@ -383,8 +395,8 @@ def _fmt_poly(coeffs) -> str:
 class Field:
     """GF(p^e) with a fixed monic irreducible modulus.
 
-    Precomputes the reduction table, the Frobenius matrices, per-basis traces
-    and the dual basis, so element operations and trace evaluations are cheap.
+    Precomputes the reduction table, the Frobenius matrices and per-basis
+    traces, so element operations and trace evaluations are cheap.
     """
 
     __slots__ = (
@@ -393,7 +405,6 @@ class Field:
         "q",
         "modulus",
         "basis",
-        "dual_basis",
         "zero",
         "one",
         "_red",
@@ -403,14 +414,7 @@ class Field:
     )
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise NonPrime(f"characteristic must be prime, got {p}")
-        if p > P_LIMIT:
-            raise NonPrime(f"characteristic {p} exceeds the supported bound {P_LIMIT}")
-        if not isinstance(e, int) or e < 1:
-            raise DegreeMismatch(f"extension degree must be a positive integer, got {e}")
-        if p**e > Q_LIMIT:
-            raise DegreeMismatch(f"field size {p}^{e} exceeds the supported bound {Q_LIMIT}")
+        _check_field_params(p, e)
         if modulus is None:
             modulus = default_modulus(p, e)
         else:
@@ -470,19 +474,6 @@ class Field:
             tr.append(v[0])
         self._tr_basis = tuple(tr)
 
-        # dual basis from the inverse of the trace Gram matrix
-        gram = []
-        for i in range(e):
-            row = []
-            for j in range(e):
-                row.append(self._trace_coeffs(self._power_basis_coeffs(i + j)))
-            gram.append(tuple(row))
-        inv = fp_invert(FpMatrix(p, tuple(gram)))
-        self.dual_basis = tuple(
-            FieldElement(self, tuple(inv.rows[i][j] for i in range(e)))
-            for j in range(e)
-        )
-
     # -- internal coordinate arithmetic -------------------------------------
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -511,15 +502,6 @@ class Field:
         return tuple(
             sum(m[i][j] * coeffs[j] for j in range(self.e)) % p for i in range(self.e)
         )
-
-    def _power_basis_coeffs(self, d: int) -> tuple[int, ...]:
-        """Coordinates of t^d for 0 <= d <= 2e-2."""
-        if d < self.e:
-            return self.basis[d].coeffs
-        return self._red[d - self.e]
-
-    def _trace_coeffs(self, coeffs) -> int:
-        return sum(c * t for c, t in zip(coeffs, self._tr_basis)) % self.p
 
     # -- constructors --------------------------------------------------------
 
@@ -560,9 +542,6 @@ class Field:
         for i in range(self.q):
             yield self.from_index(i)
 
-    def trace(self, x: FieldElement) -> int:
-        return x.trace()
-
     # -- protocol ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -594,13 +573,8 @@ def GF(p: int, e: int = 1, modulus=None) -> Field:
     lexicographically smallest monic irreducible otherwise, so repeated calls
     return the identical object.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise NonPrime(f"characteristic must be prime, got {p}")
-    if not isinstance(e, int) or e < 1:
-        raise DegreeMismatch(f"extension degree must be a positive integer, got {e}")
+    _check_field_params(p, e)
     if modulus is None:
-        if p**e > Q_LIMIT:
-            raise DegreeMismatch(f"field size {p}^{e} exceeds the supported bound {Q_LIMIT}")
         modulus = default_modulus(p, e)
     else:
         modulus = tuple(int(c) % p for c in modulus)
@@ -697,44 +671,39 @@ def fp_solve(M: FpMatrix, b) -> tuple[int, ...] | None:
     return tuple(x)
 
 
-def fp_invert(M: FpMatrix) -> FpMatrix:
-    """Inverse of a square matrix over F_p; raises ValueError when singular."""
-    n = M.n_rows
-    if M.n_cols != n:
-        raise ValueError("inverse of a non-square matrix")
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M.rows)]
-    rows, pivots = _rref(aug, M.p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular over F_p")
-    return FpMatrix(M.p, tuple(tuple(row[n:]) for row in rows[:n]))
-
-
 # ---------------------------------------------------------------------------
 # Exact Gaussian elimination over an arbitrary GF(p^e) (used for Moore-type
 # systems and for function-rank computations).
 
-def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
-    """One solution of A x = rhs over the field, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nr = len(aug)
-    nc = len(rows[0]) if nr else 0
+def _fq_rref(rows: list[list[FieldElement]], nc: int) -> list[int]:
+    """In-place reduced row echelon form on the first nc columns; row
+    operations span whole rows.  Returns the pivot column list."""
+    nr = len(rows)
     pivots = []
     r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c]), None)
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
         if pr is None:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [v * inv for v in aug[r]]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [v * inv for v in rows[r]]
         for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nr:
             break
+    return pivots
+
+
+def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
+    """One solution of A x = rhs over the field, or None if inconsistent."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    nc = len(rows[0]) if aug else 0
+    pivots = _fq_rref(aug, nc)
     for row in aug[len(pivots):]:
         if row[nc]:
             return None
@@ -747,24 +716,7 @@ def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
 def fq_rank(field: Field, rows) -> int:
     """Rank of a matrix with entries in the field."""
     work = [list(r) for r in rows]
-    nr = len(work)
-    nc = len(work[0]) if nr else 0
-    rank = 0
-    for c in range(nc):
-        pr = next((i for i in range(rank, nr) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        inv = work[rank][c].inverse()
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(rank + 1, nr):
-            if work[i][c]:
-                f = work[i][c]
-                work[i] = [vi - f * vr for vi, vr in zip(work[i], work[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return len(_fq_rref(work, len(work[0]) if work else 0))
 
 
 def _mat_mul(a, b, p):

@@ -20,12 +20,10 @@ from pathlib import Path
 
 from .errors import BudgetExceeded, OutOfRange
 from .fields import GF, Field, FieldElement
-from .linearized import EXPLICIT, FROBENIUS, MONOMIAL, LinPoly
+from .linearized import LinPoly
 
 FAMILIES = ("linearized", "wenger", "custom")
 DEFAULT_VERTEX_BUDGET = 2_000_000
-
-_KIND_OF = {"linearized": FROBENIUS, "wenger": MONOMIAL, "custom": EXPLICIT}
 
 
 @dataclass(frozen=True)
@@ -78,10 +76,6 @@ class FamilySpec:
     def n_edges(self) -> int:
         return self.q ** (self.m + 2)
 
-    @property
-    def is_linearized(self) -> bool:
-        return self.family == "linearized"
-
     @functools.cached_property
     def _f_elements(self) -> tuple[tuple[FieldElement, ...], ...] | None:
         if self.family != "custom":
@@ -107,10 +101,6 @@ class FamilySpec:
     def f_values(self, x: FieldElement) -> tuple[FieldElement, ...]:
         return tuple(self.f_eval(k, x) for k in range(2, self.m + 2))
 
-    def theta(self, u: FieldElement) -> tuple[FieldElement, ...]:
-        """The generator map u -> (1, f_2(u), ..., f_(m+1)(u))."""
-        return (self.field.one,) + self.f_values(u)
-
     @functools.cached_property
     def theta_injective(self) -> bool:
         seen = set()
@@ -131,9 +121,8 @@ class FamilySpec:
         return tuple(out)
 
     def lin_poly(self, weights) -> LinPoly:
-        if self.family == "custom":
-            return LinPoly(self.field, weights, EXPLICIT, self._f_elements)
-        return LinPoly(self.field, weights, _KIND_OF[self.family])
+        """The affine map w_1 + sum_k w_k f_k(x) of this family."""
+        return LinPoly(self, weights)
 
     # -- construction helpers -------------------------------------------------
 
@@ -282,9 +271,6 @@ class Graph:
         )
         return [self.encode(u) for u in nbrs]
 
-    def is_adjacent(self, P: Point, L: Line) -> bool:
-        return adjacent(self.spec, P, L)
-
     # -- materialization --------------------------------------------------------
 
     @property
@@ -353,11 +339,6 @@ class Graph:
 
     def edges(self):
         """All edges as (point id, line id) pairs, sorted lexicographically."""
-        if self._adj is not None:
-            for pid in range(self.half):
-                for lid in sorted(self._adj[pid]):
-                    yield pid, lid
-            return
         for pid in range(self.half):
             yield from ((pid, lid) for lid in sorted(self.neighbor_ids(pid)))
 
@@ -388,30 +369,6 @@ def build(
     if mode == "materialized":
         g.materialize()
     return g
-
-
-@dataclass(frozen=True)
-class CayleySet:
-    """Generating set of the line-side square graph: difference tuples
-    (t, t f_2(u), ..., t f_(m+1)(u)) for t nonzero, u arbitrary."""
-
-    tuples: frozenset
-    injective: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.tuples)
-
-
-def cayley_generators(spec: FamilySpec) -> CayleySet:
-    F = spec.field
-    gens = set()
-    for t in F.elements():
-        if not t:
-            continue
-        for u in F.elements():
-            gens.add((t,) + tuple(t * fv for fv in spec.f_values(u)))
-    return CayleySet(frozenset(gens), spec.theta_injective)
 
 
 def export(graph: Graph, fmt: str, sink) -> None:

@@ -11,115 +11,60 @@ follow from kernel dimension and image membership instead of a field sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InvalidRank, UnsupportedRegime
-from .fields import Field, FieldElement, FpMatrix, fp_rank_kernel, fp_solve
+from .fields import FieldElement, FpMatrix, fp_rank_kernel, fp_solve
 
-FROBENIUS = "frobenius"  # f_k(x) = x^(p^(k-2))
-MONOMIAL = "monomial"    # f_k(x) = x^(k-1)
-EXPLICIT = "explicit"    # f_k given by coefficient vectors over the field
-
-
-@dataclass(frozen=True)
-class TraceRep:
-    """A p-linear map written through trace functionals: the i-th coordinate
-    of the image (in the polynomial basis) is tr(coeffs[i] * x)."""
-
-    field: Field
-    coeffs: tuple[FieldElement, ...]
-
-    def apply(self, x: FieldElement) -> FieldElement:
-        F = self.field
-        out = F.zero
-        for i, beta in enumerate(self.coeffs):
-            c = (beta * x).trace()
-            if c:
-                out = out + F.from_int(c) * F.basis[i]
-        return out
-
-    def rank(self) -> int:
-        """F_p-rank of the coefficient elements as vectors; equals the rank
-        of the represented map."""
-        rows = tuple(b.coeffs for b in self.coeffs)
-        r, _ = fp_rank_kernel(FpMatrix(self.field.p, rows))
-        return r
+if TYPE_CHECKING:
+    from .graphs import FamilySpec
 
 
 class LinPoly:
     """An affine family polynomial with a fixed weight vector.
 
-    kind selects how the family maps evaluate: FROBENIUS for x^(p^(k-2)),
-    MONOMIAL for x^(k-1), EXPLICIT for arbitrary coefficient vectors.
+    Built by FamilySpec.lin_poly; the family maps f_k evaluate through that
+    spec.
     """
 
-    __slots__ = ("field", "weights", "kind", "f_coeffs", "_matrix")
+    __slots__ = ("spec", "field", "weights", "_matrix")
 
-    def __init__(self, field: Field, weights, kind: str = FROBENIUS, f_coeffs=None):
+    def __init__(self, spec: "FamilySpec", weights):
         weights = tuple(weights)
-        if len(weights) < 2:
-            raise ValueError("need a constant weight plus at least one family weight")
+        if len(weights) != spec.m + 1:
+            raise ValueError(f"need {spec.m + 1} weights, one constant and one per map")
+        field = spec.field
         if any(w.field != field for w in weights):
             raise ValueError("weights must live in the stated field")
-        if kind not in (FROBENIUS, MONOMIAL, EXPLICIT):
-            raise ValueError(f"unknown family kind {kind!r}")
-        if kind == EXPLICIT:
-            if f_coeffs is None or len(f_coeffs) != len(weights) - 1:
-                raise ValueError("explicit kind needs one coefficient vector per family map")
-            f_coeffs = tuple(tuple(c for c in poly) for poly in f_coeffs)
+        self.spec = spec
         self.field = field
         self.weights = weights
-        self.kind = kind
-        self.f_coeffs = f_coeffs
         self._matrix = None
 
-    @property
-    def m(self) -> int:
-        return len(self.weights) - 1
-
-    def family_value(self, k: int, x: FieldElement) -> FieldElement:
-        """f_k(x) for 2 <= k <= m+1."""
-        if not 2 <= k <= self.m + 1:
-            raise ValueError(f"family index {k} outside [2, {self.m + 1}]")
-        if self.kind == FROBENIUS:
-            return x.frob((k - 2) % self.field.e)
-        if self.kind == MONOMIAL:
-            return x ** (k - 1)
-        acc = self.field.zero
-        for c in reversed(self.f_coeffs[k - 2]):
-            acc = acc * x + c
-        return acc
-
     def eval(self, x: FieldElement) -> FieldElement:
-        acc = self.weights[0]
-        for k in range(2, self.m + 2):
-            w = self.weights[k - 1]
-            if w:
-                acc = acc + w * self.family_value(k, x)
-        return acc
+        return self._combine(self.weights[0], x)
 
-    def eval_linear(self, x: FieldElement) -> FieldElement:
-        """The weight-combination of the family maps, without the constant."""
-        acc = self.field.zero
-        for k in range(2, self.m + 2):
-            w = self.weights[k - 1]
+    def _combine(self, acc: FieldElement, x: FieldElement) -> FieldElement:
+        """acc plus the weight-combination of the family maps at x."""
+        f_eval = self.spec.f_eval
+        for k, w in enumerate(self.weights[1:], 2):
             if w:
-                acc = acc + w * self.family_value(k, x)
+                acc = acc + w * f_eval(k, x)
         return acc
 
     def linear_matrix(self) -> FpMatrix:
         """Matrix of the linear part acting on coordinate columns over F_p.
 
-        Only defined for the Frobenius kind, where the linear part is a
+        Only defined for the linearized family, where the linear part is a
         p-linear map of the field.
         """
-        if self.kind != FROBENIUS:
+        if self.spec.family != "linearized":
             raise UnsupportedRegime(
                 "kernel structure is defined only for the Frobenius family"
             )
         if self._matrix is None:
             F = self.field
-            images = [self.eval_linear(b).coeffs for b in F.basis]
+            images = [self._combine(F.zero, b).coeffs for b in F.basis]
             rows = tuple(
                 tuple(images[j][i] for j in range(F.e)) for i in range(F.e)
             )
@@ -133,36 +78,16 @@ def kernel_dim(P: LinPoly) -> int:
     return P.field.e - rank
 
 
-def beta_rep(P: LinPoly) -> TraceRep:
-    """Trace-functional form of the linear part.
-
-    Row i of the linear-part matrix is a functional x -> sum_j M[i][j] x_j,
-    and expanding the sought element in the dual basis shows its coefficient
-    vector is exactly that row.
-    """
-    M = P.linear_matrix()
-    F = P.field
-    coeffs = []
-    for i in range(F.e):
-        beta = F.zero
-        for j in range(F.e):
-            c = M.rows[i][j]
-            if c:
-                beta = beta + F.from_int(c) * F.dual_basis[j]
-        coeffs.append(beta)
-    return TraceRep(F, tuple(coeffs))
-
-
 def count_roots(P: LinPoly, method: str = "auto") -> int:
     """Number of x in the field with P(x) = 0.
 
-    "exhaustive" sweeps the whole field and works for every kind.
+    "exhaustive" sweeps the whole field and works for every family.
     "structured" uses the kernel dimension of the linear part plus an image
-    membership test, valid for the Frobenius kind; the count is then either 0
-    or a power of p.  "auto" picks structured when available.
+    membership test, valid for the linearized family; the count is then
+    either 0 or a power of p.  "auto" picks structured when available.
     """
     if method == "auto":
-        method = "structured" if P.kind == FROBENIUS else "exhaustive"
+        method = "structured" if P.spec.family == "linearized" else "exhaustive"
     if method == "exhaustive":
         return sum(1 for x in P.field.elements() if not P.eval(x))
     if method != "structured":

@@ -31,11 +31,6 @@ _BFS_BATCH = 1024
 def components(graph: Graph) -> tuple[int, list[int]]:
     """Number of connected components and their sizes, in discovery order
     (ordered by smallest contained vertex id)."""
-    labels, sizes = _component_labels(graph)
-    return len(sizes), sizes
-
-
-def _component_labels(graph: Graph) -> tuple[list[int], list[int]]:
     adj = graph.adjacency
     n = graph.n
     labels = [-1] * n
@@ -55,7 +50,7 @@ def _component_labels(graph: Graph) -> tuple[list[int], list[int]]:
                     size += 1
                     dq.append(v)
         sizes.append(size)
-    return labels, sizes
+    return len(sizes), sizes
 
 
 def eccentricities(graph: Graph):
@@ -94,16 +89,6 @@ def diameter(graph: Graph) -> int:
     """Exact diameter: the maximum eccentricity over all vertices, taken per
     component for disconnected graphs."""
     return int(eccentricities(graph).max())
-
-
-def component_diameters(graph: Graph) -> list[int]:
-    labels, sizes = _component_labels(graph)
-    ecc = eccentricities(graph)
-    out = [0] * len(sizes)
-    for v, comp in enumerate(labels):
-        if ecc[v] > out[comp]:
-            out[comp] = int(ecc[v])
-    return out
 
 
 def girth(graph: Graph) -> int:

@@ -1,10 +1,16 @@
 """CLI surface: argument parsing, output formats, exit-code contract."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linwenger import cli
 from linwenger.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
+from linwenger.errors import Acyclic, SolveFailed
 
 EDGELIST_L1_2 = "0 4\n0 5\n1 4\n1 7\n2 6\n2 7\n3 5\n3 6\n"
 
@@ -214,3 +220,90 @@ class TestParser:
             main(["build", "--p", "abc", "--m", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--p", "2", "--m", "1", "--json"],
+        ["build", "--p", "2", "--m", "1", "--max-evals", "10"],
+        ["spectrum", "--p", "2", "--m", "1", "--max-vertices", "10"],
+        ["metrics", "--p", "2", "--m", "1", "--seed", "1"],
+        ["metrics", "--p", "2", "--m", "1", "--max-evals", "10"],
+    ])
+    def test_options_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc,code", [
+        (SolveFailed("constructed line fails adjacency"), EXIT_MISMATCH),
+        (Acyclic("graph contains no cycle"), EXIT_MISMATCH),
+        (MemoryError(), EXIT_BUDGET),
+    ])
+    def test_mapped_to_exit_code_without_traceback(self, exc, code, capsys, monkeypatch):
+        def raise_it(graph):
+            raise exc
+
+        monkeypatch.setattr(cli, "metrics_report", raise_it)
+        assert main(["metrics", "--p", "2", "--m", "1"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+# (p, e, m) with at most 4096 edges, q^(m+2).
+_SMALL_CASES = [
+    (p, e, m)
+    for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1))
+    for m in (1, 2, 3)
+    if (p**e) ** (m + 2) <= 4096
+]
+_DIGITS = "0123456789"
+
+
+@st.composite
+def _invocations(draw):
+    """A build/spectrum/metrics argv over a small graph, possibly made
+    invalid by one fault."""
+    command = draw(st.sampled_from(["build", "spectrum", "metrics"]))
+    p, e, m = draw(st.sampled_from(_SMALL_CASES))
+    family = draw(st.sampled_from(["linearized", "wenger", "custom"]))
+    fault = draw(st.sampled_from(
+        [None, "composite_p", "zero_m", "reducible_modulus", "wrong_degree_modulus",
+         "malformed_f_list"]
+    ))
+    p_arg = draw(st.sampled_from([1, 4, 6, 9])) if fault == "composite_p" else p
+    m_arg = 0 if fault == "zero_m" else m
+    argv = [command, "--p", str(p_arg), "--e", str(e), "--m", str(m_arg), "--family", family]
+    if command == "spectrum":
+        argv += ["--method", draw(st.sampled_from(["closed", "enum", "both"]))]
+    if fault == "malformed_f_list":
+        argv += ["--f-list", draw(st.sampled_from(["0,z", "0,#", "0,", ";", "00000000"]))]
+    elif family == "custom":
+        polys = [
+            ",".join(
+                "".join(draw(st.sampled_from(_DIGITS[:p])) for _ in range(e))
+                for _ in range(draw(st.integers(1, 3)))
+            )
+            for _ in range(m)
+        ]
+        argv += ["--f-list", ";".join(polys)]
+    if fault == "reducible_modulus":
+        argv += ["--modulus", ",".join(["0"] * e + ["1"])]  # x^e, reducible for e >= 2
+    elif fault == "wrong_degree_modulus":
+        argv += ["--modulus", ",".join(["1"] * (e + 2))]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_invocations())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_BUDGET, EXIT_MISMATCH), argv
+    assert "Traceback" not in err.getvalue(), argv

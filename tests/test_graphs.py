@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from linwenger import (
     BudgetExceeded,
-    CayleySet,
     FamilySpec,
     Line,
     OutOfRange,
     Point,
     adjacent,
     build,
-    cayley_generators,
     export,
     line_through,
     point_through,
@@ -220,31 +218,6 @@ class TestGraph:
         lin = build(FamilySpec.custom(3, 1, 1, f_indices=((0, 1),)), mode="materialized")
         wen = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
         assert list(lin.edges()) == list(wen.edges())
-
-
-class TestCayley:
-    def test_generators_m1_q2(self):
-        cs = cayley_generators(FamilySpec.linearized(2, 1, 1))
-        assert isinstance(cs, CayleySet)
-        assert cs.injective
-        assert {ids(t) for t in cs.tuples} == {(1, 0), (1, 1)}
-        assert cs.size == 2
-
-    def test_generators_m1_q3(self):
-        cs = cayley_generators(FamilySpec.linearized(3, 1, 1))
-        # every (t, x) with t nonzero appears
-        assert {ids(t) for t in cs.tuples} == {(t, x) for t in (1, 2) for x in (0, 1, 2)}
-
-    def test_noninjective_family_collapses(self):
-        cs = cayley_generators(FamilySpec.custom(3, 1, 1, f_indices=((0,),)))
-        assert not cs.injective
-        assert {ids(t) for t in cs.tuples} == {(1, 0), (2, 0)}
-
-    def test_size_linearized(self):
-        spec = FamilySpec.linearized(2, 2, 2)
-        cs = cayley_generators(spec)
-        # theta injective: q images per nonzero t, all distinct across t
-        assert cs.size == (spec.q - 1) * spec.q
 
 
 class TestExport:

@@ -1,4 +1,4 @@
-"""Affine family polynomials: evaluation, kernels, trace form, root counts."""
+"""Affine family polynomials: evaluation, kernels, root counts."""
 
 import itertools
 
@@ -8,23 +8,18 @@ from hypothesis import strategies as st
 
 from linwenger.errors import InvalidRank, UnsupportedRegime
 from linwenger.fields import GF
-from linwenger.linearized import (
-    FROBENIUS,
-    MONOMIAL,
-    LinPoly,
-    beta_rep,
-    count_roots,
-    kernel_dim,
-    rank_count,
-)
+from linwenger.graphs import FamilySpec
+from linwenger.linearized import count_roots, kernel_dim, rank_count
 
 
 def frob_poly(F, *ints):
-    return LinPoly(F, [F.from_int(c) for c in ints], FROBENIUS)
+    spec = FamilySpec.linearized(F.p, F.e, len(ints) - 1)
+    return spec.lin_poly([F.from_int(c) for c in ints])
 
 
 def weights_from_indices(F, idxs):
-    return LinPoly(F, [F.from_index(i) for i in idxs], FROBENIUS)
+    spec = FamilySpec.linearized(F.p, F.e, len(idxs) - 1)
+    return spec.lin_poly([F.from_index(i) for i in idxs])
 
 
 class TestEval:
@@ -52,26 +47,26 @@ class TestEval:
         assert P.eval(F.from_int(3)) == F.zero
 
     def test_monomial_kind(self):
-        F = GF(3)
-        P = LinPoly(F, [F.zero, F.zero, F.one], MONOMIAL)  # x^2
+        spec = FamilySpec.wenger(3, 1, 2)
+        F = spec.field
+        P = spec.lin_poly([F.zero, F.zero, F.one])  # x^2
         assert P.eval(F.from_int(2)) == F.one
 
     def test_weight_validation(self):
-        F = GF(2, 2)
+        spec = FamilySpec.linearized(2, 2, 1)
+        F = spec.field
         with pytest.raises(ValueError):
-            LinPoly(F, [F.one])
+            spec.lin_poly([F.one])
         with pytest.raises(ValueError):
-            LinPoly(F, [F.one, GF(2).one])
+            spec.lin_poly([F.one, F.one, F.one])
         with pytest.raises(ValueError):
-            LinPoly(F, [F.one, F.one], "nonsense")
-        with pytest.raises(ValueError):
-            LinPoly(F, [F.one, F.one], "explicit")
+            spec.lin_poly([F.one, GF(2).one])
 
     def test_linear_matrix_needs_frobenius_kind(self):
-        F = GF(2, 2)
-        P = LinPoly(F, [F.zero, F.one], MONOMIAL)
-        with pytest.raises(UnsupportedRegime):
-            P.linear_matrix()
+        for spec in (FamilySpec.wenger(2, 2, 1), FamilySpec.custom(2, 2, 1, ((0, 1),))):
+            F = spec.field
+            with pytest.raises(UnsupportedRegime):
+                spec.lin_poly([F.zero, F.one]).linear_matrix()
 
 
 class TestKernel:
@@ -100,35 +95,6 @@ class TestKernel:
             P = weights_from_indices(F, (0,) + idxs)
             n_roots = sum(1 for x in F.elements() if not P.eval(x))
             assert n_roots == 2 ** kernel_dim(P)
-
-
-class TestBetaRep:
-    def test_zero_map(self):
-        F = GF(2, 2)
-        rep = beta_rep(frob_poly(F, 0, 0, 0))
-        assert all(not b for b in rep.coeffs)
-        assert rep.rank() == 0
-
-    def test_identity_on_prime_field(self):
-        F = GF(2)
-        rep = beta_rep(frob_poly(F, 0, 1))
-        assert rep.coeffs == (F.one,)
-
-    def test_exhaustive_identity_gf4(self):
-        # every p-linear map on GF(4) equals its trace-functional expansion
-        F = GF(2, 2)
-        for idxs in itertools.product(range(4), repeat=2):
-            P = weights_from_indices(F, (0,) + idxs)
-            rep = beta_rep(P)
-            for x in F.elements():
-                assert rep.apply(x) == P.eval_linear(x)
-            assert rep.rank() == F.e - kernel_dim(P)
-
-    def test_rank_identity_gf8(self):
-        F = GF(2, 3)
-        for idxs in itertools.product(range(8), repeat=3):
-            P = weights_from_indices(F, (0,) + idxs)
-            assert beta_rep(P).rank() == F.e - kernel_dim(P)
 
 
 class TestCountRoots:

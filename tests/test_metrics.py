@@ -16,7 +16,6 @@ from linwenger import (
     UnsupportedRegime,
     build,
     common_neighbor,
-    component_diameters,
     components,
     cycle_from_coefficients,
     cycle_witness_6,
@@ -79,10 +78,6 @@ class TestComponents:
         g = graph_cache(3, 1, 2)
         count, sizes = components(g)
         assert count == 3 and sum(sizes) == g.n
-
-    def test_component_diameters(self, graph_cache):
-        assert component_diameters(graph_cache(2, 1, 2)) == [4, 4]
-        assert component_diameters(graph_cache(2, 1, 1)) == [4]
 
 
 class TestDistances:
