@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import Acyclic, BudgetExceeded, ConfigError, SolveFailed
-from .graphs import DEFAULT_VERTEX_BUDGET, FamilySpec, Graph, export
+from .graphs import DEFAULT_VERTEX_BUDGET, FamilySpec, Graph, export, structure_faults
 from .metrics import metrics_report
 from .spectrum import (
     DEFAULT_EVAL_BUDGET,
@@ -78,11 +78,6 @@ def _spec_from_args(args) -> FamilySpec:
     return FamilySpec(args.p, args.e, args.m, args.family, modulus)
 
 
-def _build_graph(args) -> Graph:
-    spec = _spec_from_args(args)
-    return Graph(spec, vertex_budget=args.max_vertices).materialize()
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -92,17 +87,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    graph = _build_graph(args)
-    spec = graph.spec
-    regular = all(len(row) == spec.q for row in graph.adjacency)
+    spec = _spec_from_args(args)
+    graph = Graph(spec, vertex_budget=args.max_vertices)
+    summary = f"{spec.family} p={spec.p} e={spec.e} m={spec.m} |V|={graph.n} |E|={graph.n_edges}"
+    faults = []
+    if args.format != "json":  # the JSON summary needs no adjacency
+        faults = structure_faults(spec, graph.adjacency)
+        summary += f" regular={'NO' if faults else 'yes'}"
     export(graph, args.format, args.out if args.out else sys.stdout)
     # keep the data stream clean: summary goes to stderr when data is on stdout
-    print(
-        f"{spec.family} p={spec.p} e={spec.e} m={spec.m} "
-        f"|V|={graph.n} |E|={graph.n_edges} regular={'yes' if regular else 'NO'}",
-        file=sys.stderr if not args.out else sys.stdout,
-    )
-    return EXIT_OK if regular else EXIT_MISMATCH
+    print(summary, file=sys.stderr if not args.out else sys.stdout)
+    return EXIT_MISMATCH if faults else EXIT_OK
 
 
 def _spectrum_lines(report) -> list[str]:
@@ -148,7 +143,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    graph = _build_graph(args)
+    graph = Graph(_spec_from_args(args), vertex_budget=args.max_vertices).materialize()
     report = metrics_report(graph)
     if args.json:
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)

@@ -204,15 +204,16 @@ class Graph:
 
         id = side * q^(m+1) + sum_j index(v_(j+1)) * q^j,   point side = 0.
 
-    Lazy graphs answer neighbor queries by solving the adjacency equations;
-    materialize() additionally stores all adjacency lists for BFS work.
+    Lazy graphs answer neighbor queries by solving the adjacency equations.
+    materialize() stores the one materialized form, an (n, q) array of
+    neighbour ids whose row v is neighbor_ids(v); csr() wraps that array.
     """
 
     def __init__(self, spec: FamilySpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET):
         self.spec = spec
         self.vertex_budget = vertex_budget
         self.injective_theta = spec.theta_injective
-        self._adj: list[list[int]] | None = None
+        self._nbrs = None
         self._csr = None
 
     # -- size ---------------------------------------------------------------
@@ -263,8 +264,8 @@ class Graph:
         return [point_through(self.spec, L, p1) for p1 in self.spec.field.elements()]
 
     def neighbor_ids(self, vid: int) -> list[int]:
-        if self._adj is not None:
-            return self._adj[vid]
+        if self._nbrs is not None:
+            return self._nbrs[vid].tolist()
         v = self.decode(vid)
         nbrs = (
             self.neighbors_of_point(v) if isinstance(v, Point) else self.neighbors_of_line(v)
@@ -275,64 +276,63 @@ class Graph:
 
     @property
     def materialized(self) -> bool:
-        return self._adj is not None
+        return self._nbrs is not None
 
     def materialize(self) -> "Graph":
-        if self._adj is not None:
+        """Fill the (n, q) neighbour array, each row in neighbor_ids order.
+
+        Both sides share one formula: the neighbour with first coordinate x
+        has k-th coordinate f_k(p_1) l_1 - (own k-th coordinate), where
+        (p_1, l_1) is (own first, x) for a point and (x, own first) for a
+        line.  Products, differences and f_k values are gathered from index
+        tables made by FieldElement arithmetic and spec.f_eval."""
+        if self._nbrs is not None:
             return self
         if self.n > self.vertex_budget:
             raise BudgetExceeded(
                 f"{self.n} vertices exceed the materialization budget {self.vertex_budget}"
             )
+        import numpy as np
+
         spec = self.spec
-        F = spec.field
-        q, m, half = F.q, spec.m, self.half
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        elts = [F.from_index(i) for i in range(q)]
-        for pid in range(half):
-            local = pid
-            idx = []
-            for _ in range(m + 1):
-                idx.append(local % q)
-                local //= q
-            p1 = elts[idx[0]]
-            fvals = spec.f_values(p1)
-            pcoords = [elts[i] for i in idx]
-            row = adj[pid]
-            for l1i in range(q):
-                l1 = elts[l1i]
-                lid = 0
-                for k in range(m, 0, -1):
-                    lk = fvals[k - 1] * l1 - pcoords[k]
-                    lid = lid * q + lk.index
-                lid = lid * q + l1i
-                lid += half
-                row.append(lid)
-                adj[lid].append(pid)
-        self._adj = adj
+        q, m, half = spec.q, spec.m, self.half
+        elts = list(spec.field.elements())
+        mul = np.array([[(a * b).index for b in elts] for a in elts])
+        sub = np.array([[(a - b).index for b in elts] for a in elts])
+        f = np.array([[spec.f_eval(k, x).index for x in elts] for k in range(2, m + 2)])
+        own = np.arange(half)[:, None] // q ** np.arange(m + 1) % q  # coordinate indices
+        x = np.arange(q)
+        nbrs = np.empty((self.n, q), dtype=np.int32 if self.n * q < 2**31 else np.int64)
+        for side, (p1, l1) in enumerate(((own[:, :1], x), (x, own[:, :1]))):
+            ids = x + (half if side == 0 else 0)
+            for k in range(2, m + 2):
+                ids = ids + sub[mul[f[k - 2][p1], l1], own[:, k - 1 : k]] * q ** (k - 1)
+            nbrs[side * half : (side + 1) * half] = ids
+        nbrs.flags.writeable = False  # csr() shares this memory
+        self._nbrs = nbrs
         return self
 
     @property
-    def adjacency(self) -> list[list[int]]:
+    def adjacency(self):
+        """The (n, q) neighbour array (read-only); materializes on first use."""
         self.materialize()
-        return self._adj
+        return self._nbrs
 
     def csr(self):
-        """Adjacency as a scipy CSR matrix with int32 entries 0/1."""
+        """The neighbour array as a scipy CSR matrix with int32 entries 0/1.
+
+        Its column indices are the array itself, not a copy, so they keep
+        the first-coordinate order of each row and are not sorted."""
         if self._csr is None:
             import numpy as np
             from scipy import sparse
 
-            adj = self.adjacency
-            q = self.spec.q
-            indptr = np.arange(0, self.n * q + 1, q, dtype=np.int64)
-            indices = np.fromiter(
-                (u for row in adj for u in row), dtype=np.int32, count=self.n * q
+            nbrs = self.adjacency
+            indptr = np.arange(0, nbrs.size + 1, self.spec.q, dtype=nbrs.dtype)
+            data = np.ones(nbrs.size, dtype=np.int32)
+            self._csr = sparse.csr_matrix(
+                (data, nbrs.reshape(-1), indptr), shape=(self.n, self.n)
             )
-            data = np.ones(self.n * q, dtype=np.int32)
-            A = sparse.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-            A.sort_indices()
-            self._csr = A
         return self._csr
 
     # -- edge streaming -----------------------------------------------------------
@@ -369,6 +369,29 @@ def build(
     if mode == "materialized":
         g.materialize()
     return g
+
+
+def structure_faults(spec: FamilySpec, nbrs) -> list[str]:
+    """What is wrong with an (n, q) neighbour array for spec; [] when sound:
+    a repeated id in a row, a neighbour on the vertex's own side, an
+    asymmetric adjacency matrix, or a nonzero count other than 2 q^(m+2)."""
+    import numpy as np
+    from scipy import sparse
+
+    n, q, half, nnz = spec.n_vertices, spec.q, spec.n_vertices // 2, 2 * spec.n_edges
+    if nbrs.shape != (n, q) or nbrs.min() < 0 or nbrs.max() >= n:
+        return [f"array of shape {nbrs.shape} is not {n} rows of {q} ids in [0, {n})"]
+    rows = np.sort(nbrs, axis=1)
+    own_side = (nbrs >= half) == (np.arange(n) >= half)[:, None]
+    ones = np.ones(nbrs.size, dtype=np.int32)
+    A = sparse.csr_matrix((ones, (np.repeat(np.arange(n), q), nbrs.ravel())), shape=(n, n))
+    counts = {
+        "rows repeat a neighbour": (rows[:, 1:] == rows[:, :-1]).any(axis=1).sum(),
+        "vertices have a neighbour on their own side": own_side.any(axis=1).sum(),
+        "adjacency entries differ from the transpose": (A != A.T).nnz,
+        f"nonzeros missing from 2 q^(m+2) = {nnz}": nnz - A.nnz,
+    }
+    return [f"{count} {what}" for what, count in counts.items() if count]
 
 
 def export(graph: Graph, fmt: str, sink) -> None:

@@ -1,6 +1,9 @@
 """BFS metrics (components, diameter, girth) and constructive witnesses.
 
-BFS results are exact and assume nothing about the graph.  The witness
+BFS results are exact and assume nothing about the graph.  They read
+graph.csr(): components through scipy's connected_components, and
+eccentricities and girth through one batched level-synchronous sweep whose
+working set is capped at _SWEEP_BYTES whatever the vertex count.  The witness
 builders do the opposite: they exploit the Frobenius-family structure to
 produce short paths and cycles in closed form, and every witness is
 re-validated edge by edge before it is returned.
@@ -8,7 +11,6 @@ re-validated edge by edge before it is returned.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,67 +24,85 @@ from .fields import FieldElement, fq_solve
 from .graphs import FamilySpec, Graph, Line, Point, adjacent, line_through, point_through
 from .spectrum import component_count_formula
 
-_BFS_BATCH = 1024
-
-
 # ---------------------------------------------------------------------------
 # BFS oracles.
+
+# Bytes of one sweep batch: about eight bit matrices of n rows and one bit
+# per source, so a batch runs _SWEEP_BYTES // n sources at any n.
+_SWEEP_BYTES = 1 << 25
+
 
 def components(graph: Graph) -> tuple[int, list[int]]:
     """Number of connected components and their sizes, in discovery order
     (ordered by smallest contained vertex id)."""
-    adj = graph.adjacency
-    n = graph.n
-    labels = [-1] * n
-    sizes: list[int] = []
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        comp = len(sizes)
-        labels[start] = comp
-        size = 1
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for v in adj[u]:
-                if labels[v] < 0:
-                    labels[v] = comp
-                    size += 1
-                    dq.append(v)
-        sizes.append(size)
-    return len(sizes), sizes
+    import numpy as np
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(graph.csr(), directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return count, np.bincount(labels)[np.argsort(first)].tolist()
 
 
-def eccentricities(graph: Graph):
-    """Exact eccentricity of every vertex within its component.
+def _sweep(graph: Graph, girth_only: bool):
+    """Level-synchronous BFS from every vertex of graph.csr(), in batches.
 
-    Runs batched BFS as sparse matrix products: a frontier column advances one
-    level per product, and a column's eccentricity is the last level that
-    reached a new vertex."""
+    A batch holds one bit column per source in n-row bit matrices.  One
+    level ORs each vertex's neighbour rows into `once`, and `twice` keeps the
+    bits reached from two frontier neighbours.  A new vertex reached twice
+    closes a cycle of 2 * level; a frontier vertex with a frontier neighbour
+    closes one of 2 * level - 1.  Every non-tree edge of each BFS is one of
+    these, so the shortest over all sources is the girth.
+
+    Returns the eccentricity array, or with girth_only the girth (None for a
+    forest); a girth_only batch stops once its next level cannot close a
+    shorter cycle."""
     import numpy as np
 
     A = graph.csr()
-    n = graph.n
+    n = A.shape[0]
+    deg = np.diff(A.indptr)
+    d = int(deg.max(initial=0))
+    if (deg == d).all():
+        table = A.indices.reshape(n, d)
+    else:  # pad short rows with the id n of an empty extra row
+        table = np.full((n, d), n)
+        table[np.arange(d) < deg[:, None]] = A.indices
+    width = max(1, _SWEEP_BYTES // n)
     ecc = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _BFS_BATCH):
-        hi = min(lo + _BFS_BATCH, n)
-        b = hi - lo
-        frontier = np.zeros((n, b), dtype=np.int32)
-        frontier[np.arange(lo, hi), np.arange(b)] = 1
-        visited = frontier > 0
-        view = ecc[lo:hi]
-        step = 0
-        while True:
-            reached = A @ frontier
-            newly = (reached > 0) & ~visited
-            active = newly.any(axis=0)
-            if not active.any():
+    best = None
+    for lo in range(0, n, width):
+        cols = np.arange(min(width, n - lo))
+        frontier = np.zeros((n + 1, (cols.size + 7) // 8), dtype=np.uint8)
+        frontier[lo + cols, cols >> 3] = 1 << (cols & 7)
+        seen = frontier[:n].copy()
+        level = 1
+        while not (girth_only and best is not None and 2 * level - 1 >= best):
+            once = np.zeros_like(seen)
+            twice = np.zeros_like(seen) if girth_only else None
+            for j in range(d):
+                hit = frontier[table[:, j]]
+                if girth_only:
+                    twice |= once & hit
+                once |= hit
+            new = once & ~seen
+            if girth_only:
+                if (once & frontier[:n]).any():
+                    best = 2 * level - 1
+                elif (new & twice).any():
+                    best = 2 * level
+            reached = np.bitwise_or.reduce(new, axis=0)
+            if not reached.any():
                 break
-            step += 1
-            view[active] = step
-            visited |= newly
-            frontier = newly.astype(np.int32)
-    return ecc
+            ecc[lo + cols[np.unpackbits(reached, bitorder="little")[: cols.size] > 0]] = level
+            seen |= new
+            frontier[:n] = new
+            level += 1
+    return best if girth_only else ecc
+
+
+def eccentricities(graph: Graph):
+    """Exact eccentricity of every vertex within its component."""
+    return _sweep(graph, girth_only=False)
 
 
 def diameter(graph: Graph) -> int:
@@ -92,34 +112,8 @@ def diameter(graph: Graph) -> int:
 
 
 def girth(graph: Graph) -> int:
-    """Exact girth by truncated BFS from every vertex.
-
-    A non-tree edge (u, w) seen from source s closes a walk of length
-    dist(u) + dist(w) + 1 which contains a cycle no longer than that, and for
-    every s on a shortest cycle the bound is attained, so the minimum over
-    all sources is exact.  Expansion is cut off once a level cannot improve
-    the best cycle found so far."""
-    adj = graph.adjacency
-    n = graph.n
-    best: int | None = None
-    for src in range(n):
-        dist = {src: 0}
-        parent = {src: -1}
-        dq = deque([src])
-        while dq:
-            u = dq.popleft()
-            du = dist[u]
-            if best is not None and 2 * du + 1 >= best:
-                break
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    dq.append(w)
-                elif w != parent[u]:
-                    cand = du + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
+    """Exact girth: the shortest cycle closed by a BFS from any vertex."""
+    best = _sweep(graph, girth_only=True)
     if best is None:
         raise Acyclic("graph contains no cycle")
     return best

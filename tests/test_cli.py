@@ -37,6 +37,14 @@ class TestBuild:
         meta = json.loads(out)
         assert meta["vertices"] == 32 and meta["regular"] == 4
 
+    def test_json_meta_builds_no_adjacency(self, capsys):
+        # 8192 vertices over a budget of 1000: the summary needs no graph
+        code = main(["build", "--p", "2", "--e", "6", "--m", "1", "--format", "json",
+                     "--max-vertices", "1000"])
+        out, _ = capsys.readouterr()
+        assert code == EXIT_OK
+        assert json.loads(out)["vertices"] == 8192
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "g.edges"
         code = main(["build", "--p", "2", "--e", "1", "--m", "1", "--out", str(path)])

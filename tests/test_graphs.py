@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,10 +16,12 @@ from linwenger import (
     Point,
     adjacent,
     build,
+    components,
     export,
     line_through,
     point_through,
 )
+from linwenger.graphs import structure_faults
 
 
 def ids(elts):
@@ -122,14 +125,34 @@ class TestGraph:
             q = g.spec.q
             assert g.n == 2 * q ** (m + 1)
             assert g.n_edges == q ** (m + 2)
-            assert all(len(row) == q for row in g.adjacency)
-            assert sum(len(row) for row in g.adjacency) == 2 * g.n_edges
+            assert g.adjacency.shape == (g.n, q)
+            assert structure_faults(g.spec, g.adjacency) == []
 
     def test_wenger_counts(self):
         g = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
         assert g.n == 18
         assert g.n_edges == 27
-        assert all(len(row) == 3 for row in g.adjacency)
+        assert g.adjacency.shape == (18, 3)
+        assert structure_faults(g.spec, g.adjacency) == []
+
+    def test_structure_faults_reports_injected_faults(self, graph_cache):
+        g = graph_cache(3, 1, 1)
+        half = g.n // 2
+        stranger = next(u for u in range(half, g.n) if u not in g.adjacency[1])
+
+        def faults_after(v, j, u):
+            nbrs = g.adjacency.copy()
+            nbrs[v, j] = u
+            return [f.split(" ", 1)[1] for f in structure_faults(g.spec, nbrs)]
+
+        transpose = "adjacency entries differ from the transpose"
+        missing = "nonzeros missing from 2 q^(m+2) = 54"
+        duplicate = faults_after(0, 1, g.adjacency[0, 0])
+        assert duplicate == ["rows repeat a neighbour", transpose, missing]
+        assert faults_after(1, 0, stranger) == [transpose]  # one-sided entry
+        same_side = faults_after(half, 0, half + 1)
+        assert same_side == ["vertices have a neighbour on their own side", transpose]
+        assert structure_faults(g.spec, g.adjacency[:-1]) != []  # a row short
 
     def test_encode_layout(self):
         g = build(FamilySpec.linearized(2, 1, 1))
@@ -166,12 +189,24 @@ class TestGraph:
         assert [Q.coords[0].index for Q in g.neighbors_of_line(L)] == [0, 1, 2]
 
     def test_lazy_matches_materialized(self):
-        spec = FamilySpec.linearized(2, 2, 1)
-        lazy = build(spec)
-        full = build(spec, mode="materialized")
-        assert not lazy.materialized and full.materialized
-        for vid in range(full.n):
-            assert sorted(lazy.neighbor_ids(vid)) == sorted(full.adjacency[vid])
+        for spec in (
+            FamilySpec.linearized(2, 2, 2),
+            FamilySpec.linearized(3, 1, 2),
+            FamilySpec.wenger(3, 1, 2),
+            FamilySpec.custom(3, 1, 2, f_indices=((1, 2, 1), (0, 0, 1))),
+        ):
+            lazy = build(spec)
+            full = build(spec, mode="materialized")
+            assert not lazy.materialized and full.materialized
+            A = full.csr()  # wraps the array; must leave its row order alone
+            assert np.shares_memory(A.indices, full.adjacency)
+            components(full)
+            for vid in range(full.n):
+                row = full.adjacency[vid].tolist()
+                assert row == lazy.neighbor_ids(vid)
+                v = full.decode(vid)
+                for w in map(full.decode, row):
+                    assert adjacent(spec, *((v, w) if vid < full.half else (w, v)))
 
     def test_adjacency_is_symmetric_and_bipartite(self, graph_cache):
         g = graph_cache(3, 1, 1)

@@ -4,8 +4,11 @@ from collections import deque
 from itertools import combinations, product
 from types import SimpleNamespace
 
+import networkx as nx
 import pytest
+from scipy import sparse
 
+from linwenger import metrics as metrics_mod
 from linwenger import (
     Acyclic,
     FamilySpec,
@@ -114,9 +117,58 @@ class TestGirth:
         assert girth(g) == naive_girth(g.adjacency, g.n)
 
     def test_acyclic(self):
-        path = SimpleNamespace(n=4, adjacency=[[1], [0, 2], [1, 3], [2]])
+        # a 4-vertex path: rows of unequal length exercise the sweep's padding
+        A = sparse.csr_matrix(([1] * 6, ([0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2])), shape=(4, 4))
+        path = SimpleNamespace(n=4, csr=lambda: A)
         with pytest.raises(Acyclic):
             girth(path)
+        assert eccentricities(path).tolist() == [3, 2, 2, 3]
+
+    def test_odd_cycles_match_networkx(self):
+        # the point-line graphs are bipartite; these exercise the odd-cycle rule
+        tailed = nx.cycle_graph(5)
+        tailed.add_edges_from([(0, 5), (1, 5)])  # a triangle on the 5-cycle
+        for G in (nx.cycle_graph(5), nx.cycle_graph(7), nx.petersen_graph(), tailed):
+            fake = SimpleNamespace(n=len(G), csr=lambda G=G: nx.to_scipy_sparse_array(G))
+            assert girth(fake) == nx.girth(G)
+            assert eccentricities(fake).tolist() == [nx.eccentricity(G)[v] for v in G]
+
+
+ORACLE_SPECS = [
+    FamilySpec.linearized(3, 1, 1),
+    FamilySpec.linearized(2, 2, 2),
+    FamilySpec.linearized(2, 1, 2),  # 2 components
+    FamilySpec.linearized(3, 1, 2),  # 3 components
+    FamilySpec.wenger(3, 1, 2),
+    FamilySpec.wenger(2, 1, 2),  # 2 components
+    FamilySpec.custom(3, 1, 2, ((1, 2, 1), (0, 0, 1))),
+    FamilySpec.custom(3, 1, 1, ((0,),)),  # f_2 = 0: 3 components, 4-cycles
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}")
+def test_bfs_metrics_match_networkx(spec):
+    g = build(spec, mode="materialized")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    parts = sorted(nx.connected_components(G), key=min)
+    assert components(g) == (len(parts), [len(c) for c in parts])
+    ecc = eccentricities(g)
+    for part in parts:
+        for v, value in nx.eccentricity(G.subgraph(part)).items():
+            assert ecc[v] == value
+    assert diameter(g) == max(nx.diameter(G.subgraph(part)) for part in parts)
+    assert girth(g) == nx.girth(G)
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 1), (2, 2, 2)])
+def test_one_source_batches_agree(p, e, m, graph_cache, monkeypatch):
+    g = graph_cache(p, e, m)
+    ecc, best = eccentricities(g).tolist(), girth(g)
+    monkeypatch.setattr(metrics_mod, "_SWEEP_BYTES", 1)  # one source per batch
+    assert eccentricities(g).tolist() == ecc
+    assert girth(g) == best
 
 
 class TestCommonNeighbor:
