@@ -54,4 +54,4 @@ class Acyclic(RuntimeError):
 
 
 class SolveFailed(RuntimeError):
-    """An internal linear system that must be solvable was not; indicates a bug."""
+    """An internal system or table that must be consistent was not; indicates a bug."""

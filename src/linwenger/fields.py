@@ -1,8 +1,12 @@
 """Exact arithmetic in GF(p^e) and the small exact linear algebra built on it.
 
 Elements are coordinate vectors over F_p in the polynomial basis
-(1, t, ..., t^(e-1)) for a fixed monic irreducible modulus.  Everything here
-is integer-exact; fields and elements are immutable and safe to share between
+(1, t, ..., t^(e-1)) for a fixed monic irreducible modulus.  Fields with at
+most TABLE_LIMIT elements do their arithmetic by lookups in log/antilog and
+Zech tables over canonical indices, built on first use; larger fields
+multiply coordinate vectors modulo the modulus, and that coefficient
+arithmetic is the oracle the tables are tested against.  Everything here is
+integer-exact; fields and elements are immutable and safe to share between
 threads once constructed.
 """
 
@@ -12,10 +16,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import DegreeMismatch, FieldMismatch, NonPrime, ReducibleModulus
+from .errors import DegreeMismatch, FieldMismatch, NonPrime, ReducibleModulus, SolveFailed
 
 P_LIMIT = 1 << 15  # characteristic stays comfortably inside machine words
 Q_LIMIT = 1 << 24  # enumeration-scale ceiling on the field size
+TABLE_LIMIT = 1 << 16  # fields this small cache every element and use index tables
 
 
 def is_prime(n: int) -> bool:
@@ -248,18 +253,39 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 class FieldElement:
-    """An element of GF(p^e), stored as its coordinate tuple over F_p."""
+    """An element of GF(p^e): its coordinate tuple over F_p and its canonical
+    index, the coordinate vector read as a base-p integer with the low basis
+    coordinate least significant.
 
-    __slots__ = ("field", "coeffs")
+    In a field with q <= TABLE_LIMIT every operation below is a few lookups in
+    the field's index tables and returns one of the field's cached elements,
+    which carry their index; larger fields compute on the coordinates and
+    work out the index only when it is read.
+    """
 
-    def __init__(self, field: "Field", coeffs: tuple[int, ...]):
+    __slots__ = ("field", "coeffs", "index")
+
+    def __init__(self, field: "Field", coeffs: tuple[int, ...], index: int | None = None):
         self.field = field
         self.coeffs = coeffs
+        if index is not None:
+            self.index = index
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset, i.e. for the index of an
+        # element made on the coefficient path
+        if name != "index":
+            raise AttributeError(name)
+        index = 0
+        for c in reversed(self.coeffs):
+            index = index * self.field.p + c
+        self.index = index
+        return index
 
     # -- basic protocol ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.index != 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
@@ -275,6 +301,12 @@ class FieldElement:
         return _fmt_poly(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # With tables T: T.exp[i] = g^i over two periods, T.log[a] = log_g of the
+    # element of index a != 0, T.zech[d] = log_g(1 + g^d) (None where that is
+    # zero) over two periods, and T.neg = log_g(-1).  So a * b = g^(la + lb),
+    # a + b = g^la (1 + g^(lb - la)) and -b = g^(lb + T.neg); every sum or
+    # difference of logs below indexes a table directly, negative or not.
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -292,9 +324,17 @@ class FieldElement:
         if o is None:
             return NotImplemented
         F = self.field
-        return FieldElement(
-            F, tuple((x + y) % F.p for x, y in zip(self.coeffs, o.coeffs))
-        )
+        T = F._tab or F._tables()
+        if T is None:
+            return FieldElement(
+                F, tuple((x + y) % F.p for x, y in zip(self.coeffs, o.coeffs))
+            )
+        a, b = self.index, o.index
+        if not (a and b):
+            return T.elts[a or b]
+        la = T.log[a]
+        z = T.zech[T.log[b] - la]
+        return T.elts[0] if z is None else T.exp[la + z]
 
     __radd__ = __add__
 
@@ -303,9 +343,20 @@ class FieldElement:
         if o is None:
             return NotImplemented
         F = self.field
-        return FieldElement(
-            F, tuple((x - y) % F.p for x, y in zip(self.coeffs, o.coeffs))
-        )
+        T = F._tab or F._tables()
+        if T is None:
+            return FieldElement(
+                F, tuple((x - y) % F.p for x, y in zip(self.coeffs, o.coeffs))
+            )
+        a, b = self.index, o.index
+        if not b:
+            return T.elts[a]
+        lb = T.log[b] + T.neg
+        if not a:
+            return T.exp[lb]
+        la = T.log[a]
+        z = T.zech[lb - la]
+        return T.elts[0] if z is None else T.exp[la + z]
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -315,14 +366,22 @@ class FieldElement:
 
     def __neg__(self):
         F = self.field
-        return FieldElement(F, tuple((-x) % F.p for x in self.coeffs))
+        T = F._tab or F._tables()
+        if T is None:
+            return FieldElement(F, tuple((-x) % F.p for x in self.coeffs))
+        a = self.index
+        return T.exp[T.log[a] + T.neg] if a else T.elts[0]
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         F = self.field
-        return FieldElement(F, F._mul(self.coeffs, o.coeffs))
+        T = F._tab or F._tables()
+        if T is None:
+            return FieldElement(F, F._mul(self.coeffs, o.coeffs))
+        a, b = self.index, o.index
+        return T.exp[T.log[a] + T.log[b]] if a and b else T.elts[0]
 
     __rmul__ = __mul__
 
@@ -340,6 +399,9 @@ class FieldElement:
 
     def __pow__(self, k: int):
         F = self.field
+        T = F._tab or F._tables()
+        if T is not None and self.index:
+            return T.exp[T.log[self.index] * k % T.order]
         if k < 0:
             return self.inverse() ** (-k)
         result = F.one
@@ -355,27 +417,26 @@ class FieldElement:
         F = self.field
         if not self:
             raise ZeroDivisionError("division by zero in " + repr(F))
+        T = F._tab or F._tables()
+        if T is not None:
+            return T.exp[T.order - T.log[self.index]]
         inv = _pinvmod(list(self.coeffs), list(F.modulus), F.p)
         return F.from_coeffs(inv)
 
     def frob(self, k: int = 1) -> "FieldElement":
-        """k-fold Frobenius x -> x^(p^k), applied via the precomputed matrix."""
+        """k-fold Frobenius x -> x^(p^k): a log multiple with tables, else the
+        precomputed matrix."""
         F = self.field
-        return FieldElement(F, F._frob_coeffs(self.coeffs, k % F.e))
+        T = F._tab or F._tables()
+        if T is None:
+            return FieldElement(F, F._frob_coeffs(self.coeffs, k % F.e))
+        a = self.index
+        return T.exp[T.log[a] * T.frob[k % F.e] % T.order] if a else T.elts[0]
 
     def trace(self) -> int:
         """Absolute trace down to F_p, returned as an integer in [0, p)."""
         F = self.field
         return sum(c * t for c, t in zip(self.coeffs, F._tr_basis)) % F.p
-
-    @property
-    def index(self) -> int:
-        """Canonical index: the coordinate vector read as a base-p integer,
-        low basis coordinate least significant."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * self.field.p + c
-        return acc
 
 
 def _fmt_poly(coeffs) -> str:
@@ -396,7 +457,8 @@ class Field:
     """GF(p^e) with a fixed monic irreducible modulus.
 
     Precomputes the reduction table, the Frobenius matrices and per-basis
-    traces, so element operations and trace evaluations are cheap.
+    traces, so element operations and trace evaluations are cheap.  Fields
+    with q <= TABLE_LIMIT also build index tables (_Tables) on first use.
     """
 
     __slots__ = (
@@ -410,7 +472,7 @@ class Field:
         "_red",
         "_frob_mats",
         "_tr_basis",
-        "_elts",
+        "_tab",
     )
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -429,7 +491,7 @@ class Field:
         self.e = e
         self.q = p**e
         self.modulus = tuple(modulus)
-        self._elts = None
+        self._tab = None
 
         # reduction table: coordinates of t^d for d in [e, 2e-2]
         red = []
@@ -516,16 +578,13 @@ class Field:
 
     def from_int(self, n: int) -> FieldElement:
         """Embed an integer through the prime subfield: n -> (n mod p) * 1."""
-        return FieldElement(self, (n % self.p,) + (0,) * (self.e - 1))
+        return self.from_index(n % self.p)
 
     def from_index(self, i: int) -> FieldElement:
         if not 0 <= i < self.q:
             raise ValueError(f"element index {i} outside [0, {self.q})")
-        if self._elts is None and self.q <= (1 << 16):
-            self._build_cache()
-        if self._elts is not None:
-            return self._elts[i]
-        return self._elt_at(i)
+        T = self._tab or self._tables()
+        return self._elt_at(i) if T is None else T.elts[i]
 
     def _elt_at(self, i: int) -> FieldElement:
         coeffs = []
@@ -534,8 +593,30 @@ class Field:
             i //= self.p
         return FieldElement(self, tuple(coeffs))
 
-    def _build_cache(self):
-        self._elts = [self._elt_at(i) for i in range(self.q)]
+    def _tables(self) -> "_Tables | None":
+        """The index tables, built on first use; None when q > TABLE_LIMIT."""
+        if self.q > TABLE_LIMIT:
+            return None
+        self._tab = _Tables(self)
+        return self._tab
+
+    def index_tables(self):
+        """(mul, sub): q x q numpy arrays of canonical indices, mul[a, b] the
+        index of a * b and sub[a, b] that of a - b, gathered from the log and
+        antilog tables and the coordinate digits.  Needs q <= TABLE_LIMIT."""
+        import numpy as np
+
+        T = self._tab or self._tables()
+        if T is None:
+            raise ValueError(f"index tables need q <= {TABLE_LIMIT}, got {self.q}")
+        log = np.array(T.log)
+        mul = np.array([x.index for x in T.exp])[log[:, None] + log]
+        mul[0] = mul[:, 0] = 0
+        digits = np.arange(self.q) // self.p ** np.arange(self.e)[:, None] % self.p
+        sub = sum(
+            (d[:, None] - d) % self.p * self.p**j for j, d in enumerate(digits)
+        )
+        return mul, sub
 
     def elements(self):
         """All field elements in canonical index order."""
@@ -559,6 +640,60 @@ class Field:
         if self.e == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.e})"
+
+
+class _Tables:
+    """Log/antilog and Zech tables of one field with q <= TABLE_LIMIT, over
+    canonical indices, with the field's cached elements.
+
+    g is the first primitive element in the order t, 1, 2, ..., q - 1.  The
+    powers of g come from the coordinates of g^0 = 1 by repeated doubling: the
+    block g^k..g^(2k-1) is the block g^0..g^(k-1) times the matrix of
+    multiplication by g^k, whose square gives the next one.  The build then
+    certifies itself: those powers must hit every nonzero index exactly once.
+    """
+
+    __slots__ = ("elts", "exp", "log", "zech", "neg", "order", "frob")
+
+    def __init__(self, F: Field):
+        import numpy as np
+
+        p, e, q = F.p, F.e, F.q
+        order = q - 1
+        # product() varies its last place fastest, an index its first
+        coords = [c[::-1] for c in itertools.product(range(p), repeat=e)]
+        self.elts = list(map(FieldElement, itertools.repeat(F), coords, range(q)))
+
+        g = next(
+            c for c in ([F.basis[1]] if e > 1 else []) + self.elts[1:]
+            if all(_ppowmod(list(c.coeffs), order // r, list(F.modulus), p) != [1]
+                   for r in prime_divisors(order))
+        )
+        step = np.array([F._mul(g.coeffs, b.coeffs) for b in F.basis]).T
+        place = p ** np.arange(e)
+        powers = np.zeros((order, e), dtype=np.int64)  # row i: coordinates of g^i
+        powers[0, 0] = 1
+        k = 1
+        while k < order:
+            n = min(k, order - k)
+            powers[k : k + n] = powers[:n] @ step.T % p
+            step = step @ step % p
+            k *= 2
+        exp = powers @ place
+        if not (np.bincount(exp, minlength=q) == np.arange(q).clip(max=1)).all():
+            raise SolveFailed(f"powers of {g!r} miss nonzero elements of {F!r}")
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(order)
+        # the index of 1 + x is x's index with the low digit stepped mod p
+        zech = log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)].tolist()
+
+        self.exp = list(map(self.elts.__getitem__, exp.tolist())) * 2
+        self.log = log.tolist()
+        self.neg = self.log[p - 1]  # index p - 1 is the element -1
+        zech[self.neg] = None  # 1 + g^d = 0 exactly when g^d = -1
+        self.zech = zech * 2
+        self.order = order
+        self.frob = tuple(pow(p, k, order) for k in range(e))
 
 
 @functools.lru_cache(maxsize=None)

@@ -284,8 +284,8 @@ class Graph:
         Both sides share one formula: the neighbour with first coordinate x
         has k-th coordinate f_k(p_1) l_1 - (own k-th coordinate), where
         (p_1, l_1) is (own first, x) for a point and (x, own first) for a
-        line.  Products, differences and f_k values are gathered from index
-        tables made by FieldElement arithmetic and spec.f_eval."""
+        line.  Products and differences are gathered from the field's q x q
+        index tables, and the f_k values come from spec.f_eval."""
         if self._nbrs is not None:
             return self
         if self.n > self.vertex_budget:
@@ -296,9 +296,8 @@ class Graph:
 
         spec = self.spec
         q, m, half = spec.q, spec.m, self.half
+        mul, sub = spec.field.index_tables()
         elts = list(spec.field.elements())
-        mul = np.array([[(a * b).index for b in elts] for a in elts])
-        sub = np.array([[(a - b).index for b in elts] for a in elts])
         f = np.array([[spec.f_eval(k, x).index for x in elts] for k in range(2, m + 2)])
         own = np.arange(half)[:, None] // q ** np.arange(m + 1) % q  # coordinate indices
         x = np.arange(q)

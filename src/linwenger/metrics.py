@@ -174,23 +174,36 @@ def _validated_walk(spec, verts, start, end, step_weights=(), anchors=()) -> Pat
     return PathWitness(tuple(verts), tuple(step_weights), tuple(anchors))
 
 
+def _moore_solve(spec: FamilySpec, rhs) -> list[FieldElement]:
+    """Solve B x = rhs for the Moore matrix B[k][i] = f_k(t^i),
+    2 <= k <= m+1, 0 <= i < m.
+
+    Every witness system reduces to B, because the Frobenius maps f_k are
+    additive; the basis powers t^i are F_p-independent, so B is invertible."""
+    F = spec.field
+    B = [[spec.f_eval(k, F.basis[i]) for i in range(spec.m)] for k in range(2, spec.m + 2)]
+    x = fq_solve(F, B, rhs)
+    if x is None:
+        raise SolveFailed("Moore system unsolvable; basis powers not independent?")
+    return x
+
+
 def _line_walk(spec: FamilySpec, start: Line, end: Line, x1: FieldElement):
     """Solve for line-side increments through m+1 anchor points.
 
-    Anchors are x_1 and x_1 + t^i; their pairwise differences are basis
-    elements, hence F_p-independent, which makes the Moore-type system below
-    uniquely solvable.  Returns (anchors, increments, full uncompressed walk).
+    Anchors are x_1 and x_1 + t^i, so the system  sum_j t_j = d_1,
+    sum_j f_k(x_j) t_j = d_k  (d = end - start) becomes, by additivity of
+    f_k,  B (t_1, ..., t_m) = d_k - f_k(x_1) d_1  with the Moore matrix B of
+    _moore_solve, and t_0 = d_1 - sum t_i.  Returns (anchors, increments,
+    full uncompressed walk).
     """
     F = spec.field
     m = spec.m
     xs = [x1] + [x1 + F.basis[i] for i in range(m)]
     delta = [end.coords[j] - start.coords[j] for j in range(m + 1)]
-    rows = [[F.one] * (m + 1)]
-    for k in range(2, m + 2):
-        rows.append([x.frob(k - 2) for x in xs])
-    ts = fq_solve(F, rows, delta)
-    if ts is None:
-        raise SolveFailed("anchor system unsolvable; anchors not independent?")
+    rhs = [delta[k - 1] - spec.f_eval(k, x1) * delta[0] for k in range(2, m + 2)]
+    tail = _moore_solve(spec, rhs)
+    ts = [delta[0] - sum(tail, F.zero)] + tail
     walk = [start]
     cur = start
     for x, t in zip(xs, ts):
@@ -250,11 +263,7 @@ def _point_walk(spec: FamilySpec, a: Point, b: Point) -> PathWitness:
     us = [F.basis[i] for i in range(m)]
     us.append(b.coords[0] - a.coords[0] - sum(us, F.zero))
     delta = [b.coords[k - 1] - a.coords[k - 1] for k in range(2, m + 2)]
-    rows = [[u.frob(k - 2) for u in us[:m]] for k in range(2, m + 2)]
-    sol = fq_solve(F, rows, delta)
-    if sol is None:
-        raise SolveFailed("point-side Moore system unsolvable")
-    l1s = list(sol) + [F.zero]
+    l1s = _moore_solve(spec, delta) + [F.zero]
     walk = [a]
     cur = a
     for u, l1 in zip(us, l1s):

@@ -4,11 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linwenger.errors import DegreeMismatch, FieldMismatch, NonPrime, ReducibleModulus
+from linwenger import fields
+from linwenger.errors import (
+    DegreeMismatch,
+    FieldMismatch,
+    NonPrime,
+    ReducibleModulus,
+    SolveFailed,
+)
 from linwenger.fields import (
     CONWAY_TABLE,
     GF,
+    TABLE_LIMIT,
+    Field,
     FpMatrix,
+    _pinvmod,
     default_modulus,
     fp_rank_kernel,
     fp_solve,
@@ -163,6 +173,94 @@ def test_field_mismatch():
         a + b
     with pytest.raises(FieldMismatch):
         GF(3).one * GF(5).one
+
+
+def _coeff_pow(F, coeffs, k):
+    """x^k by repeated coefficient multiplication."""
+    acc = F.one.coeffs
+    for _ in range(k):
+        acc = F._mul(acc, coeffs)
+    return acc
+
+
+def _order(F, x):
+    acc, k = x, 1
+    while acc != F.one:
+        acc, k = acc * x, k + 1
+    return k
+
+
+# Conway moduli, then two moduli whose root t is not primitive.
+TABLE_FIELDS = [(2, 2, None), (2, 3, None), (3, 2, None), (5, 2, None), (3, 3, None),
+                (3, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1))]
+
+
+class TestIndexTables:
+    """The table arithmetic against the coefficient routines, which are what
+    fields above TABLE_LIMIT compute with."""
+
+    @pytest.mark.parametrize("p,e,modulus", TABLE_FIELDS)
+    def test_tables_match_coefficient_arithmetic(self, p, e, modulus):
+        F = GF(p, e, modulus)
+        els = list(F.elements())
+        for a in els:
+            for b in els:
+                assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
+                assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+                assert (a * b).coeffs == F._mul(a.coeffs, b.coeffs)
+            assert (-a).coeffs == tuple(-x % p for x in a.coeffs)
+            for k in range(-e, 2 * e + 1):
+                assert a.frob(k).coeffs == F._frob_coeffs(a.coeffs, k % e)
+            for k in range(2 * F.q):
+                assert (a**k).coeffs == _coeff_pow(F, a.coeffs, k)
+            if a:
+                inv = F.from_coeffs(_pinvmod(list(a.coeffs), list(F.modulus), p))
+                assert a.inverse().coeffs == inv.coeffs
+                assert (a**-3).coeffs == _coeff_pow(F, inv.coeffs, 3)
+
+    @pytest.mark.parametrize("p,e,modulus,order", [(3, 2, (1, 0, 1), 4),
+                                                   (2, 4, (1, 1, 1, 1, 1), 5)])
+    def test_non_primitive_root(self, p, e, modulus, order):
+        F = GF(p, e, modulus)
+        assert _order(F, F.basis[1]) == order < F.q - 1
+        assert _order(F, F._tables().exp[1]) == F.q - 1
+
+    def test_index_tables_for_materialize(self):
+        import numpy as np
+
+        for F in (GF(3, 2), GF(2, 4, (1, 1, 1, 1, 1)), GF(7)):
+            els = list(F.elements())
+            mul, sub = F.index_tables()
+            assert (mul == np.array([[(a * b).index for b in els] for a in els])).all()
+            assert (sub == np.array([[(a - b).index for b in els] for a in els])).all()
+
+    def test_results_are_the_cached_elements(self):
+        F = GF(5, 2)
+        x, y = F.from_index(7), F.from_index(11)
+        for z in (x + y, x - y, -x, x * y, x.inverse(), x.frob(1), x**5, F.from_int(3)):
+            assert z is F.from_index(z.index)
+
+    def test_build_certifies_itself(self, monkeypatch):
+        # with no prime divisors to test, t (of order 4 here) passes as primitive
+        monkeypatch.setattr(fields, "prime_divisors", lambda n: [])
+        F = Field(3, 2, (1, 0, 1))
+        with pytest.raises(SolveFailed):
+            F.from_index(1)
+
+    def test_coefficient_arithmetic_above_the_limit(self):
+        F = GF(2, 17, modulus=(1, 0, 0, 1) + (0,) * 13 + (1,))  # x^17 + x^3 + 1
+        assert F.q > TABLE_LIMIT and F._tables() is None
+        x = F.from_index(0b10110011100011101)
+        assert x * x.inverse() == F.one
+        assert x.frob(F.e) == x
+        y = x
+        for _ in range(F.e):
+            y = y.frob(1)
+        assert y == x and x.frob(1) == x * x
+        assert x.index == 0b10110011100011101 and F.from_index(5).index == 5
+        assert not x - x and (x + F.one).index == x.index ^ 1
+        with pytest.raises(AttributeError):
+            x.coords
 
 
 class TestConwayTable:

@@ -1,5 +1,6 @@
 """Distances, girth, common neighbors, and explicit witnesses."""
 
+import random
 from collections import deque
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import networkx as nx
 import pytest
 from scipy import sparse
 
+from linwenger import fields
 from linwenger import metrics as metrics_mod
 from linwenger import (
     Acyclic,
@@ -266,6 +268,37 @@ class TestDiameterWitness:
         g = graph_cache(2, 1, 1)
         with pytest.raises(TypeError):
             diameter_witness(g, g.decode(0), 5)
+
+    @pytest.mark.parametrize("p,e,m", [(3, 2, 2), (2, 3, 3), (5, 2, 1)])
+    def test_moore_reduction_matches_direct_solves(self, p, e, m, monkeypatch):
+        """Every walk's weights equal the solution of its own full Moore
+        system, and each witness runs fq_solve once, on the m x m matrix."""
+        spec = FamilySpec.linearized(p, e, m)
+        g = build(spec)
+        F = spec.field
+        calls = []
+        monkeypatch.setattr(
+            metrics_mod, "fq_solve", lambda *a: calls.append(a) or fields.fq_solve(*a)
+        )
+        rng = random.Random(7)
+        n_walks = 0
+        for _ in range(24):
+            a, b = g.decode(rng.randrange(g.n)), g.decode(rng.randrange(g.n))
+            w = diameter_witness(g, a, b)
+            n_walks += a != b
+            if a == b or isinstance(a, Point) != isinstance(b, Point):
+                continue
+            d = [y - x for x, y in zip(a.coords, b.coords)]
+            if isinstance(a, Line):  # anchors x_j, weights t_j: sum t_j = d_1, ...
+                rows = [[F.one] * (m + 1)] + [
+                    [x.frob(k) for x in w.anchors] for k in range(m)
+                ]
+                assert list(w.step_weights) == fields.fq_solve(F, rows, d)
+            else:  # steps u_i = t^i, weights l_i with the last one zero
+                rows = [[u.frob(k) for u in w.anchors[:m]] for k in range(m)]
+                assert list(w.step_weights) == fields.fq_solve(F, rows, d[1:]) + [F.zero]
+        assert len(calls) == n_walks
+        assert all(len(rows) == m == len(rows[0]) for _, rows, _ in calls)
 
 
 class TestCycleWitnesses:
