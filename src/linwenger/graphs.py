@@ -212,7 +212,6 @@ class Graph:
     def __init__(self, spec: FamilySpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET):
         self.spec = spec
         self.vertex_budget = vertex_budget
-        self.injective_theta = spec.theta_injective
         self._nbrs = None
         self._csr = None
 
@@ -296,17 +295,24 @@ class Graph:
 
         spec = self.spec
         q, m, half = spec.q, spec.m, self.half
-        mul, sub = spec.field.index_tables()
+        # every index (< q) and id (< n) fits the result's dtype, so the
+        # gathers and their (n/2, q) temporaries use it too
+        dtype = np.int32 if self.n * q < 2**31 else np.int64
+        mul, sub = (t.astype(dtype) for t in spec.field.index_tables())
         elts = list(spec.field.elements())
-        f = np.array([[spec.f_eval(k, x).index for x in elts] for k in range(2, m + 2)])
-        own = np.arange(half)[:, None] // q ** np.arange(m + 1) % q  # coordinate indices
-        x = np.arange(q)
-        nbrs = np.empty((self.n, q), dtype=np.int32 if self.n * q < 2**31 else np.int64)
+        f = np.array(
+            [[spec.f_eval(k, x).index for x in elts] for k in range(2, m + 2)], dtype=dtype
+        )
+        own = (  # coordinate indices
+            np.arange(half, dtype=dtype)[:, None] // q ** np.arange(m + 1, dtype=dtype) % q
+        )
+        x = np.arange(q, dtype=dtype)
+        nbrs = np.empty((self.n, q), dtype=dtype)
         for side, (p1, l1) in enumerate(((own[:, :1], x), (x, own[:, :1]))):
-            ids = x + (half if side == 0 else 0)
+            ids = nbrs[side * half : (side + 1) * half]
+            ids[:] = x + (half if side == 0 else 0)
             for k in range(2, m + 2):
-                ids = ids + sub[mul[f[k - 2][p1], l1], own[:, k - 1 : k]] * q ** (k - 1)
-            nbrs[side * half : (side + 1) * half] = ids
+                ids += (sub * q ** (k - 1))[mul[f[k - 2][p1], l1], own[:, k - 1 : k]]
         nbrs.flags.writeable = False  # csr() shares this memory
         self._nbrs = nbrs
         return self
@@ -347,7 +353,7 @@ class Graph:
             vertices=self.n,
             edges=self.n_edges,
             regular=self.spec.q,
-            injective_theta=self.injective_theta,
+            injective_theta=self.spec.theta_injective,
         )
         return base
 

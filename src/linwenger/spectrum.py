@@ -8,12 +8,16 @@ bookkeeping; the expander bound exposes a float only for display.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ThetaNotInjective, UnsupportedRegime
 from .fields import fq_rank
 from .graphs import FamilySpec, Graph
-from .linearized import count_roots, rank_count
+# count_roots is not called here; it stays bound because perfbench/spans.py
+# wraps linwenger.spectrum.count_roots (its linearized.count_roots_* metrics
+# then read 0).
+from .linearized import count_roots, rank_count  # noqa: F401
 
 DEFAULT_EVAL_BUDGET = 10**8
 
@@ -131,11 +135,17 @@ def _report_from_histogram(spec: FamilySpec, hist: dict[int, int], provenance: s
 
 
 def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -> SpectrumReport:
-    """Spectrum by sweeping every weight vector and counting its roots.
+    """Spectrum by an exhaustive value sweep, one code path for every family.
 
-    The Frobenius family uses the structured root count per weight vector;
-    other families sweep the field, so the cost is q^(m+1) * q evaluations
-    and is guarded by max_evals.
+    For each linear part w' = (w_2, ..., w_(m+1)) the sweep evaluates
+    sum_k w_k f_k(x) at every x and counts how often each value v is hit.
+    The constant w_1 only shifts that sum, so the weight vector (-v, w') has
+    exactly as many roots as v has hits, and each of the q - (#values hit)
+    other constants gives no root.  That is q^m * q evaluations; max_evals
+    is still checked against q^(m+1) * q, one field sweep per weight vector,
+    so the budgets callers pass keep their meaning.  Nothing here uses the
+    rank structure of the linearized family, so the sweep is an independent
+    oracle for closed_form_linearized.
     """
     if not spec.theta_injective:
         raise ThetaNotInjective(
@@ -148,11 +158,19 @@ def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -
         raise BudgetExceeded(
             f"{total_w * q} evaluations exceed the budget {max_evals}"
         )
-    hist: dict[int, int] = {}
-    for widx in range(total_w):
-        w = spec.weight_tuple(widx)
-        n = count_roots(spec.lin_poly(w))
-        hist[n] = hist.get(n, 0) + 1
+    F = spec.field
+    f_rows = [spec.f_values(x) for x in F.elements()]
+    hist: Counter[int] = Counter()
+    for widx in range(0, total_w, q):  # w_1 = 0: one index per linear part
+        linear = spec.weight_tuple(widx)[1:]
+        hits: Counter[int] = Counter()
+        for fx in f_rows:
+            acc = F.zero
+            for w, f in zip(linear, fx):
+                acc = acc + w * f
+            hits[acc.index] += 1
+        hist.update(hits.values())
+        hist[0] += q - len(hits)
     return _report_from_histogram(spec, hist, "enumerated")
 
 

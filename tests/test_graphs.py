@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from linwenger import (
     BudgetExceeded,
     FamilySpec,
+    Graph,
     Line,
     OutOfRange,
     Point,
@@ -239,6 +240,12 @@ class TestGraph:
             build(spec, mode="materialized", max_vertices=4)
         with pytest.raises(ValueError):
             build(spec, mode="eager")
+
+    def test_lazy_graph_leaves_theta_unevaluated(self):
+        # theta_injective sweeps the field; only meta_dict and the spectrum need it
+        spec = FamilySpec.linearized(2, 16, 1)
+        Graph(spec)
+        assert "theta_injective" not in spec.__dict__
 
     def test_meta_dict(self, graph_cache):
         g = graph_cache(2, 1, 1)

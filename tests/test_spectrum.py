@@ -1,5 +1,7 @@
 """Spectrum closed form, enumeration, traces, and the expansion bound."""
 
+from collections import Counter
+
 import pytest
 
 from linwenger import (
@@ -17,6 +19,17 @@ from linwenger import (
     spectrum_enumerate,
     walk_trace,
 )
+from linwenger.linearized import count_roots
+
+
+def brute_force_histogram(spec: FamilySpec, method: str) -> dict[int, int]:
+    """{N: weight vectors with N roots}, one count_roots call per vector."""
+    return dict(
+        Counter(
+            count_roots(spec.lin_poly(spec.weight_tuple(i)), method)
+            for i in range(spec.q ** (spec.m + 1))
+        )
+    )
 
 
 def trace_from_report(rep: SpectrumReport, k: int) -> int:
@@ -129,6 +142,25 @@ class TestEnumerate:
         rep = spectrum_enumerate(spec)
         assert rep.total_multiplicity == 2 * 27
         assert trace_from_report(rep, 1) == 2 * spec.n_edges
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec.linearized(2, 3, 1),  # m < e
+            FamilySpec.linearized(3, 2, 1),  # m < e
+            FamilySpec.linearized(2, 2, 2),  # m = e
+            FamilySpec.linearized(3, 1, 2),  # m > e
+            FamilySpec.wenger(2, 3, 2),
+            FamilySpec.custom(3, 2, 2, f_indices=((0, 1), (2, 1, 1))),
+        ],
+        ids=["lin-2-3-1", "lin-3-2-1", "lin-2-2-2", "lin-3-1-2", "wen-2-3-2", "cus-3-2-2"],
+    )
+    def test_sweep_matches_root_count_per_weight(self, spec):
+        assert spectrum_enumerate(spec).histogram() == brute_force_histogram(spec, "exhaustive")
+
+    def test_sweep_matches_rank_route_below_exponent(self):
+        spec = FamilySpec.linearized(2, 3, 2)  # m < e: no closed form to compare
+        assert spectrum_enumerate(spec).histogram() == brute_force_histogram(spec, "structured")
 
     def test_below_exponent_regime_enumerates(self):
         spec = FamilySpec.linearized(2, 2, 1)  # m < e has no closed form
