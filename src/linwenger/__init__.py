@@ -12,7 +12,6 @@ from .errors import (
     ConfigError,
     DegreeMismatch,
     FieldMismatch,
-    InvalidRank,
     NoSixCycle,
     NonPrime,
     OutOfRange,
@@ -34,7 +33,7 @@ from .graphs import (
     line_through,
     point_through,
 )
-from .linearized import LinPoly, count_roots, rank_count
+from .linearized import count_roots, rank_distribution
 from .metrics import (
     CycleWitness,
     MetricsReport,

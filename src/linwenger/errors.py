@@ -21,10 +21,6 @@ class FieldMismatch(ConfigError):
     """Arithmetic attempted between elements of different fields."""
 
 
-class InvalidRank(ConfigError):
-    """Requested matrix rank exceeds the matrix dimensions."""
-
-
 class UnsupportedRegime(ConfigError):
     """The closed form or witness construction is undefined for these parameters."""
 

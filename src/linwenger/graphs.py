@@ -20,10 +20,12 @@ from pathlib import Path
 
 from .errors import BudgetExceeded, OutOfRange
 from .fields import GF, Field, FieldElement
-from .linearized import LinPoly
 
 FAMILIES = ("linearized", "wenger", "custom")
 DEFAULT_VERTEX_BUDGET = 2_000_000
+# Graph.materialize gathers this many bytes of rows at a time, which bounds
+# each of its temporaries at any n.
+_GATHER_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,6 @@ class FamilySpec:
             out.append(F.from_index(index % F.q))
             index //= F.q
         return tuple(out)
-
-    def lin_poly(self, weights) -> LinPoly:
-        """The affine map w_1 + sum_k w_k f_k(x) of this family."""
-        return LinPoly(self, weights)
 
     # -- construction helpers -------------------------------------------------
 
@@ -284,7 +282,8 @@ class Graph:
         has k-th coordinate f_k(p_1) l_1 - (own k-th coordinate), where
         (p_1, l_1) is (own first, x) for a point and (x, own first) for a
         line.  Products and differences are gathered from the field's q x q
-        index tables, and the f_k values come from spec.f_eval."""
+        index tables, and the f_k values come from spec.f_eval.  The rows
+        are gathered a block of at most _GATHER_BYTES at a time."""
         if self._nbrs is not None:
             return self
         if self.n > self.vertex_budget:
@@ -296,23 +295,27 @@ class Graph:
         spec = self.spec
         q, m, half = spec.q, spec.m, self.half
         # every index (< q) and id (< n) fits the result's dtype, so the
-        # gathers and their (n/2, q) temporaries use it too
+        # gathers and their (block, q) temporaries use it too
         dtype = np.int32 if self.n * q < 2**31 else np.int64
         mul, sub = (t.astype(dtype) for t in spec.field.index_tables())
         elts = list(spec.field.elements())
         f = np.array(
             [[spec.f_eval(k, x).index for x in elts] for k in range(2, m + 2)], dtype=dtype
         )
-        own = (  # coordinate indices
-            np.arange(half, dtype=dtype)[:, None] // q ** np.arange(m + 1, dtype=dtype) % q
-        )
         x = np.arange(q, dtype=dtype)
         nbrs = np.empty((self.n, q), dtype=dtype)
-        for side, (p1, l1) in enumerate(((own[:, :1], x), (x, own[:, :1]))):
-            ids = nbrs[side * half : (side + 1) * half]
-            ids[:] = x + (half if side == 0 else 0)
-            for k in range(2, m + 2):
-                ids += (sub * q ** (k - 1))[mul[f[k - 2][p1], l1], own[:, k - 1 : k]]
+        rows = max(1, _GATHER_BYTES // (q * nbrs.itemsize))
+        for start in range(0, half, rows):
+            stop = min(start + rows, half)
+            own = (  # coordinate indices
+                np.arange(start, stop, dtype=dtype)[:, None]
+                // q ** np.arange(m + 1, dtype=dtype) % q
+            )
+            for side, (p1, l1) in enumerate(((own[:, :1], x), (x, own[:, :1]))):
+                ids = nbrs[side * half + start : side * half + stop]
+                ids[:] = x + (half if side == 0 else 0)
+                for k in range(2, m + 2):
+                    ids += (sub * q ** (k - 1))[mul[f[k - 2][p1], l1], own[:, k - 1 : k]]
         nbrs.flags.writeable = False  # csr() shares this memory
         self._nbrs = nbrs
         return self

@@ -4,6 +4,10 @@ Every eigenvalue is +/- sqrt(q * N) where N is the number of roots of one
 weight polynomial, so the whole spectrum is carried as (sign, radicand)
 pairs with exact integer radicands and multiplicities.  No floats enter the
 bookkeeping; the expander bound exposes a float only for display.
+
+Two routes give the spectrum: an exhaustive value sweep for every family,
+and for the linearized family one closed form at every m, built from the
+rank distribution of the linear parts.  They share no machinery.
 """
 
 from __future__ import annotations
@@ -11,13 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, ThetaNotInjective, UnsupportedRegime
+from .errors import BudgetExceeded, ThetaNotInjective
 from .fields import fq_rank
 from .graphs import FamilySpec, Graph
 # count_roots is not called here; it stays bound because perfbench/spans.py
 # wraps linwenger.spectrum.count_roots (its linearized.count_roots_* metrics
 # then read 0).
-from .linearized import count_roots, rank_count  # noqa: F401
+from .linearized import count_roots, rank_distribution  # noqa: F401
 
 DEFAULT_EVAL_BUDGET = 10**8
 
@@ -176,19 +180,16 @@ def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -
 
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """Closed-form root-count multiplicities for the Frobenius family with
-    m >= e.  root_mults[i] counts weight vectors with p^i roots; zero_mult
-    counts those with none.  Both already include the q^(m-e) scale."""
+    """Closed-form root-count multiplicities of the linearized family
+    L_m(p^e).  root_mults[i] counts weight vectors with p^i roots and
+    zero_mult those with none; a root count that no weight vector has gets
+    no key."""
 
     p: int
     e: int
     m: int
     root_mults: dict[int, int]
     zero_mult: int
-
-    @property
-    def scale(self) -> int:
-        return (self.p**self.e) ** (self.m - self.e)
 
     def histogram(self) -> dict[int, int]:
         hist = {self.p**i: n for i, n in self.root_mults.items()}
@@ -201,26 +202,22 @@ class MultiplicityTable:
 
 
 def closed_form_linearized(p: int, e: int, m: int) -> MultiplicityTable:
-    """Multiplicity table for the Frobenius family when m >= e.
+    """Multiplicity table of the linearized family for any m >= 1.
 
-    With m = e the weight-to-linear-map correspondence is a bijection, so the
-    number of weight vectors whose linear part has kernel dimension i equals
-    the number of e x e matrices over F_p of rank e - i; each contributes
-    p^(e-i) admissible constants (image membership) and p^e - p^(e-i)
-    non-members.  For m > e everything scales by q^(m-e)."""
-    if m < e:
-        raise UnsupportedRegime(
-            f"closed form requires m >= e; m={m}, e={e} is enumeration-only"
-        )
+    The constant w_1 only shifts the linear part, so a linear part of F_p-rank
+    r gives p^r constants (its image) with p^(e-r) roots each and q - p^r
+    constants with none.  rank_distribution counts the linear parts of each
+    rank among the first min(m, e) coordinates; for m > e the remaining
+    coordinates multiply every count by q^(m-e).  Bad p, e or m raise
+    ValueError."""
+    ranks = rank_distribution(p, e, m)
     q = p**e
-    scale = q ** (m - e)
+    scale = q ** (m - min(m, e))
     root_mults = {}
     zero = 0
-    for i in range(e + 1):
-        kernels = rank_count(e, e, e - i, p)
-        root_mults[i] = p ** (e - i) * kernels * scale
-        if i >= 1:
-            zero += (p**e - p ** (e - i)) * kernels * scale
+    for r, count in ranks.items():
+        root_mults[e - r] = p**r * count * scale
+        zero += (q - p**r) * count * scale
     return MultiplicityTable(p, e, m, root_mults, zero)
 
 
@@ -261,7 +258,7 @@ def walk_trace(graph: Graph, k: int) -> int:
 class ExpansionBound:
     """Edge-expansion lower bound (q - sqrt(radicand)) / divisor, kept as an
     exact radicand pair; radicand is also the second-largest squared
-    eigenvalue q * p^(e-1) for the connected Frobenius-family graphs."""
+    eigenvalue q * p^(m-1) of the connected linearized graphs, m <= e."""
 
     q: int
     radicand: int
@@ -274,6 +271,6 @@ class ExpansionBound:
         return (self.q - math.sqrt(self.radicand)) / self.divisor
 
 
-def expansion_bound(p: int, e: int) -> ExpansionBound:
+def expansion_bound(p: int, e: int, m: int) -> ExpansionBound:
     q = p**e
-    return ExpansionBound(q=q, radicand=q * p ** (e - 1))
+    return ExpansionBound(q=q, radicand=q * p ** (min(m, e) - 1))

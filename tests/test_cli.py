@@ -131,10 +131,13 @@ class TestSpectrum:
         assert payload["match"] is True
         assert payload["closed"]["provenance"] == "closed_form"
 
-    def test_closed_needs_supported_regime(self, capsys):
-        code = main(["spectrum", "--p", "2", "--e", "2", "--m", "1", "--method", "closed"])
-        assert code == EXIT_CONFIG
-        capsys.readouterr()
+    def test_both_match_below_exponent(self, capsys):
+        for e, m in ((2, 1), (3, 2)):  # m < e
+            code = main(["spectrum", "--p", "2", "--e", str(e), "--m", str(m),
+                         "--method", "both"])
+            out, _ = capsys.readouterr()
+            assert code == EXIT_OK
+            assert out.splitlines()[-1] == "MATCH"
 
     def test_closed_rejects_wenger(self, capsys):
         code = main(["spectrum", "--p", "3", "--m", "1", "--family", "wenger",

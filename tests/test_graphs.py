@@ -22,6 +22,7 @@ from linwenger import (
     line_through,
     point_through,
 )
+from linwenger import graphs
 from linwenger.graphs import structure_faults
 
 
@@ -208,6 +209,18 @@ class TestGraph:
                 v = full.decode(vid)
                 for w in map(full.decode, row):
                     assert adjacent(spec, *((v, w) if vid < full.half else (w, v)))
+
+    def test_blocked_materialize_matches_one_block(self, monkeypatch):
+        specs = (
+            FamilySpec.linearized(2, 2, 2),
+            FamilySpec.linearized(3, 1, 3),
+            FamilySpec.wenger(3, 1, 2),
+            FamilySpec.custom(3, 1, 2, f_indices=((1, 2, 1), (0, 0, 1))),
+        )
+        whole = [Graph(spec).materialize().adjacency for spec in specs]
+        monkeypatch.setattr(graphs, "_GATHER_BYTES", 1)  # one row per block
+        for spec, expected in zip(specs, whole):
+            assert np.array_equal(Graph(spec).materialize().adjacency, expected)
 
     def test_adjacency_is_symmetric_and_bipartite(self, graph_cache):
         g = graph_cache(3, 1, 1)

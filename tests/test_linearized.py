@@ -1,193 +1,158 @@
-"""Affine family polynomials: evaluation, kernels, root counts."""
+"""Weight polynomials: exhaustive root counts, and the rank distribution of
+the linear parts of the linearized family."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linwenger.errors import InvalidRank, UnsupportedRegime
-from linwenger.fields import GF
+from linwenger.fields import GF, FpMatrix, fp_rank_kernel
 from linwenger.graphs import FamilySpec
-from linwenger.linearized import count_roots, kernel_dim, rank_count
+from linwenger.linearized import count_roots, rank_distribution
+from linwenger.spectrum import closed_form_linearized
 
 
-def frob_poly(F, *ints):
+def frob_roots(F, *ints):
+    """Root count of w_1 + sum_k w_k x^(p^(k-2)) for integer weights."""
     spec = FamilySpec.linearized(F.p, F.e, len(ints) - 1)
-    return spec.lin_poly([F.from_int(c) for c in ints])
+    return count_roots(spec, [F.from_int(c) for c in ints])
 
 
-def weights_from_indices(F, idxs):
+def roots_from_indices(F, idxs):
     spec = FamilySpec.linearized(F.p, F.e, len(idxs) - 1)
-    return spec.lin_poly([F.from_index(i) for i in idxs])
+    return count_roots(spec, [F.from_index(i) for i in idxs])
 
 
 class TestEval:
     def test_zero_weights_is_zero_map(self):
         F = GF(3, 2)
-        P = frob_poly(F, 0, 0, 0)
-        assert all(not P.eval(x) for x in F.elements())
+        assert frob_roots(F, 0, 0, 0) == F.q
 
     def test_identity_map(self):
-        F = GF(2, 2)
-        P = frob_poly(F, 0, 1)
+        # x - t vanishes at t alone
+        spec = FamilySpec.linearized(2, 2, 1)
+        F = spec.field
         t = F.basis[1]
-        assert P.eval(t) == t
+        assert count_roots(spec, [-t, F.one]) == 1
 
     def test_gf4_sum_of_frobenius_layers(self):
-        # w = (0, 1, 1): x + x^2 sends t to t + (t + 1) = 1 under t^2 = t + 1
-        F = GF(2, 2)
-        P = frob_poly(F, 0, 1, 1)
-        t = F.basis[1]
-        assert P.eval(t) == F.one
+        # x + x^2 is the trace onto F_2: it vanishes on F_2 and never hits t
+        spec = FamilySpec.linearized(2, 2, 2)
+        F = spec.field
+        assert count_roots(spec, [F.zero, F.one, F.one]) == 2
+        assert count_roots(spec, [F.basis[1], F.one, F.one]) == 0
 
     def test_constant_offset(self):
         F = GF(5)
-        P = frob_poly(F, 2, 1)
-        assert P.eval(F.from_int(3)) == F.zero
+        assert frob_roots(F, 2, 1) == 1  # 2 + x at x = 3
 
     def test_monomial_kind(self):
         spec = FamilySpec.wenger(3, 1, 2)
         F = spec.field
-        P = spec.lin_poly([F.zero, F.zero, F.one])  # x^2
-        assert P.eval(F.from_int(2)) == F.one
+        assert count_roots(spec, [-F.one, F.zero, F.one]) == 2  # x^2 - 1 at +-1
 
     def test_weight_validation(self):
         spec = FamilySpec.linearized(2, 2, 1)
         F = spec.field
         with pytest.raises(ValueError):
-            spec.lin_poly([F.one])
+            count_roots(spec, [F.one])
         with pytest.raises(ValueError):
-            spec.lin_poly([F.one, F.one, F.one])
+            count_roots(spec, [F.one, F.one, F.one])
         with pytest.raises(ValueError):
-            spec.lin_poly([F.one, GF(2).one])
-
-    def test_linear_matrix_needs_frobenius_kind(self):
-        for spec in (FamilySpec.wenger(2, 2, 1), FamilySpec.custom(2, 2, 1, ((0, 1),))):
-            F = spec.field
-            with pytest.raises(UnsupportedRegime):
-                spec.lin_poly([F.zero, F.one]).linear_matrix()
+            count_roots(spec, [F.one, GF(2).one])
 
 
 class TestKernel:
+    """Roots of a weight vector with w_1 = 0 form the kernel of its linear part."""
+
     def test_zero_map_has_full_kernel(self):
         F = GF(2, 3)
-        assert kernel_dim(frob_poly(F, 0, 0, 0, 0)) == 3
+        assert frob_roots(F, 0, 0, 0, 0) == 8
 
     def test_identity_has_trivial_kernel(self):
         F = GF(2, 3)
-        assert kernel_dim(frob_poly(F, 0, 1)) == 0
+        assert frob_roots(F, 0, 1) == 1
 
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
     def test_artin_schreier_kernel_is_prime_field(self, p, e):
         # x^p - x vanishes exactly on F_p
-        F = GF(p, e)
-        P = frob_poly(F, 0, -1, 1)
-        assert kernel_dim(P) == 1
-        roots = [x for x in F.elements() if not P.eval(x)]
-        assert sorted(x.index for x in roots) == sorted(
-            F.from_int(c).index for c in range(p)
-        )
+        assert frob_roots(GF(p, e), 0, -1, 1) == p
 
     def test_kernel_dim_matches_exhaustive_root_count(self):
-        F = GF(2, 2)
-        for idxs in itertools.product(range(4), repeat=2):
-            P = weights_from_indices(F, (0,) + idxs)
-            n_roots = sum(1 for x in F.elements() if not P.eval(x))
-            assert n_roots == 2 ** kernel_dim(P)
+        # kernel dimension = e - (F_p rank of the matrix of the linear part)
+        spec = FamilySpec.linearized(2, 3, 2)
+        F = spec.field
+        for linear in itertools.product(F.elements(), repeat=spec.m):
+            images = []
+            for b in F.basis:
+                acc = F.zero
+                for w, f in zip(linear, spec.f_values(b)):
+                    acc = acc + w * f
+                images.append(acc.coeffs)
+            rank, _ = fp_rank_kernel(FpMatrix(F.p, tuple(images)))
+            assert count_roots(spec, [F.zero, *linear]) == F.p ** (F.e - rank)
 
 
 class TestCountRoots:
     def test_zero_vector_counts_whole_field(self):
         for p, e in ((2, 1), (2, 2), (3, 2)):
             F = GF(p, e)
-            P = frob_poly(F, *([0] * (e + 1)))
-            assert count_roots(P) == F.q
+            assert frob_roots(F, *([0] * (e + 1))) == F.q
 
     def test_gf4_affine_example(self):
         # 1 + x + x^2 has exactly the two non-subfield roots
-        F = GF(2, 2)
-        P = frob_poly(F, 1, 1, 1)
-        assert count_roots(P, "exhaustive") == 2
-        assert count_roots(P, "structured") == 2
+        assert frob_roots(GF(2, 2), 1, 1, 1) == 2
 
     def test_gf2_no_roots_when_constant_misses_image(self):
         # over F_2 with m = 2 the linear part x + x^p is the zero map
-        F = GF(2)
-        P = frob_poly(F, 1, 1, 1)
-        assert count_roots(P) == 0
-
-    def test_unknown_method_rejected(self):
-        F = GF(2)
-        with pytest.raises(ValueError):
-            count_roots(frob_poly(F, 0, 1), "guess")
+        assert frob_roots(GF(2), 1, 1, 1) == 0
 
     @pytest.mark.parametrize(
         "p,e,m",
         [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1), (2, 3, 3), (3, 2, 2)],
     )
     def test_strategies_agree(self, p, e, m):
-        F = GF(p, e)
-        for widx in range(F.q ** (m + 1)):
-            idxs = []
-            rem = widx
-            for _ in range(m + 1):
-                idxs.append(rem % F.q)
-                rem //= F.q
-            P = weights_from_indices(F, idxs)
-            assert count_roots(P, "exhaustive") == count_roots(P, "structured")
+        # the closed form against one exhaustive root count per weight vector
+        spec = FamilySpec.linearized(p, e, m)
+        counts = Counter(
+            count_roots(spec, spec.weight_tuple(i)) for i in range(spec.q ** (m + 1))
+        )
+        assert dict(counts) == closed_form_linearized(p, e, m).histogram()
 
-    def test_structured_counts_are_prime_powers(self):
+    def test_linearized_counts_are_prime_powers(self):
         F = GF(3, 2)
         for widx in range(F.q**3):
             idxs = [widx % 9, (widx // 9) % 9, (widx // 81) % 9]
-            n = count_roots(weights_from_indices(F, idxs), "structured")
-            assert n in (0, 1, 3, 9)
+            assert roots_from_indices(F, idxs) in (0, 1, 3, 9)
 
 
 class TestRankCount:
     def test_two_by_two_binary(self):
-        assert rank_count(2, 2, 0, 2) == 1
-        assert rank_count(2, 2, 1, 2) == 9
-        assert rank_count(2, 2, 2, 2) == 6
+        # at m = e the linear parts are all 2 x 2 matrices over F_2
+        assert rank_distribution(2, 2, 2) == {0: 1, 1: 9, 2: 6}
 
     def test_rank_zero_always_one(self):
-        for l, n, q in ((1, 1, 2), (3, 2, 5), (4, 4, 9)):
-            assert rank_count(l, n, 0, q) == 1
-
-    def test_brute_force_2x3_ternary(self):
-        # independent route: rank = log_3 of the row-span size
-        tallies = [0, 0, 0]
-        for entries in itertools.product(range(3), repeat=6):
-            r0, r1 = entries[:3], entries[3:]
-            span = {
-                tuple((a * x + b * y) % 3 for x, y in zip(r0, r1))
-                for a in range(3)
-                for b in range(3)
-            }
-            tallies[{1: 0, 3: 1, 9: 2}[len(span)]] += 1
-        assert tallies == [rank_count(2, 3, k, 3) for k in range(3)]
-
-    def test_prime_power_q(self):
-        # the formula needs no primality: GF(4) counts follow the same product
-        assert rank_count(1, 1, 1, 4) == 3
-        assert sum(rank_count(2, 2, k, 4) for k in range(3)) == 4**4
+        for p, e, m in ((2, 1, 1), (3, 2, 1), (2, 4, 2), (5, 3, 3)):
+            assert rank_distribution(p, e, m)[0] == 1
 
     def test_invalid_rank(self):
-        with pytest.raises(InvalidRank):
-            rank_count(2, 2, 3, 2)
-        with pytest.raises(InvalidRank):
-            rank_count(2, 2, -1, 2)
+        # no nonzero linear part has rank below d = e - min(m, e) + 1
+        for p, e, m in ((2, 3, 1), (2, 4, 2), (3, 3, 2), (2, 5, 3)):
+            d = e - min(m, e) + 1
+            assert sorted(rank_distribution(p, e, m)) == [0, *range(d, e + 1)]
 
     def test_bad_shape(self):
-        with pytest.raises(ValueError):
-            rank_count(2, 2, 1, 1)
+        for p, e, m in ((2, 0, 1), (2, 2, 0), (4, 1, 1)):
+            with pytest.raises(ValueError):
+                rank_distribution(p, e, m)
 
     @settings(max_examples=150)
-    @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([2, 3, 4, 5, 7, 8]))
-    def test_sum_rule(self, l, n, q):
-        assert sum(rank_count(l, n, k, q) for k in range(min(l, n) + 1)) == q ** (l * n)
-
-    def test_symmetry(self):
-        for l, n, k, q in ((2, 3, 1, 2), (3, 4, 2, 3), (2, 4, 2, 5)):
-            assert rank_count(l, n, k, q) == rank_count(n, l, k, q)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(1, 8))
+    def test_sum_rule(self, p, e, m):
+        q = p**e
+        assert sum(rank_distribution(p, e, m).values()) == q ** min(m, e)
+        hist = closed_form_linearized(p, e, m).histogram()
+        assert sum(hist.values()) == q ** (m + 1)
+        assert sum(n * count for n, count in hist.items()) == q ** (m + 1)

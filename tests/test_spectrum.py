@@ -10,7 +10,6 @@ from linwenger import (
     SpectrumEntry,
     SpectrumReport,
     ThetaNotInjective,
-    UnsupportedRegime,
     build,
     closed_form_linearized,
     component_count_formula,
@@ -22,13 +21,10 @@ from linwenger import (
 from linwenger.linearized import count_roots
 
 
-def brute_force_histogram(spec: FamilySpec, method: str) -> dict[int, int]:
+def brute_force_histogram(spec: FamilySpec) -> dict[int, int]:
     """{N: weight vectors with N roots}, one count_roots call per vector."""
     return dict(
-        Counter(
-            count_roots(spec.lin_poly(spec.weight_tuple(i)), method)
-            for i in range(spec.q ** (spec.m + 1))
-        )
+        Counter(count_roots(spec, spec.weight_tuple(i)) for i in range(spec.q ** (spec.m + 1)))
     )
 
 
@@ -41,16 +37,13 @@ class TestClosedForm:
     def test_q2_m1(self):
         t = closed_form_linearized(2, 1, 1)
         assert t.histogram() == {1: 2, 2: 1, 0: 1}
-        assert t.scale == 1
 
     def test_q2_m2_scales(self):
         t = closed_form_linearized(2, 1, 2)
-        assert t.scale == 2
         assert t.histogram() == {1: 4, 2: 2, 0: 2}
 
     def test_q4_m2(self):
         t = closed_form_linearized(2, 2, 2)
-        assert t.scale == 1
         assert t.histogram() == {1: 24, 2: 18, 4: 1, 0: 21}
 
     @pytest.mark.parametrize("p,e,m", [(2, 1, 3), (3, 1, 2), (2, 2, 4)])
@@ -58,16 +51,30 @@ class TestClosedForm:
         t = closed_form_linearized(p, e, m)
         q = p**e
         assert sum(t.histogram().values()) == q ** (m + 1)
-        assert all(n % t.scale == 0 for n in t.histogram().values())
+        assert all(n % q ** (m - e) == 0 for n in t.histogram().values())
 
-    def test_small_exponent_regime_rejected(self):
-        with pytest.raises(UnsupportedRegime):
-            closed_form_linearized(2, 2, 1)
-        with pytest.raises(UnsupportedRegime):
-            closed_form_linearized(3, 3, 2)
+    def test_below_exponent_regime(self):
+        # m < e: the linear parts form a Gabidulin code, not all e x e matrices
+        assert closed_form_linearized(2, 2, 1).histogram() == {4: 1, 1: 12, 0: 3}
+        assert closed_form_linearized(3, 3, 2).histogram() == {
+            27: 1, 3: 3042, 1: 10530, 0: 6110
+        }
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="prime"):
+            closed_form_linearized(4, 1, 1)
+        with pytest.raises(ValueError, match="degree"):
+            closed_form_linearized(2, 0, 1)
+        with pytest.raises(ValueError, match="m >= 1"):
+            closed_form_linearized(2, 2, 0)
 
     @pytest.mark.parametrize(
-        "p,e,m", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 2, 2), (3, 1, 2), (2, 2, 3)]
+        "p,e,m",
+        [
+            (2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 2, 2), (3, 1, 2), (2, 2, 3),  # m >= e
+            (2, 2, 1), (2, 3, 1), (3, 2, 1),  # m < e
+            (2, 4, 2), (3, 3, 2), (5, 2, 1), (2, 5, 2),
+        ],
     )
     def test_matches_enumeration(self, p, e, m):
         spec = FamilySpec.linearized(p, e, m)
@@ -156,14 +163,16 @@ class TestEnumerate:
         ids=["lin-2-3-1", "lin-3-2-1", "lin-2-2-2", "lin-3-1-2", "wen-2-3-2", "cus-3-2-2"],
     )
     def test_sweep_matches_root_count_per_weight(self, spec):
-        assert spectrum_enumerate(spec).histogram() == brute_force_histogram(spec, "exhaustive")
+        assert spectrum_enumerate(spec).histogram() == brute_force_histogram(spec)
 
     def test_sweep_matches_rank_route_below_exponent(self):
-        spec = FamilySpec.linearized(2, 3, 2)  # m < e: no closed form to compare
-        assert spectrum_enumerate(spec).histogram() == brute_force_histogram(spec, "structured")
+        # the closed form counts roots through the rank distribution
+        spec = FamilySpec.linearized(2, 3, 2)
+        closed = closed_form_linearized(2, 3, 2).histogram()
+        assert spectrum_enumerate(spec).histogram() == closed
 
     def test_below_exponent_regime_enumerates(self):
-        spec = FamilySpec.linearized(2, 2, 1)  # m < e has no closed form
+        spec = FamilySpec.linearized(2, 2, 1)  # m < e
         rep = spectrum_enumerate(spec)
         assert rep.total_multiplicity == 2 * 16
         assert trace_from_report(rep, 1) == 2 * spec.n_edges
@@ -224,15 +233,17 @@ class TestComponents:
 
 class TestExpansionBound:
     def test_exact_fields(self):
-        b = expansion_bound(2, 2)
+        b = expansion_bound(2, 2, 2)
         assert b.q == 4 and b.radicand == 8 and b.divisor == 2
         assert 0.5 < b.approx < 0.6
+        assert expansion_bound(2, 3, 1).radicand == 8  # m < e: q * p^(m-1)
 
     def test_prime_field(self):
-        b = expansion_bound(5, 1)
+        b = expansion_bound(5, 1, 1)
         assert b.radicand == 5
         assert b.approx == (5 - 5**0.5) / 2
 
     def test_radicand_is_second_largest(self):
-        rep = spectrum_enumerate(FamilySpec.linearized(2, 2, 2))
-        assert expansion_bound(2, 2).radicand == rep.second_largest_radicand()
+        for p, e, m in ((2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2)):
+            rep = spectrum_enumerate(FamilySpec.linearized(p, e, m))
+            assert expansion_bound(p, e, m).radicand == rep.second_largest_radicand()
