@@ -22,7 +22,7 @@ class FieldMismatch(ConfigError):
 
 
 class UnsupportedRegime(ConfigError):
-    """The closed form or witness construction is undefined for these parameters."""
+    """A witness or solver construction is undefined for these parameters."""
 
 
 class ThetaNotInjective(ConfigError):
