@@ -49,6 +49,7 @@ from .metrics import (
     eccentricities,
     girth,
     metrics_report,
+    path_witnesses,
     predicted_metrics,
     verify_cycle_system,
 )

@@ -3,7 +3,9 @@ and run the full verification suite.
 
 Exit codes are a stable contract: 0 success, 1 I/O error, 2 invalid
 configuration, 3 budget exceeded or out of memory, 4 theorem mismatch, check
-failure or internal error (a failed solve or an acyclic graph).
+failure or internal error (a failed solve, an acyclic graph, or any other
+exception raised inside the package, reported on one stderr line
+"error: internal error: <Type>: <message>" with no traceback).
 """
 
 from __future__ import annotations
@@ -278,6 +280,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # noqa: BLE001 - a bug in the package exits 4, not with a traceback
+        msg = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -7,15 +7,24 @@ working set is capped at _SWEEP_BYTES whatever the vertex count.  The witness
 builders do the opposite: they exploit the Frobenius-family structure to
 produce short paths and cycles in closed form, and every witness is
 re-validated edge by edge before it is returned.
+
+Path witnesses have two routes that build the same walks.  diameter_witness
+works on Point and Line objects, one pair at a time, and serves lazy graphs
+up to q = 2^16, where no q x q table exists.  path_witnesses takes whole
+arrays of vertex-id pairs on a materialized graph, runs each construction
+once per batch as numpy gathers over the field's index tables, and checks
+every step against graph.adjacency.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
     Acyclic,
     NoSixCycle,
+    OutOfRange,
     SamePoint,
     SolveFailed,
     UnsupportedRegime,
@@ -287,6 +296,135 @@ def _mixed_walk(spec: FamilySpec, a: Point, b: Line) -> PathWitness:
     trimmed = walk[1:]  # starts at the point with first coordinate a.p1 == a
     trimmed = _compress_backtracks(trimmed)
     return _validated_walk(spec, trimmed, a, b, ts, xs)
+
+
+def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
+    """The walks of diameter_witness for whole arrays of vertex-id pairs, as
+    lists of ids, on a materialized Frobenius-family graph with m <= e.
+
+    The line, point and mixed constructions each run once over all pairs of
+    their kind, on (pairs, m+1) arrays of coordinate indices: products and
+    differences are gathers from the field's q x q index tables, f_k(x) is
+    an (m, q) array, and every Moore system is a gathered mat-vec with the
+    inverse of B, which takes m fq_solve calls (one per unit vector) per
+    batch.  Backtracks are dropped by _compress_backtracks; a pair a == b
+    gives [a].
+
+    Every walk is checked before it is returned: its ends must be its pair,
+    and each step (u, v) must have adjacency[u, v mod q] == v.  Rows list
+    neighbours by first coordinate, so v mod q is v's column, and an entry
+    equal to v proves v is in row u whatever the row order.  All steps of
+    the batch are checked in one gather; any miss raises SolveFailed."""
+    import numpy as np
+
+    spec = graph.spec
+    if spec.family != "linearized":
+        raise UnsupportedRegime("witness construction needs the Frobenius family")
+    if spec.m > spec.e:
+        raise UnsupportedRegime(f"witness anchors need m <= e; m={spec.m}, e={spec.e}")
+    if not graph.materialized:
+        raise ValueError("batched path witnesses need a materialized graph")
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    dst = np.asarray(targets, dtype=np.int64).reshape(-1)
+    n, half = spec.n_vertices, spec.n_vertices // 2
+    if src.shape != dst.shape:
+        raise ValueError(f"{src.size} sources but {dst.size} targets")
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise OutOfRange(f"vertex ids must lie in [0, {n})")
+
+    F, q, m = spec.field, spec.q, spec.m
+    mul, sub = F.index_tables()
+    neg = sub[0]
+    f = np.array([[spec.f_eval(k, F.from_index(x)).index for x in range(q)]
+                  for k in range(2, m + 2)])
+    units = [[F.one if i == j else F.zero for i in range(m)] for j in range(m)]
+    cols = [_moore_solve(spec, u) for u in units]
+    inv = np.array([[cols[j][i].index for j in range(m)] for i in range(m)])
+    basis = [b.index for b in F.basis[:m]]
+    basis_sum = sum(F.basis[:m], F.zero).index
+    powers = q ** np.arange(m + 1)
+
+    def add(a, b):
+        return sub[a, neg[b]]
+
+    def total(x):  # sum over the last axis
+        acc = x[..., 0]
+        for j in range(1, x.shape[-1]):
+            acc = add(acc, x[..., j])
+        return acc
+
+    def moore(rhs):  # B^-1 applied to each row of a (pairs, m) array
+        return total(mul[inv, rhs[:, None, :]])
+
+    def through(own, x, own_is_point):  # line_through / point_through
+        p1, l1 = (own[:, 0], x) if own_is_point else (x, own[:, 0])
+        return np.column_stack([x, sub[mul[f[:, p1].T, l1[:, None]], own[:, 1:]]])
+
+    def coords(ids):
+        return ids[:, None] % half // powers % q
+
+    def ids(c, side):
+        return side * half + c @ powers
+
+    def line_walk(S, E, x1):  # _line_walk after its start S
+        d = sub[E, S]
+        tail = moore(sub[d[:, 1:], mul[f[:, x1].T, d[:, :1]]])
+        ts = np.column_stack([sub[d[:, 0], total(tail)], tail])
+        xs = np.column_stack([x1] + [add(x1, b) for b in basis])
+        walk, cur = [], S
+        for j in range(m + 1):
+            pt = through(cur, xs[:, j], own_is_point=False)
+            cur = through(pt, add(cur[:, 0], ts[:, j]), own_is_point=True)
+            walk += [ids(pt, 0), ids(cur, 1)]
+        return walk
+
+    def point_walk(A, B, zero):
+        us = [zero + b for b in basis] + [sub[sub[B[:, 0], A[:, 0]], basis_sum]]
+        l1s = np.column_stack([moore(sub[B[:, 1:], A[:, 1:]]), zero])
+        walk, cur = [ids(A, 0)], A
+        for j in range(m + 1):
+            ln = through(cur, l1s[:, j], own_is_point=True)
+            cur = through(ln, add(cur[:, 0], us[j]), own_is_point=False)
+            walk += [ids(ln, 1), ids(cur, 0)]
+        return walk
+
+    walks: list = [[a] for a in src.tolist()]
+    on_line = (src >= half, dst >= half)
+    moved = src != dst
+    groups = (
+        (moved & on_line[0] & on_line[1], src, dst),
+        (moved & ~on_line[0] & ~on_line[1], src, dst),
+        (moved & (on_line[0] != on_line[1]), np.where(on_line[0], dst, src),
+         np.where(on_line[0], src, dst)),
+    )
+    for kind, (mask, a, b) in enumerate(groups):
+        if not mask.any():
+            continue
+        a, b = coords(a[mask]), coords(b[mask])
+        zero = np.zeros(len(a), dtype=np.int64)
+        if kind == 0:
+            W = np.column_stack([ids(a, 1)] + line_walk(a, b, zero))
+        elif kind == 1:
+            W = np.column_stack(point_walk(a, b, zero))
+        else:  # point a to line b: from line_through(a, 0), anchored at a's first coordinate
+            W = np.column_stack(line_walk(through(a, zero, own_is_point=True), b, a[:, 0]))
+        rows = [_compress_backtracks(row) for row in W.tolist()]
+        if kind == 2:  # a line-to-point walk is the reversed point-to-line walk
+            rows = [r[::-1] if flip else r for r, flip in zip(rows, on_line[0][mask].tolist())]
+        for i, row in zip(np.flatnonzero(mask).tolist(), rows):
+            walks[i] = row
+
+    lengths = np.array([len(w) for w in walks], dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(walks), np.int64, int(lengths.sum()))
+    ends = np.cumsum(lengths)
+    step = np.ones(max(flat.size - 1, 0), dtype=bool)
+    step[ends[:-1] - 1] = False  # from the end of one walk to the start of the next
+    u, v = flat[:-1][step], flat[1:][step]
+    if not ((flat[ends - lengths] == src).all() and (flat[ends - 1] == dst).all()):
+        raise SolveFailed("batched walk endpoints do not match the request")
+    if not (graph.adjacency[u, v % q] == v).all():
+        raise SolveFailed("batched walk contains a non-edge")
+    return walks
 
 
 # ---------------------------------------------------------------------------

@@ -238,8 +238,9 @@ def walk_trace(graph: Graph, k: int) -> int:
     A is symmetric, so trace(A^(2k)) is the sum of squared entries of A^k.
     An entry of A^k counts walks of length k between two fixed ends, and
     such a walk is fixed by its first k - 1 steps, so every entry is at most
-    q^(k-1) and the sparse power stays exact in int64; the squares are
-    summed as Python ints."""
+    q^(k-1) and the sparse power stays exact in int64.  np.bincount counts
+    each entry value v, and the sum of count * v^2 is taken in Python ints,
+    so it is exact at any size."""
     if not 1 <= k <= 4:
         raise ValueError(f"walk exponent k must be in [1, 4], got {k}")
     q = graph.spec.q
@@ -251,7 +252,8 @@ def walk_trace(graph: Graph, k: int) -> int:
     M = A.astype(np.int64)
     for _ in range(k - 1):
         M = M @ A
-    return int(np.sum(M.data.astype(object) ** 2))
+    counts = np.bincount(M.data)
+    return sum(int(c) * v * v for v, c in enumerate(counts.tolist()) if c)
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,8 @@ class TestInternalErrors:
         (SolveFailed("constructed line fails adjacency"), EXIT_MISMATCH),
         (Acyclic("graph contains no cycle"), EXIT_MISMATCH),
         (MemoryError(), EXIT_BUDGET),
+        (IndexError("index 9 is out of bounds"), EXIT_MISMATCH),
+        (KeyError("missing"), EXIT_MISMATCH),
     ])
     def test_mapped_to_exit_code_without_traceback(self, exc, code, capsys, monkeypatch):
         def raise_it(graph):

@@ -18,6 +18,7 @@ from linwenger import (
     NoSixCycle,
     Point,
     SamePoint,
+    SolveFailed,
     UnsupportedRegime,
     build,
     common_neighbor,
@@ -30,6 +31,7 @@ from linwenger import (
     eccentricities,
     girth,
     metrics_report,
+    path_witnesses,
     predicted_metrics,
     verify_cycle_system,
 )
@@ -299,6 +301,58 @@ class TestDiameterWitness:
                 assert list(w.step_weights) == fields.fq_solve(F, rows, d[1:]) + [F.zero]
         assert len(calls) == n_walks
         assert all(len(rows) == m == len(rows[0]) for _, rows, _ in calls)
+
+
+def _walk_ids(g, a, b):
+    return [g.encode(v) for v in diameter_witness(g, g.decode(a), g.decode(b)).vertices]
+
+
+class TestPathWitnesses:
+    @pytest.mark.parametrize("p,e", [(2, 2), (3, 1)])
+    def test_every_pair_matches_diameter_witness(self, p, e, graph_cache):
+        g = graph_cache(p, e, 1)
+        pairs = list(product(range(g.n), repeat=2))
+        walks = path_witnesses(g, [a for a, _ in pairs], [b for _, b in pairs])
+        assert walks == [_walk_ids(g, a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("p,e,m", [(3, 2, 2), (2, 3, 3), (5, 2, 1)])
+    def test_sampled_pairs_match_diameter_witness(self, p, e, m, graph_cache):
+        g = graph_cache(p, e, m)
+        rng = random.Random(f"batch:{p}:{e}:{m}")
+        sources = [rng.randrange(g.n) for _ in range(300)]
+        targets = [rng.randrange(g.n) for _ in range(300)]
+        sides = {(a >= g.half, b >= g.half) for a, b in zip(sources, targets)}
+        assert len(sides) == 4
+        walks = path_witnesses(g, sources, targets)
+        assert walks == [_walk_ids(g, a, b) for a, b in zip(sources, targets)]
+        assert max(len(w) for w in walks) - 1 <= 2 * (m + 1)
+
+    def test_trivial_pairs(self, graph_cache):
+        g = graph_cache(3, 2, 2)
+        assert path_witnesses(g, [5, g.half + 7], [5, g.half + 7]) == [[5], [g.half + 7]]
+        assert path_witnesses(g, [], []) == []
+
+    def test_regime_and_layout_restrictions(self, graph_cache):
+        g = graph_cache(2, 1, 2)  # m > e
+        with pytest.raises(UnsupportedRegime):
+            path_witnesses(g, [0], [1])
+        wg = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
+        with pytest.raises(UnsupportedRegime):
+            path_witnesses(wg, [0], [1])
+        with pytest.raises(ValueError):
+            path_witnesses(build(FamilySpec.linearized(3, 1, 1)), [0], [1])
+
+    def test_corrupted_adjacency_is_caught(self, graph_cache):
+        g = graph_cache(3, 2, 2)
+        sources, targets = [0, 3, g.half + 1], [g.half + 40, 700, 11]
+        walks = path_witnesses(g, sources, targets)
+        u, v = walks[1][2:4]
+        nbrs = g.adjacency.copy()
+        fake = SimpleNamespace(spec=g.spec, materialized=True, adjacency=nbrs)
+        assert path_witnesses(fake, sources, targets) == walks
+        nbrs[u, v % g.spec.q] = nbrs[u, (v + 1) % g.spec.q]
+        with pytest.raises(SolveFailed):
+            path_witnesses(fake, sources, targets)
 
 
 class TestCycleWitnesses:
