@@ -523,6 +523,14 @@ def verify_cycle_system(witness: CycleWitness) -> bool:
     return True
 
 
+def _girth_regime(spec: FamilySpec) -> int | None:
+    """The girth of the Frobenius family: 6 for odd p and for p = 2 with
+    e >= 2 and m = 1, 8 for the other binary cases; None for other families."""
+    if spec.family != "linearized":
+        return None
+    return 6 if spec.p % 2 or (spec.e >= 2 and spec.m == 1) else 8
+
+
 def _first_zero_trace_pair(F):
     """Smallest (by canonical order) beta != 0 with tr(beta) = 0 and alpha != 0
     solving alpha^2 + alpha = beta."""
@@ -546,10 +554,14 @@ def cycle_witness_6(spec: FamilySpec) -> CycleWitness:
     alpha with alpha^2 + alpha = beta."""
     if spec.family != "linearized":
         raise UnsupportedRegime("cycle construction needs the Frobenius family")
+    if _girth_regime(spec) != 6:
+        raise NoSixCycle(
+            f"girth is 8 for p=2 with e={spec.e}, m={spec.m}; no 6-cycle exists"
+        )
     F = spec.field
     if spec.p % 2:
         w = cycle_from_coefficients(spec, (1, 1, -2), (1, -1, 0))
-    elif spec.e >= 2 and spec.m == 1:
+    else:
         pair = _first_zero_trace_pair(F)
         if pair is None:
             raise SolveFailed("no trace-zero beta admits alpha^2 + alpha = beta")
@@ -557,10 +569,6 @@ def cycle_witness_6(spec: FamilySpec) -> CycleWitness:
         us = (alpha * alpha, alpha, beta)
         cs = (F.zero, beta / alpha, F.one)
         w = cycle_from_coefficients(spec, us, cs)
-    else:
-        raise NoSixCycle(
-            f"girth is 8 for p=2 with e={spec.e}, m={spec.m}; no 6-cycle exists"
-        )
     if not w.is_valid_cycle():
         raise SolveFailed("constructed 6-cycle failed validation")
     return w
@@ -571,7 +579,7 @@ def cycle_witness_8(spec: FamilySpec) -> CycleWitness:
     p = 2 with m >= 2.  Uses u = (1, 1, 1, 1), c = (0, 1, 0, 1)."""
     if spec.family != "linearized":
         raise UnsupportedRegime("cycle construction needs the Frobenius family")
-    if spec.p != 2 or not (spec.m >= 2 or (spec.e == 1 and spec.m == 1)):
+    if _girth_regime(spec) != 8:
         raise UnsupportedRegime(
             f"8-cycle witness applies to p=2 with e=m=1 or m>=2; "
             f"got p={spec.p}, e={spec.e}, m={spec.m}"
@@ -600,17 +608,9 @@ def predicted_metrics(spec: FamilySpec) -> PredictedMetrics:
     outside their regimes the fields stay None."""
     comp = component_count_formula(spec)
     diam = None
-    g = None
-    if spec.family == "linearized":
-        if spec.m <= spec.e:
-            diam = 2 * (spec.m + 1)
-        if spec.p % 2:
-            g = 6
-        elif spec.e >= 2 and spec.m == 1:
-            g = 6
-        elif spec.m >= 2 or spec.e == 1:
-            g = 8
-    return PredictedMetrics(comp, diam, g)
+    if spec.family == "linearized" and spec.m <= spec.e:
+        diam = 2 * (spec.m + 1)
+    return PredictedMetrics(comp, diam, _girth_regime(spec))
 
 
 @dataclass(frozen=True)

@@ -258,19 +258,18 @@ def walk_trace(graph: Graph, k: int) -> int:
 
 @dataclass(frozen=True)
 class ExpansionBound:
-    """Edge-expansion lower bound (q - sqrt(radicand)) / divisor, kept as an
+    """Edge-expansion lower bound (q - sqrt(radicand)) / 2, kept as an
     exact radicand pair; radicand is also the second-largest squared
     eigenvalue q * p^(m-1) of the connected linearized graphs, m <= e."""
 
     q: int
     radicand: int
-    divisor: int = 2
 
     @property
     def approx(self) -> float:
         import math
 
-        return (self.q - math.sqrt(self.radicand)) / self.divisor
+        return (self.q - math.sqrt(self.radicand)) / 2
 
 
 def expansion_bound(p: int, e: int, m: int) -> ExpansionBound:

@@ -6,10 +6,17 @@ BFS, brute force) against the corresponding closed form or constructive
 witness.  Results carry PASS/FAIL/SKIP per criterion; a case is skipped,
 never silently dropped, when it exceeds the configured budgets.
 
+The case tables name graphs only.  The component, diameter and girth values
+they are checked against come from component_count_formula and
+predicted_metrics, the predictions `linwenger metrics` reports, so the
+theorems are stated once; a prediction of None fails its criterion.
+
 Criterion 7 builds its seeded path witnesses with one path_witnesses batch
 per graph, which checks every step against the neighbour array criterion 3
 certifies, and compares the first WITNESS_CROSS_CHECK walks of each graph id
-for id with diameter_witness, so both routes stay exercised and paired.
+for id with diameter_witness, so both routes stay exercised and paired.  Its
+length bound is the predicted diameter, and the predicted girth picks the
+cycle witness of each case.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .metrics import (
     diameter_witness,
     girth,
     path_witnesses,
+    predicted_metrics,
     verify_cycle_system,
 )
 from .spectrum import (
@@ -45,34 +53,39 @@ from .spectrum import (
     walk_trace,
 )
 
-TRACE_VERTEX_CAP = 20_000
-
 # (p, e, m) matrices for the individual criteria.
 SPECTRUM_CASES = (
     (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3),
     (3, 1, 1), (3, 1, 2), (2, 3, 3), (3, 2, 2), (5, 1, 1), (7, 1, 1),
     (2, 2, 1), (2, 3, 1), (3, 2, 1),
 )
-DISCONNECTED_EXPECTED = {(2, 1, 2): 2, (2, 1, 3): 4, (3, 1, 2): 3}
 DIAMETER_CASES = (
     (2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (2, 3, 1),
     (3, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 3),
 )
-GIRTH_6_CASES = ((3, 1, 1), (5, 1, 1), (3, 2, 1), (3, 1, 2), (2, 2, 1), (2, 3, 1))
-GIRTH_8_CASES = ((2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 1, 3))
+GIRTH_CASES = (
+    (3, 1, 1), (5, 1, 1), (3, 2, 1), (3, 1, 2), (2, 2, 1), (2, 3, 1),
+    (2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 1, 3),
+)
 EXPANDER_CASES = ((2, 1, 1), (2, 2, 2), (3, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1))
 RANK_CASES = (
     (2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1), (2, 2, 2),
     (2, 3, 3), (3, 2, 2), (2, 2, 3), (3, 1, 2),
 )
+# Criterion 8 checks every pair of points on these, and samples L_1(11).
+NEIGHBOR_CASES = ((2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1))
+SAMPLED_NEIGHBOR_CASE = (11, 1, 1)
 WITNESS_PAIRS_PER_GRAPH = 1000
 # Leading batched walks per graph compared id for id with diameter_witness.
 WITNESS_CROSS_CHECK = 32
 SAMPLED_NEIGHBOR_PAIRS = 10_000
 
-ALL_CASES = tuple(
-    sorted(set(SPECTRUM_CASES) | set(DIAMETER_CASES) | set(GIRTH_6_CASES) | set(GIRTH_8_CASES))
-)
+ALL_CASES = tuple(sorted(set(SPECTRUM_CASES) | set(DIAMETER_CASES) | set(GIRTH_CASES)))
+
+
+def _label(case) -> str:
+    p, e, m = case
+    return f"L_{m}({p ** e})"
 
 
 @dataclass
@@ -85,6 +98,18 @@ class CheckResult:
 
     def line(self) -> str:
         return f"[{self.number:2d}] {self.status:4s} {self.name} ({self.seconds:.1f}s): {self.detail}"
+
+
+def _within_budget(build, cases, skips):
+    """(case, build(case)) for each case; a case whose build raises
+    BudgetExceeded is appended to skips by label instead."""
+    for case in cases:
+        try:
+            value = build(case)
+        except BudgetExceeded:
+            skips.append(_label(case))
+            continue
+        yield case, value
 
 
 class _Runner:
@@ -103,21 +128,26 @@ class _Runner:
         p, e, m = case
         return FamilySpec.linearized(p, e, m)
 
-    def graph(self, case) -> Graph | None:
-        """Materialized graph for a case, or None when over the vertex budget."""
-        if case in self._graphs:
-            return self._graphs[case]
-        spec = self.spec(case)
-        if spec.n_vertices > self.max_vertices:
-            return None
-        g = Graph(spec, vertex_budget=self.max_vertices).materialize()
-        self._graphs[case] = g
-        return g
+    def graph(self, case) -> Graph:
+        """Materialized graph for a case; BudgetExceeded over the vertex budget."""
+        if case not in self._graphs:
+            g = Graph(self.spec(case), vertex_budget=self.max_vertices).materialize()
+            self._graphs[case] = g
+        return self._graphs[case]
 
     def enum_report(self, case):
         if case not in self._enum_reports:
             self._enum_reports[case] = spectrum_enumerate(self.spec(case), self.max_evals)
         return self._enum_reports[case]
+
+    def graphs(self, cases, skips: list[str]):
+        """(case, graph) for each case within the vertex budget; the rest go to skips."""
+        return _within_budget(self.graph, cases, skips)
+
+    def spectra(self, cases, skips: list[str]):
+        """(case, enumerated spectrum) for each case within the evaluation
+        budget; the rest go to skips."""
+        return _within_budget(self.enum_report, cases, skips)
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
@@ -133,60 +163,41 @@ def _finish(results: list[str], skips: list[str], ok_detail: str) -> tuple[str, 
 
 def check_spectrum_closed_vs_enum(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
-    for case in SPECTRUM_CASES:
-        p, e, m = case
-        try:
-            enum_hist = run.enum_report(case).histogram()
-        except BudgetExceeded:
-            skips.append(f"L_{m}({p ** e})")
-            continue
-        closed_hist = closed_form_linearized(p, e, m).histogram()
+    for case, report in run.spectra(SPECTRUM_CASES, skips):
+        enum_hist = report.histogram()
+        closed_hist = closed_form_linearized(*case).histogram()
         if closed_hist != enum_hist:
-            fails.append(f"L_{m}({p ** e}): closed {closed_hist} != enum {enum_hist}")
+            fails.append(f"{_label(case)}: closed {closed_hist} != enum {enum_hist}")
     return _finish(fails, skips, f"{len(SPECTRUM_CASES)} multiplicity tables match")
 
 
 def check_walk_trace_identity(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
     checked = 0
-    for case in SPECTRUM_CASES:
-        p, e, m = case
-        spec = run.spec(case)
-        if spec.n_vertices > TRACE_VERTEX_CAP:
-            continue
-        g = run.graph(case)
-        if g is None:
-            skips.append(f"L_{m}({p ** e})")
-            continue
-        try:
-            hist = run.enum_report(case).histogram()
-        except BudgetExceeded:
-            skips.append(f"L_{m}({p ** e})")
-            continue
-        q = spec.q
-        for k in (1, 2, 3):
-            expected = 2 * sum(count * (q * n) ** k for n, count in hist.items())
-            actual = walk_trace(g, k)
-            if actual != expected:
-                fails.append(f"L_{m}({q}) k={k}: trace {actual} != 2*sum (qN)^k = {expected}")
-        checked += 1
+    for case, g in run.graphs(SPECTRUM_CASES, skips):
+        for _, report in run.spectra((case,), skips):
+            hist = report.histogram()
+            q = g.spec.q
+            for k in (1, 2, 3):
+                expected = 2 * sum(count * (q * n) ** k for n, count in hist.items())
+                actual = walk_trace(g, k)
+                if actual != expected:
+                    fails.append(
+                        f"{_label(case)} k={k}: trace {actual} != 2*sum (qN)^k = {expected}"
+                    )
+            checked += 1
     return _finish(fails, skips, f"trace(A^2k) identity holds for {checked} graphs, k=1..3")
 
 
 def check_regularity_and_counts(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
     checked = 0
-    for case in ALL_CASES:
-        p, e, m = case
-        g = run.graph(case)
-        if g is None:
-            skips.append(f"L_{m}({p ** e})")
-            continue
+    for case, g in run.graphs(ALL_CASES, skips):
         nbrs = g.adjacency
         if run.perturb and checked == 0:
             nbrs = nbrs.copy()
             nbrs[0, -1] = nbrs[0, 0]  # injected fault: one neighbour listed twice
-        fails += [f"L_{m}({p ** e}): {fault}" for fault in structure_faults(g.spec, nbrs)]
+        fails += [f"{_label(case)}: {fault}" for fault in structure_faults(g.spec, nbrs)]
         checked += 1
     return _finish(
         fails, skips,
@@ -198,20 +209,11 @@ def check_regularity_and_counts(run: _Runner) -> tuple[str, str]:
 def check_components(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
     checked = 0
-    for case in ALL_CASES:
-        p, e, m = case
-        g = run.graph(case)
-        if g is None:
-            skips.append(f"L_{m}({p ** e})")
-            continue
+    for case, g in run.graphs(ALL_CASES, skips):
         count, _sizes = components(g)
         predicted = component_count_formula(g.spec)
         if count != predicted:
-            fails.append(f"L_{m}({p ** e}): BFS {count} components != formula {predicted}")
-        if case in DISCONNECTED_EXPECTED and count != DISCONNECTED_EXPECTED[case]:
-            fails.append(f"L_{m}({p ** e}): {count} != q^(m-e) = {DISCONNECTED_EXPECTED[case]}")
-        if m <= e and count != 1:
-            fails.append(f"L_{m}({p ** e}): m <= e but {count} components")
+            fails.append(f"{_label(case)}: BFS {count} components != formula {predicted}")
         checked += 1
     return _finish(fails, skips, f"BFS component counts match the rank formula on {checked} graphs")
 
@@ -219,15 +221,11 @@ def check_components(run: _Runner) -> tuple[str, str]:
 def check_diameter(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
     checked = 0
-    for case in DIAMETER_CASES:
-        p, e, m = case
-        g = run.graph(case)
-        if g is None:
-            skips.append(f"L_{m}({p ** e})")
-            continue
+    for case, g in run.graphs(DIAMETER_CASES, skips):
         d = diameter(g)
-        if d != 2 * (m + 1):
-            fails.append(f"L_{m}({p ** e}): BFS diameter {d} != {2 * (m + 1)}")
+        predicted = predicted_metrics(g.spec).diameter
+        if d != predicted:
+            fails.append(f"{_label(case)}: BFS diameter {d} != predicted {predicted}")
         checked += 1
     return _finish(fails, skips, f"BFS diameter = 2(m+1) on {checked} graphs")
 
@@ -235,62 +233,45 @@ def check_diameter(run: _Runner) -> tuple[str, str]:
 def check_girth(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
     checked = 0
-    for expected, cases in ((6, GIRTH_6_CASES), (8, GIRTH_8_CASES)):
-        for case in cases:
-            p, e, m = case
-            g = run.graph(case)
-            if g is None:
-                skips.append(f"L_{m}({p ** e})")
-                continue
-            got = girth(g)
-            if got != expected:
-                fails.append(f"L_{m}({p ** e}): BFS girth {got} != {expected}")
-            if got < 6:
-                fails.append(f"L_{m}({p ** e}): girth {got} < 6 (4-cycle exists)")
-            checked += 1
+    for case, g in run.graphs(GIRTH_CASES, skips):
+        got = girth(g)
+        predicted = predicted_metrics(g.spec).girth
+        if got != predicted:
+            fails.append(f"{_label(case)}: BFS girth {got} != predicted {predicted}")
+        checked += 1
     return _finish(fails, skips, f"BFS girth matches the 6/8 matrix on {checked} graphs")
-
-
-def _applicable_6(case) -> bool:
-    p, e, m = case
-    return p % 2 == 1 or (e >= 2 and m == 1)
-
-
-def _applicable_8(case) -> bool:
-    p, e, m = case
-    return p == 2 and (m >= 2 or (e == 1 and m == 1))
 
 
 def check_witnesses(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
     n_pairs = 0
-    for case in DIAMETER_CASES:
+    for case, g in run.graphs(DIAMETER_CASES, skips):
         p, e, m = case
-        g = run.graph(case)
-        if g is None:
-            skips.append(f"L_{m}({p ** e})")
+        label = _label(case)
+        bound = predicted_metrics(g.spec).diameter
+        if bound is None:
+            fails.append(f"{label}: no predicted diameter to bound the witnesses")
             continue
-        bound = 2 * (m + 1)
         rng = run.rng(f"witness:{p}:{e}:{m}")
         ends = [rng.randrange(g.n) for _ in range(2 * WITNESS_PAIRS_PER_GRAPH)]
         sources, targets = ends[0::2], ends[1::2]
         try:
             walks = path_witnesses(g, sources, targets)
         except Exception as exc:  # noqa: BLE001 - any failure is a criterion failure
-            fails.append(f"L_{m}({p ** e}): batched path witnesses raised {exc!r}")
+            fails.append(f"{label}: batched path witnesses raised {exc!r}")
             walks = []
         for a, b, walk in zip(sources, targets, walks[:WITNESS_CROSS_CHECK]):
             try:
                 w = diameter_witness(g, g.decode(a), g.decode(b))
             except Exception as exc:  # noqa: BLE001
-                fails.append(f"L_{m}({p ** e}): witness {a} -> {b} raised {exc!r}")
+                fails.append(f"{label}: witness {a} -> {b} raised {exc!r}")
                 break
             if [g.encode(v) for v in w.vertices] != walk:
-                fails.append(f"L_{m}({p ** e}): batched walk {a} -> {b} != diameter_witness")
+                fails.append(f"{label}: batched walk {a} -> {b} != diameter_witness")
                 break
         longest = max((len(walk) - 1 for walk in walks), default=0)
         if longest > bound:
-            fails.append(f"L_{m}({p ** e}): witness length {longest} > {bound}")
+            fails.append(f"{label}: witness length {longest} > {bound}")
         n_pairs += sum(len(walk) - 1 <= bound for walk in walks)
         F = g.spec.field
         far = Line((F.zero,) * m + (F.one,))
@@ -298,78 +279,64 @@ def check_witnesses(run: _Runner) -> tuple[str, str]:
             w = diameter_witness(g, Line((F.zero,) * (m + 1)), far)
             length = w.length
         except Exception as exc:  # noqa: BLE001
-            fails.append(f"L_{m}({p ** e}): lower-bound pair raised {exc!r}")
+            fails.append(f"{label}: lower-bound pair raised {exc!r}")
         else:
             if length != bound:
-                fails.append(f"L_{m}({p ** e}): lower-bound pair length {length} != {bound}")
+                fails.append(f"{label}: lower-bound pair length {length} != {bound}")
+    builders = {6: cycle_witness_6, 8: cycle_witness_8}
     n_cycles = 0
     for case in ALL_CASES:
         spec = run.spec(case)
-        for applicable, builder, size in (
-            (_applicable_6(case), cycle_witness_6, 6),
-            (_applicable_8(case), cycle_witness_8, 8),
-        ):
-            if not applicable:
-                continue
-            try:
-                w = builder(spec)
-                ok = w.is_valid_cycle() and verify_cycle_system(w) and w.length == size
-            except Exception as exc:  # noqa: BLE001
-                fails.append(f"{size}-cycle witness raised for L_{case[2]}({spec.q}): {exc!r}")
-            else:
-                if not ok:
-                    fails.append(f"{size}-cycle witness invalid for L_{case[2]}({spec.q})")
-            n_cycles += 1
+        size = predicted_metrics(spec).girth
+        if size not in builders:
+            fails.append(f"no cycle witness for predicted girth {size} of {_label(case)}")
+            continue
+        try:
+            w = builders[size](spec)
+            ok = w.is_valid_cycle() and verify_cycle_system(w) and w.length == size
+        except Exception as exc:  # noqa: BLE001
+            fails.append(f"{size}-cycle witness raised for {_label(case)}: {exc!r}")
+        else:
+            if not ok:
+                fails.append(f"{size}-cycle witness invalid for {_label(case)}")
+        n_cycles += 1
     return _finish(
         fails, skips,
         f"{n_pairs} path witnesses within 2(m+1), lower bounds exact, {n_cycles} cycle witnesses valid",
     )
 
 
-def _common_agrees(g: Graph, P: Point, P2: Point) -> bool:
-    shared = set(g.neighbor_ids(g.encode(P))) & set(g.neighbor_ids(g.encode(P2)))
-    predicted = common_neighbor(g, P, P2)
-    if predicted is None:
-        return not shared
-    return shared == {g.encode(predicted)}
+def _check_point_pairs(g: Graph, pairs, fails: list[str]) -> int:
+    """Compare common_neighbor with the intersection of the two neighbour
+    sets on each pair of point ids; stop at the first mismatch.  Returns the
+    number of pairs that agree."""
+    pts = [g.decode(i) for i in range(g.half)]
+    nbrs = [set(g.neighbor_ids(i)) for i in range(g.half)]
+    checked = 0
+    for i, j in pairs:
+        line = common_neighbor(g, pts[i], pts[j])
+        if nbrs[i] & nbrs[j] != (set() if line is None else {g.encode(line)}):
+            fails.append(f"L_1({g.spec.q}): mismatch at {pts[i]}, {pts[j]}")
+            break
+        checked += 1
+    return checked
 
 
 def check_common_neighbor(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
     n_checked = 0
-    for q_p, q_e in ((2, 1), (3, 1), (2, 2), (5, 1)):
-        case = (q_p, q_e, 1)
-        g = run.graph(case)
-        if g is None:
-            skips.append(f"L_1({q_p ** q_e})")
-            continue
-        pts = [g.decode(i) for i in range(g.half)]
-        for P, P2 in itertools.combinations(pts, 2):
-            if not _common_agrees(g, P, P2):
-                fails.append(f"L_1({g.spec.q}): mismatch at {P}, {P2}")
-                break
-            n_checked += 1
-    case11 = (11, 1, 1)
-    g11 = run.graph(case11)
-    if g11 is None:
-        skips.append("L_1(11)")
-    else:
+    for _, g in run.graphs(NEIGHBOR_CASES, skips):
+        n_checked += _check_point_pairs(g, itertools.combinations(range(g.half), 2), fails)
+    for _, g in run.graphs((SAMPLED_NEIGHBOR_CASE,), skips):
         rng = run.rng("common-neighbor")
-        half = g11.half
-        for _ in range(SAMPLED_NEIGHBOR_PAIRS):
-            i = rng.randrange(half)
-            j = rng.randrange(half)
-            if i == j:
-                continue
-            if not _common_agrees(g11, g11.decode(i), g11.decode(j)):
-                fails.append(f"L_1(11): mismatch at pair ({i}, {j})")
-                break
-            n_checked += 1
-        F = g11.spec.field
+        draws = [(rng.randrange(g.half), rng.randrange(g.half))
+                 for _ in range(SAMPLED_NEIGHBOR_PAIRS)]
+        n_checked += _check_point_pairs(g, [(i, j) for i, j in draws if i != j], fails)
+        F = g.spec.field
         P = Point((F.zero, F.zero))
         P2 = Point((F.from_int(-1), F.from_int(-1)))
         expected = Line((F.one, F.zero))
-        got = common_neighbor(g11, P, P2)
+        got = common_neighbor(g, P, P2)
         if got != expected:
             fails.append(f"L_1(11) published pair: got {got}, expected {expected}")
     return _finish(fails, skips, f"{n_checked} point pairs agree with brute-force intersection")
@@ -408,18 +375,12 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
 
 def check_expander_radicand(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
-    for case in EXPANDER_CASES:
-        p, e, m = case
-        try:
-            report = run.enum_report(case)
-        except BudgetExceeded:
-            skips.append(f"L_{m}({p ** e})")
-            continue
-        bound = expansion_bound(p, e, m)
+    for case, report in run.spectra(EXPANDER_CASES, skips):
+        bound = expansion_bound(*case)
         second = report.second_largest_radicand()
         if second != bound.radicand:
             fails.append(
-                f"L_{m}({p ** e}): second radicand {second} != q*p^(m-1) = {bound.radicand}"
+                f"{_label(case)}: second radicand {second} != q*p^(m-1) = {bound.radicand}"
             )
     return _finish(fails, skips, "second-largest radicand equals q*p^(m-1) for all m<=e cases")
 

@@ -2,13 +2,16 @@
 
 Each test prints a single pass/fail line and asserts exact integer agreement
 (the check functions themselves compare with ==, never with tolerances).
-Criteria with a stated time budget also assert the wall-clock bound.
+Criteria with a stated time budget also assert the wall-clock bound.  A last
+test feeds criteria 4-7 wrong predictions and expects them to fail.
 """
 
+import dataclasses
 import time
 
 import pytest
 
+from linwenger import verify
 from linwenger.verify import CHECKS, _Runner
 
 _BY_NUMBER = {number: (name, fn) for number, name, fn in CHECKS}
@@ -73,3 +76,25 @@ def test_criterion_10_expander_second_eigenvalue(runner):
 
 def test_criterion_11_negative_control(runner):
     run_criterion(11, runner)
+
+
+def _swap_girth(pred):
+    return dataclasses.replace(pred, girth=14 - pred.girth)  # 6 <-> 8
+
+
+@pytest.mark.parametrize(
+    "name,wrong,failing",
+    [
+        ("predicted_metrics", _swap_girth, (6, 7)),
+        ("predicted_metrics", lambda pred: dataclasses.replace(pred, girth=None), (6, 7)),
+        ("predicted_metrics", lambda pred: dataclasses.replace(pred, diameter=None), (5, 7)),
+        ("component_count_formula", lambda count: count + 1, (4,)),
+    ],
+    ids=["girth-swapped", "girth-none", "diameter-none", "count-off-by-one"],
+)
+def test_wrong_predictions_fail(monkeypatch, name, wrong, failing):
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda spec: wrong(real(spec)))
+    run = _Runner(seed=0, max_vertices=300)
+    statuses = {n: _BY_NUMBER[n][1](run)[0] for n in (4, 5, 6, 7)}
+    assert {n for n, status in statuses.items() if status == "FAIL"} == set(failing)

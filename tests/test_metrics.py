@@ -448,13 +448,23 @@ class TestCycleWitnesses:
 
 class TestPredictions:
     def test_table(self):
+        # (components, diameter, girth): components q^(m-e) for m > e and 1
+        # otherwise, diameter 2(m+1) for m <= e, girth 6 for odd p and for
+        # p = 2, e >= 2, m = 1, and 8 for the other binary cases.
         cases = {
             (2, 1, 1): (1, 4, 8),
             (2, 1, 2): (2, None, 8),
-            (3, 1, 1): (1, 4, 6),
+            (2, 1, 3): (4, None, 8),
             (2, 2, 1): (1, 4, 6),
             (2, 2, 2): (1, 6, 8),
+            (2, 2, 3): (4, None, 8),
+            (2, 3, 1): (1, 4, 6),
+            (2, 3, 3): (1, 8, 8),
+            (3, 1, 1): (1, 4, 6),
             (3, 1, 2): (3, None, 6),
+            (3, 2, 1): (1, 4, 6),
+            (3, 2, 2): (1, 6, 6),
+            (5, 1, 1): (1, 4, 6),
         }
         for (p, e, m), (comp, diam, g) in cases.items():
             pred = predicted_metrics(FamilySpec.linearized(p, e, m))

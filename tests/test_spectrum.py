@@ -234,7 +234,7 @@ class TestComponents:
 class TestExpansionBound:
     def test_exact_fields(self):
         b = expansion_bound(2, 2, 2)
-        assert b.q == 4 and b.radicand == 8 and b.divisor == 2
+        assert b.q == 4 and b.radicand == 8
         assert 0.5 < b.approx < 0.6
         assert expansion_bound(2, 3, 1).radicand == 8  # m < e: q * p^(m-1)
 
