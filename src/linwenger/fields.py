@@ -4,10 +4,12 @@ Elements are coordinate vectors over F_p in the polynomial basis
 (1, t, ..., t^(e-1)) for a fixed monic irreducible modulus.  Fields with at
 most TABLE_LIMIT elements do their arithmetic by lookups in log/antilog and
 Zech tables over canonical indices, built on first use; larger fields
-multiply coordinate vectors modulo the modulus, and that coefficient
-arithmetic is the oracle the tables are tested against.  Everything here is
-integer-exact; fields and elements are immutable and safe to share between
-threads once constructed.
+compute on coordinate vectors with the F_p polynomial helpers modulo the
+modulus, and that coefficient arithmetic is the oracle the tables are tested
+against.  Linear algebra is one Gaussian elimination over GF(p^e), with F_p
+entry points that run it over GF(p).  Everything here is integer-exact;
+fields and elements are immutable and safe to share between threads once
+constructed.
 """
 
 from __future__ import annotations
@@ -424,19 +426,24 @@ class FieldElement:
         return F.from_coeffs(inv)
 
     def frob(self, k: int = 1) -> "FieldElement":
-        """k-fold Frobenius x -> x^(p^k): a log multiple with tables, else the
-        precomputed matrix."""
+        """k-fold Frobenius x -> x^(p^k): a log multiple with tables, else
+        powering."""
         F = self.field
         T = F._tab or F._tables()
         if T is None:
-            return FieldElement(F, F._frob_coeffs(self.coeffs, k % F.e))
+            return self ** F.p ** (k % F.e)
         a = self.index
         return T.exp[T.log[a] * T.frob[k % F.e] % T.order] if a else T.elts[0]
 
     def trace(self) -> int:
-        """Absolute trace down to F_p, returned as an integer in [0, p)."""
-        F = self.field
-        return sum(c * t for c, t in zip(self.coeffs, F._tr_basis)) % F.p
+        """Absolute trace x + x^p + ... + x^(p^(e-1)) down to F_p, returned as
+        an integer in [0, p).  The sum lies in the prime subfield, so the
+        trace is its coordinate 0."""
+        acc = conj = self
+        for _ in range(self.field.e - 1):
+            conj = conj.frob(1)
+            acc = acc + conj
+        return acc.coeffs[0]
 
 
 def _fmt_poly(coeffs) -> str:
@@ -456,24 +463,10 @@ def _fmt_poly(coeffs) -> str:
 class Field:
     """GF(p^e) with a fixed monic irreducible modulus.
 
-    Precomputes the reduction table, the Frobenius matrices and per-basis
-    traces, so element operations and trace evaluations are cheap.  Fields
-    with q <= TABLE_LIMIT also build index tables (_Tables) on first use.
+    Fields with q <= TABLE_LIMIT build index tables (_Tables) on first use.
     """
 
-    __slots__ = (
-        "p",
-        "e",
-        "q",
-        "modulus",
-        "basis",
-        "zero",
-        "one",
-        "_red",
-        "_frob_mats",
-        "_tr_basis",
-        "_tab",
-    )
+    __slots__ = ("p", "e", "q", "modulus", "basis", "zero", "one", "_tab")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         _check_field_params(p, e)
@@ -492,19 +485,6 @@ class Field:
         self.q = p**e
         self.modulus = tuple(modulus)
         self._tab = None
-
-        # reduction table: coordinates of t^d for d in [e, 2e-2]
-        red = []
-        if e > 1:
-            rep = [(-modulus[j]) % p for j in range(e)]
-            red.append(tuple(rep))
-            for _ in range(e - 2):
-                shifted = [0] + rep
-                top = shifted[e]
-                rep = [(shifted[j] - top * modulus[j]) % p for j in range(e)]
-                red.append(tuple(rep))
-        self._red = tuple(red)
-
         self.zero = FieldElement(self, (0,) * e)
         self.one = FieldElement(self, (1,) + (0,) * (e - 1))
         self.basis = tuple(
@@ -512,58 +492,10 @@ class Field:
             for i in range(e)
         )
 
-        # Frobenius matrices M[k]: coords(x^(p^k)) = M[k] @ coords(x).
-        # Frobenius is F_p-linear, so images of the basis determine it.
-        tp = _ppowmod([0, 1], p, list(self.modulus), p)
-        tp = tuple(tp + [0] * (e - len(tp)))
-        cols = [self.one.coeffs]
-        for _ in range(e - 1):
-            cols.append(self._mul(cols[-1], tp))
-        m1 = tuple(tuple(cols[j][i] for j in range(e)) for i in range(e))
-        mats = [tuple(tuple(1 if i == j else 0 for j in range(e)) for i in range(e))]
-        for _ in range(e - 1):
-            mats.append(_mat_mul(m1, mats[-1], p))
-        self._frob_mats = tuple(mats)
-
-        # trace of each basis element; the full trace map is then a dot product
-        tr = []
-        for j in range(e):
-            v = [0] * e
-            for k in range(e):
-                img = self._frob_coeffs(self.basis[j].coeffs, k)
-                for i in range(e):
-                    v[i] = (v[i] + img[i]) % p
-            tr.append(v[0])
-        self._tr_basis = tuple(tr)
-
-    # -- internal coordinate arithmetic -------------------------------------
-
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p, e = self.p, self.e
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        res = [c % p for c in conv[:e]]
-        for d in range(e, 2 * e - 1):
-            c = conv[d] % p
-            if c:
-                row = self._red[d - e]
-                for i in range(e):
-                    res[i] = (res[i] + c * row[i]) % p
-        return tuple(res)
-
-    def _frob_coeffs(self, coeffs: tuple[int, ...], k: int) -> tuple[int, ...]:
-        if k == 0:
-            return coeffs
-        m = self._frob_mats[k]
-        p = self.p
-        return tuple(
-            sum(m[i][j] * coeffs[j] for j in range(self.e)) % p for i in range(self.e)
-        )
+        """Coordinates of a * b: the polynomial product modulo the modulus."""
+        prod = _pmulmod(a, b, self.modulus, self.p)
+        return tuple(prod) + (0,) * (self.e - len(prod))
 
     # -- constructors --------------------------------------------------------
 
@@ -717,7 +649,7 @@ def GF(p: int, e: int = 1, modulus=None) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over F_p.
+# Exact linear algebra over F_p, by the elimination below run over GF(p).
 
 @dataclass(frozen=True)
 class FpMatrix:
@@ -744,43 +676,26 @@ class FpMatrix:
         return len(self.rows[0])
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    nr, nc = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(vi - f * vr) % p for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
+def _over_gf(M: FpMatrix) -> tuple[Field, list[list[FieldElement]]]:
+    """GF(p) and the rows of M as its elements; an element's index is its value."""
+    F = GF(M.p)
+    return F, [[F.from_index(c) for c in r] for r in M.rows]
 
 
 def fp_rank_kernel(M: FpMatrix) -> tuple[int, list[tuple[int, ...]]]:
     """Rank and a deterministic kernel basis of the linear map v -> M v."""
-    rows, pivots = _rref([list(r) for r in M.rows], M.p)
-    rank = len(pivots)
+    _, rows = _over_gf(M)
+    pivots = _fq_rref(rows, M.n_cols)
     kernel = []
     for free in range(M.n_cols):
         if free in pivots:
             continue
         v = [0] * M.n_cols
         v[free] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-rows[ri][free]) % M.p
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[free].index % M.p
         kernel.append(tuple(v))
-    return rank, kernel
+    return len(pivots), kernel
 
 
 def fp_solve(M: FpMatrix, b) -> tuple[int, ...] | None:
@@ -788,27 +703,16 @@ def fp_solve(M: FpMatrix, b) -> tuple[int, ...] | None:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    p = M.p
     if len(b) != M.n_rows:
         raise ValueError("right-hand side length mismatch")
-    aug = [list(r) + [int(bv) % p] for r, bv in zip(M.rows, b)]
-    rows, pivots = _rref(aug, p)
-    nc = M.n_cols
-    for row in rows:
-        if row[nc] and not any(row[:nc]):
-            return None
-    x = [0] * nc
-    for ri, pc in enumerate(pivots):
-        if pc < nc:
-            x[pc] = rows[ri][nc]
-    if nc in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    return tuple(x)
+    F, rows = _over_gf(M)
+    x = fq_solve(F, rows, [F.from_int(int(v)) for v in b])
+    return None if x is None else tuple(v.index for v in x)
 
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian elimination over an arbitrary GF(p^e) (used for Moore-type
-# systems and for function-rank computations).
+# systems, for function-rank computations and, over GF(p), for F_p matrices).
 
 def _fq_rref(rows: list[list[FieldElement]], nc: int) -> list[int]:
     """In-place reduced row echelon form on the first nc columns; row
@@ -852,11 +756,3 @@ def fq_rank(field: Field, rows) -> int:
     """Rank of a matrix with entries in the field."""
     work = [list(r) for r in rows]
     return len(_fq_rref(work, len(work[0]) if work else 0))
-
-
-def _mat_mul(a, b, p):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )

@@ -407,11 +407,9 @@ def export(graph: Graph, fmt: str, sink) -> None:
 
     edgelist: one "u v" per line with u < v, lexicographically sorted,
     newline-terminated.  dimacs: "p edge N M" header then 1-indexed "e u v"
-    lines.  json_meta: the parameter/size summary as a JSON object.
+    lines.  json: the parameter/size summary as a JSON object.
     """
-    if fmt == "json":
-        fmt = "json_meta"
-    if fmt not in ("edgelist", "dimacs", "json_meta"):
+    if fmt not in ("edgelist", "dimacs", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
     if fmt in ("edgelist", "dimacs") and graph.n > graph.vertex_budget:
         raise BudgetExceeded(

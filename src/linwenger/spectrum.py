@@ -102,23 +102,6 @@ class SpectrumReport:
             "provenance": self.provenance,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SpectrumReport":
-        sp = data["spec"]
-        spec = FamilySpec(
-            sp["p"],
-            sp["e"],
-            sp["m"],
-            sp["family"],
-            tuple(sp["modulus"]) if sp.get("modulus") else None,
-            tuple(tuple(x) for x in sp["f_list"]) if sp.get("f_list") else None,
-        )
-        entries = tuple(
-            SpectrumEntry(int(en["sign"]), int(en["radicand"]), int(en["multiplicity"]))
-            for en in data["entries"]
-        )
-        return cls(spec, entries, data["provenance"])
-
     def same_spectrum(self, other: "SpectrumReport") -> bool:
         mine = {(en.sign, en.radicand): en.multiplicity for en in self.entries}
         them = {(en.sign, en.radicand): en.multiplicity for en in other.entries}

@@ -1,5 +1,7 @@
 """Field construction, arithmetic, Frobenius and traces."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,7 +212,7 @@ class TestIndexTables:
                 assert (a * b).coeffs == F._mul(a.coeffs, b.coeffs)
             assert (-a).coeffs == tuple(-x % p for x in a.coeffs)
             for k in range(-e, 2 * e + 1):
-                assert a.frob(k).coeffs == F._frob_coeffs(a.coeffs, k % e)
+                assert a.frob(k).coeffs == _coeff_pow(F, a.coeffs, p ** (k % e))
             for k in range(2 * F.q):
                 assert (a**k).coeffs == _coeff_pow(F, a.coeffs, k)
             if a:
@@ -262,6 +264,15 @@ class TestIndexTables:
         with pytest.raises(AttributeError):
             x.coords
 
+        assert F.one.trace() == F.e % F.p
+        # the trace of the root t is minus the modulus coefficient of t^(e-1)
+        assert F.basis[1].trace() == -F.modulus[-2] % F.p
+        ys = [x] + [F.from_index(i) for i in (2, 3, 0b1011, 1 << 16, 0x1FFFF)]
+        assert {y.trace() for y in ys} == {0, 1}
+        assert all(y.trace() == y.frob(1).trace() for y in ys)
+        for a, b in itertools.combinations(ys, 2):
+            assert (a + b).trace() == (a.trace() + b.trace()) % F.p
+
 
 class TestConwayTable:
     def test_frozen_spot_values(self):
@@ -297,7 +308,38 @@ class TestConwayTable:
         assert F.q == 169
 
 
+@st.composite
+def _fp_systems(draw):
+    """A matrix of at most 3 x 4 over F_2, F_3 or F_5 and a right-hand side."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entry = st.integers(0, p - 1)
+    row = st.tuples(*[entry] * n_cols)
+    rows = draw(st.tuples(*[row] * n_rows))
+    return FpMatrix(p, rows), draw(st.tuples(*[entry] * n_rows))
+
+
 class TestFpLinearAlgebra:
+    @settings(max_examples=300)
+    @given(_fp_systems())
+    def test_against_brute_force(self, system):
+        M, b = system
+        p = M.p
+
+        def image(v):
+            return tuple(sum(c * x for c, x in zip(r, v)) % p for r in M.rows)
+
+        images = {image(v) for v in itertools.product(range(p), repeat=M.n_cols)}
+        rank, kernel = fp_rank_kernel(M)
+        assert p**rank == len(images)
+        assert all(image(v) == (0,) * M.n_rows for v in kernel)
+        assert rank + len(kernel) == M.n_cols
+        x = fp_solve(M, b)
+        if b in images:
+            assert x is not None and image(x) == b
+        else:
+            assert x is None
+
     def test_rank_kernel(self):
         rank, kernel = fp_rank_kernel(FpMatrix(3, ((1, 2), (2, 4))))
         assert rank == 1

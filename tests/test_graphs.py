@@ -296,13 +296,12 @@ class TestExport:
     def test_json_meta(self):
         g = build(FamilySpec.linearized(2, 2, 1))
         buf = io.StringIO()
-        export(g, "json_meta", buf)
+        export(g, "json", buf)
         d = json.loads(buf.getvalue())
         assert d["p"] == 2 and d["e"] == 2 and d["m"] == 1
         assert d["vertices"] == 32 and d["edges"] == 64
-        buf2 = io.StringIO()
-        export(g, "json", buf2)  # CLI alias
-        assert json.loads(buf2.getvalue()) == d
+        with pytest.raises(ValueError):
+            export(g, "json_meta", io.StringIO())
 
     def test_file_sink(self, tmp_path):
         g = build(FamilySpec.linearized(2, 1, 1), mode="materialized")

@@ -1,8 +1,11 @@
 """Smoke runs of the scripts under scripts/, which import the package API."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from linwenger.fields import CONWAY_TABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,3 +22,8 @@ def test_scripts_run():
     assert "all consistent" in survey.stdout
     conway = run_script("scripts/gen_conway_table.py", "--max-p", "3", "--max-n", "3")
     assert conway.returncode == 0, conway.stderr
+    # the printed dict literal, "CONWAY_TABLE: ... = {...}", entry by entry
+    generated = ast.literal_eval(conway.stdout.split("=", 1)[1].strip())
+    assert generated == {
+        (p, n): CONWAY_TABLE[(p, n)] for p in (2, 3) for n in (1, 2, 3)
+    }
