@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from linwenger import (
     FamilySpec,
-    build,
+    Graph,
     closed_form_linearized,
     metrics_report,
     spectrum_enumerate,
@@ -48,7 +48,7 @@ def survey(max_q, max_m, max_vertices):
                     continue
                 spec = FamilySpec.linearized(p, e, m)
                 t0 = time.perf_counter()
-                graph = build(spec, mode="materialized", max_vertices=max_vertices)
+                graph = Graph(spec, vertex_budget=max_vertices).materialize()
                 rep = metrics_report(graph)
                 enum = spectrum_enumerate(spec)
                 closed = closed_form_linearized(p, e, m).to_report(spec)

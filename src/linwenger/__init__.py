@@ -28,7 +28,6 @@ from .graphs import (
     Line,
     Point,
     adjacent,
-    build,
     export,
     line_through,
     point_through,

@@ -406,13 +406,14 @@ class FieldElement:
             return T.exp[T.log[self.index] * k % T.order]
         if k < 0:
             return self.inverse() ** (-k)
-        result = F.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if not k:
+            return F.one
+        # left to right from the top bit: one squaring per lower bit
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self) -> "FieldElement":

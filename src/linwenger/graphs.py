@@ -50,17 +50,18 @@ class FamilySpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.m < 1:
             raise ValueError(f"need m >= 1, got {self.m}")
+        if self.modulus is not None:
+            object.__setattr__(self, "modulus", tuple(int(c) for c in self.modulus))
+        q = self.field.q  # construct eagerly so bad parameters fail here
         if self.family == "custom":
             if self.f_indices is None or len(self.f_indices) != self.m:
                 raise ValueError("custom family needs one coefficient vector per map")
-            object.__setattr__(
-                self, "f_indices", tuple(tuple(int(c) for c in poly) for poly in self.f_indices)
-            )
+            f_indices = tuple(tuple(int(c) for c in poly) for poly in self.f_indices)
+            if any(not 0 <= c < q for poly in f_indices for c in poly):
+                raise ValueError(f"custom coefficients must be element indices in [0, {q})")
+            object.__setattr__(self, "f_indices", f_indices)
         elif self.f_indices is not None:
             raise ValueError("f_indices is only meaningful for the custom family")
-        if self.modulus is not None:
-            object.__setattr__(self, "modulus", tuple(int(c) for c in self.modulus))
-        self.field  # construct eagerly so bad parameters fail here
 
     @functools.cached_property
     def field(self) -> Field:
@@ -84,7 +85,7 @@ class FamilySpec:
             return None
         F = self.field
         return tuple(
-            tuple(F.from_index(c % F.q) for c in poly) for poly in self.f_indices
+            tuple(F.from_index(c) for c in poly) for poly in self.f_indices
         )
 
     def f_eval(self, k: int, x: FieldElement) -> FieldElement:
@@ -112,15 +113,6 @@ class FamilySpec:
                 return False
             seen.add(img)
         return True
-
-    def weight_tuple(self, index: int) -> tuple[FieldElement, ...]:
-        """Weight vector number `index`, digits base q, w_1 least significant."""
-        F = self.field
-        out = []
-        for _ in range(self.m + 1):
-            out.append(F.from_index(index % F.q))
-            index //= F.q
-        return tuple(out)
 
     # -- construction helpers -------------------------------------------------
 
@@ -196,6 +188,17 @@ def line_through(spec: FamilySpec, P: Point, l1: FieldElement) -> Line:
     return Line(tuple(coords))
 
 
+def _f_table(spec: FamilySpec, dtype=None):
+    """(m, q) array whose row k - 2 holds the index of f_k(x) for every
+    element x, in index order."""
+    import numpy as np
+
+    elts = list(spec.field.elements())
+    return np.array(
+        [[spec.f_eval(k, x).index for x in elts] for k in range(2, spec.m + 2)], dtype=dtype
+    )
+
+
 class Graph:
     """One constructed graph.  Vertices are addressable either as
     Point/Line objects or as integer ids:
@@ -252,22 +255,14 @@ class Graph:
 
     # -- neighbors ------------------------------------------------------------
 
-    def neighbors_of_point(self, P: Point) -> list[Line]:
-        """All q neighbors, ordered by the canonical index of l_1."""
-        return [line_through(self.spec, P, l1) for l1 in self.spec.field.elements()]
-
-    def neighbors_of_line(self, L: Line) -> list[Point]:
-        """All q neighbors, ordered by the canonical index of p_1."""
-        return [point_through(self.spec, L, p1) for p1 in self.spec.field.elements()]
-
     def neighbor_ids(self, vid: int) -> list[int]:
+        """All q neighbours of vertex vid, ordered by the canonical index of
+        their first coordinate."""
         if self._nbrs is not None:
             return self._nbrs[vid].tolist()
         v = self.decode(vid)
-        nbrs = (
-            self.neighbors_of_point(v) if isinstance(v, Point) else self.neighbors_of_line(v)
-        )
-        return [self.encode(u) for u in nbrs]
+        through = line_through if isinstance(v, Point) else point_through
+        return [self.encode(through(self.spec, v, x)) for x in self.spec.field.elements()]
 
     # -- materialization --------------------------------------------------------
 
@@ -282,7 +277,7 @@ class Graph:
         has k-th coordinate f_k(p_1) l_1 - (own k-th coordinate), where
         (p_1, l_1) is (own first, x) for a point and (x, own first) for a
         line.  Products and differences are gathered from the field's q x q
-        index tables, and the f_k values come from spec.f_eval.  The rows
+        index tables, and the f_k values come from _f_table.  The rows
         are gathered a block of at most _GATHER_BYTES at a time."""
         if self._nbrs is not None:
             return self
@@ -298,10 +293,7 @@ class Graph:
         # gathers and their (block, q) temporaries use it too
         dtype = np.int32 if self.n * q < 2**31 else np.int64
         mul, sub = (t.astype(dtype) for t in spec.field.index_tables())
-        elts = list(spec.field.elements())
-        f = np.array(
-            [[spec.f_eval(k, x).index for x in elts] for k in range(2, m + 2)], dtype=dtype
-        )
+        f = _f_table(spec, dtype)
         x = np.arange(q, dtype=dtype)
         nbrs = np.empty((self.n, q), dtype=dtype)
         rows = max(1, _GATHER_BYTES // (q * nbrs.itemsize))
@@ -363,20 +355,6 @@ class Graph:
     def __repr__(self):
         s = self.spec
         return f"Graph({s.family} p={s.p} e={s.e} m={s.m}, {self.n} vertices)"
-
-
-def build(
-    spec: FamilySpec,
-    mode: str = "lazy",
-    max_vertices: int = DEFAULT_VERTEX_BUDGET,
-) -> Graph:
-    """Construct the graph for a spec; materialized mode also stores adjacency."""
-    if mode not in ("lazy", "materialized"):
-        raise ValueError(f"mode must be 'lazy' or 'materialized', got {mode!r}")
-    g = Graph(spec, vertex_budget=max_vertices)
-    if mode == "materialized":
-        g.materialize()
-    return g
 
 
 def structure_faults(spec: FamilySpec, nbrs) -> list[str]:

@@ -8,12 +8,13 @@ builders do the opposite: they exploit the Frobenius-family structure to
 produce short paths and cycles in closed form, and every witness is
 re-validated edge by edge before it is returned.
 
-Path witnesses have two routes that build the same walks.  diameter_witness
-works on Point and Line objects, one pair at a time, and serves lazy graphs
-up to q = 2^16, where no q x q table exists.  path_witnesses takes whole
-arrays of vertex-id pairs on a materialized graph, runs each construction
-once per batch as numpy gathers over the field's index tables, and checks
-every step against graph.adjacency.
+Path witnesses have two routes that build the same walks in the same shape:
+one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
+into a walk.  diameter_witness steps on Point and Line objects, one pair at a
+time, so it serves lazy graphs of any q, including q > 2^16 where no index
+tables exist.  path_witnesses takes whole arrays of vertex-id pairs on a
+materialized graph, steps by gathers from graph.adjacency, and checks every
+step against it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,16 @@ from .errors import (
     UnsupportedRegime,
 )
 from .fields import FieldElement, fq_solve
-from .graphs import FamilySpec, Graph, Line, Point, adjacent, line_through, point_through
+from .graphs import (
+    FamilySpec,
+    Graph,
+    Line,
+    Point,
+    _f_table,
+    adjacent,
+    line_through,
+    point_through,
+)
 from .spectrum import component_count_formula
 
 # ---------------------------------------------------------------------------
@@ -157,21 +167,37 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
 
 # ---------------------------------------------------------------------------
 # Diameter witnesses (Frobenius family, m <= e).
+#
+# Both routes build a walk the same way.  A pair gives m+1 pairs (x_j, y_j)
+# from one Moore solve; from the start vertex, step j goes to the neighbour
+# whose first coordinate is x_j, then to that vertex's neighbour whose first
+# coordinate is the current vertex's plus y_j.  With d = end - start:
+#
+# - line kind (line to line): anchors x_1 and x_1 + t^(j-2) for j >= 2, and
+#   sum_j y_j = d_1, sum_j f_k(x_j) y_j = d_k.  f_k is additive, so this is
+#   B (y_2, ..., y_(m+1)) = d_k - f_k(x_1) d_1 with the Moore matrix B of
+#   _moore_solve, and y_1 = d_1 - (y_2 + ... + y_(m+1)).
+# - point kind (point to point): y_j = t^(j-1) for j <= m and y_(m+1) closes
+#   d_1; B (x_1, ..., x_m) = (d_2, ..., d_(m+1)) and x_(m+1) = 0.
+# - a point-to-line pair is a line-kind walk from the point's neighbour with
+#   first coordinate 0, anchored at x_1 = the point's first coordinate, so
+#   its first step reaches the point and is cut off.
+#
+# Backtracks a-b-a (from zero increments) are then dropped, and a
+# line-to-point walk is the reversed point-to-line walk.
 
 @dataclass(frozen=True)
 class PathWitness:
     """A validated walk: consecutive vertices adjacent, sides alternating."""
 
     vertices: tuple
-    step_weights: tuple[FieldElement, ...]
-    anchors: tuple[FieldElement, ...]
 
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
 
 
-def _validated_walk(spec, verts, start, end, step_weights=(), anchors=()) -> PathWitness:
+def _validated_walk(spec, verts, start, end) -> PathWitness:
     if verts[0] != start or verts[-1] != end:
         raise SolveFailed("walk endpoints do not match the request")
     for a, b in zip(verts, verts[1:]):
@@ -180,7 +206,7 @@ def _validated_walk(spec, verts, start, end, step_weights=(), anchors=()) -> Pat
         pt, ln = (a, b) if isinstance(a, Point) else (b, a)
         if not adjacent(spec, pt, ln):
             raise SolveFailed("walk contains a non-edge")
-    return PathWitness(tuple(verts), tuple(step_weights), tuple(anchors))
+    return PathWitness(tuple(verts))
 
 
 def _moore_solve(spec: FamilySpec, rhs) -> list[FieldElement]:
@@ -197,33 +223,6 @@ def _moore_solve(spec: FamilySpec, rhs) -> list[FieldElement]:
     return x
 
 
-def _line_walk(spec: FamilySpec, start: Line, end: Line, x1: FieldElement):
-    """Solve for line-side increments through m+1 anchor points.
-
-    Anchors are x_1 and x_1 + t^i, so the system  sum_j t_j = d_1,
-    sum_j f_k(x_j) t_j = d_k  (d = end - start) becomes, by additivity of
-    f_k,  B (t_1, ..., t_m) = d_k - f_k(x_1) d_1  with the Moore matrix B of
-    _moore_solve, and t_0 = d_1 - sum t_i.  Returns (anchors, increments,
-    full uncompressed walk).
-    """
-    F = spec.field
-    m = spec.m
-    xs = [x1] + [x1 + F.basis[i] for i in range(m)]
-    delta = [end.coords[j] - start.coords[j] for j in range(m + 1)]
-    rhs = [delta[k - 1] - spec.f_eval(k, x1) * delta[0] for k in range(2, m + 2)]
-    tail = _moore_solve(spec, rhs)
-    ts = [delta[0] - sum(tail, F.zero)] + tail
-    walk = [start]
-    cur = start
-    for x, t in zip(xs, ts):
-        pt = point_through(spec, cur, x)
-        cur = line_through(spec, pt, cur.coords[0] + t)
-        walk.extend((pt, cur))
-    if cur != end:
-        raise SolveFailed("line walk failed to land on the target")
-    return xs, ts, walk
-
-
 def _compress_backtracks(walk):
     """Drop backtrack detours a-b-a; they arise from zero increments."""
     out = list(walk[:1])
@@ -235,93 +234,75 @@ def _compress_backtracks(walk):
     return out
 
 
-def diameter_witness(graph: Graph, a, b) -> PathWitness:
-    """A walk from a to b of length at most 2(m+1), built in closed form.
-
-    Works for the Frobenius family with m <= e.  Same-side line pairs solve
-    the anchor system directly; point pairs solve the transposed system with
-    basis increments on the first coordinate; mixed pairs route the line-side
-    walk through the requested point."""
-    spec = graph.spec
+def _require_witness_regime(spec: FamilySpec) -> None:
     if spec.family != "linearized":
         raise UnsupportedRegime("witness construction needs the Frobenius family")
     if spec.m > spec.e:
-        raise UnsupportedRegime(
-            f"witness anchors need m <= e; m={spec.m}, e={spec.e}"
-        )
+        raise UnsupportedRegime(f"witness anchors need m <= e; m={spec.m}, e={spec.e}")
+
+
+def _through(spec: FamilySpec, v, x: FieldElement):
+    """The neighbour of v whose first coordinate is x."""
+    return line_through(spec, v, x) if isinstance(v, Point) else point_through(spec, v, x)
+
+
+def diameter_witness(graph: Graph, a, b) -> PathWitness:
+    """A walk from a to b of length at most 2(m+1), built in closed form
+    (see the construction above) and validated edge by edge.
+
+    Works for the Frobenius family with m <= e, on Point and Line objects,
+    so it needs no neighbour array and no index tables."""
+    spec = graph.spec
+    _require_witness_regime(spec)
     if a == b:
-        return PathWitness((a,), (), ())
-    F = spec.field
-    if isinstance(a, Line) and isinstance(b, Line):
-        xs, ts, walk = _line_walk(spec, a, b, F.zero)
-        return _validated_walk(spec, _compress_backtracks(walk), a, b, ts, xs)
-    if isinstance(a, Point) and isinstance(b, Point):
-        return _point_walk(spec, a, b)
-    if isinstance(a, Point) and isinstance(b, Line):
-        return _mixed_walk(spec, a, b)
+        return _validated_walk(spec, [a], a, b)
+    if not (isinstance(a, (Point, Line)) and isinstance(b, (Point, Line))):
+        raise TypeError("witness endpoints must be Point or Line")
+    F, m = spec.field, spec.m
+    basis = list(F.basis[:m])
+    start, end, x1 = a, b, F.zero
+    mixed = isinstance(a, Point) != isinstance(b, Point)
+    if mixed:
+        pt, end = (a, b) if isinstance(a, Point) else (b, a)
+        start, x1 = line_through(spec, pt, F.zero), pt.coords[0]
+    d = [y - x for x, y in zip(start.coords, end.coords)]
+    if isinstance(start, Point):  # point kind
+        xs = _moore_solve(spec, d[1:]) + [F.zero]
+        ys = basis + [d[0] - sum(basis, F.zero)]
+    else:  # line kind
+        tail = _moore_solve(spec, [d[k - 1] - spec.f_eval(k, x1) * d[0] for k in range(2, m + 2)])
+        xs = [x1] + [x1 + t for t in basis]
+        ys = [d[0] - sum(tail, F.zero)] + tail
+    walk, cur = [start], start
+    for x, y in zip(xs, ys):
+        mid = _through(spec, cur, x)
+        cur = _through(spec, mid, cur.coords[0] + y)
+        walk += [mid, cur]
+    walk = _compress_backtracks(walk[1:] if mixed else walk)
     if isinstance(a, Line) and isinstance(b, Point):
-        w = _mixed_walk(spec, b, a)
-        verts = tuple(reversed(w.vertices))
-        return _validated_walk(spec, verts, a, b, w.step_weights, w.anchors)
-    raise TypeError("witness endpoints must be Point or Line")
-
-
-def _point_walk(spec: FamilySpec, a: Point, b: Point) -> PathWitness:
-    F = spec.field
-    m = spec.m
-    us = [F.basis[i] for i in range(m)]
-    us.append(b.coords[0] - a.coords[0] - sum(us, F.zero))
-    delta = [b.coords[k - 1] - a.coords[k - 1] for k in range(2, m + 2)]
-    l1s = _moore_solve(spec, delta) + [F.zero]
-    walk = [a]
-    cur = a
-    for u, l1 in zip(us, l1s):
-        ln = line_through(spec, cur, l1)
-        cur = point_through(spec, ln, cur.coords[0] + u)
-        walk.extend((ln, cur))
-    if cur != b:
-        raise SolveFailed("point walk failed to land on the target")
-    return _validated_walk(
-        spec, _compress_backtracks(walk), a, b, tuple(l1s), tuple(us)
-    )
-
-
-def _mixed_walk(spec: FamilySpec, a: Point, b: Line) -> PathWitness:
-    """Point-to-line walk: start from a neighbor line of a, run the line-side
-    walk anchored so its first intermediate point is a itself, then drop the
-    leading line."""
-    F = spec.field
-    first = line_through(spec, a, F.zero)
-    xs, ts, walk = _line_walk(spec, first, b, a.coords[0])
-    trimmed = walk[1:]  # starts at the point with first coordinate a.p1 == a
-    trimmed = _compress_backtracks(trimmed)
-    return _validated_walk(spec, trimmed, a, b, ts, xs)
+        walk.reverse()
+    return _validated_walk(spec, walk, a, b)
 
 
 def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     """The walks of diameter_witness for whole arrays of vertex-id pairs, as
     lists of ids, on a materialized Frobenius-family graph with m <= e.
 
-    The line, point and mixed constructions each run once over all pairs of
-    their kind, on (pairs, m+1) arrays of coordinate indices: products and
-    differences are gathers from the field's q x q index tables, f_k(x) is
-    an (m, q) array, and every Moore system is a gathered mat-vec with the
-    inverse of B, which takes m fq_solve calls (one per unit vector) per
-    batch.  Backtracks are dropped by _compress_backtracks; a pair a == b
-    gives [a].
+    Each pair kind runs once over all its pairs.  Only the Moore right-hand
+    sides decode coordinates: differences and products are gathers from the
+    field's q x q index tables, and B^-1 is inverted once per batch (m
+    fq_solve calls, one per unit vector).  Every step is a gather
+    adjacency[v, x], because row v lists v's neighbours by first coordinate
+    and a vertex id's first coordinate is id mod q.  A pair a == b gives [a].
 
     Every walk is checked before it is returned: its ends must be its pair,
-    and each step (u, v) must have adjacency[u, v mod q] == v.  Rows list
-    neighbours by first coordinate, so v mod q is v's column, and an entry
-    equal to v proves v is in row u whatever the row order.  All steps of
-    the batch are checked in one gather; any miss raises SolveFailed."""
+    and each step (u, v) must have adjacency[u, v mod q] == v, an entry equal
+    to v proving v is in row u whatever the row order.  All steps of the
+    batch are checked in one gather; any miss raises SolveFailed."""
     import numpy as np
 
     spec = graph.spec
-    if spec.family != "linearized":
-        raise UnsupportedRegime("witness construction needs the Frobenius family")
-    if spec.m > spec.e:
-        raise UnsupportedRegime(f"witness anchors need m <= e; m={spec.m}, e={spec.e}")
+    _require_witness_regime(spec)
     if not graph.materialized:
         raise ValueError("batched path witnesses need a materialized graph")
     src = np.asarray(sources, dtype=np.int64).reshape(-1)
@@ -333,10 +314,10 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
         raise OutOfRange(f"vertex ids must lie in [0, {n})")
 
     F, q, m = spec.field, spec.q, spec.m
+    adj = graph.adjacency
     mul, sub = F.index_tables()
     neg = sub[0]
-    f = np.array([[spec.f_eval(k, F.from_index(x)).index for x in range(q)]
-                  for k in range(2, m + 2)])
+    f = _f_table(spec)
     units = [[F.one if i == j else F.zero for i in range(m)] for j in range(m)]
     cols = [_moore_solve(spec, u) for u in units]
     inv = np.array([[cols[j][i].index for j in range(m)] for i in range(m)])
@@ -356,63 +337,40 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     def moore(rhs):  # B^-1 applied to each row of a (pairs, m) array
         return total(mul[inv, rhs[:, None, :]])
 
-    def through(own, x, own_is_point):  # line_through / point_through
-        p1, l1 = (own[:, 0], x) if own_is_point else (x, own[:, 0])
-        return np.column_stack([x, sub[mul[f[:, p1].T, l1[:, None]], own[:, 1:]]])
-
     def coords(ids):
         return ids[:, None] % half // powers % q
 
-    def ids(c, side):
-        return side * half + c @ powers
-
-    def line_walk(S, E, x1):  # _line_walk after its start S
-        d = sub[E, S]
-        tail = moore(sub[d[:, 1:], mul[f[:, x1].T, d[:, :1]]])
-        ts = np.column_stack([sub[d[:, 0], total(tail)], tail])
-        xs = np.column_stack([x1] + [add(x1, b) for b in basis])
-        walk, cur = [], S
-        for j in range(m + 1):
-            pt = through(cur, xs[:, j], own_is_point=False)
-            cur = through(pt, add(cur[:, 0], ts[:, j]), own_is_point=True)
-            walk += [ids(pt, 0), ids(cur, 1)]
-        return walk
-
-    def point_walk(A, B, zero):
-        us = [zero + b for b in basis] + [sub[sub[B[:, 0], A[:, 0]], basis_sum]]
-        l1s = np.column_stack([moore(sub[B[:, 1:], A[:, 1:]]), zero])
-        walk, cur = [ids(A, 0)], A
-        for j in range(m + 1):
-            ln = through(cur, l1s[:, j], own_is_point=True)
-            cur = through(ln, add(cur[:, 0], us[j]), own_is_point=False)
-            walk += [ids(ln, 1), ids(cur, 0)]
-        return walk
-
+    on_point = (src < half, dst < half)
+    points = on_point[0] & on_point[1]
+    mixed = on_point[0] != on_point[1]
+    flip = mixed & on_point[1]  # line to point: the reversed point-to-line walk
+    pt = np.where(on_point[0], src, dst)  # the point of a mixed pair
+    start = np.where(mixed, adj[pt, 0], src)  # its neighbour with first coordinate 0
+    end = np.where(flip, src, dst)
+    anchor = np.where(mixed, pt % q, 0)
     walks: list = [[a] for a in src.tolist()]
-    on_line = (src >= half, dst >= half)
-    moved = src != dst
-    groups = (
-        (moved & on_line[0] & on_line[1], src, dst),
-        (moved & ~on_line[0] & ~on_line[1], src, dst),
-        (moved & (on_line[0] != on_line[1]), np.where(on_line[0], dst, src),
-         np.where(on_line[0], src, dst)),
-    )
-    for kind, (mask, a, b) in enumerate(groups):
+    for mask, point_kind in ((points, True), (~points, False)):
+        mask = mask & (src != dst)
         if not mask.any():
             continue
-        a, b = coords(a[mask]), coords(b[mask])
-        zero = np.zeros(len(a), dtype=np.int64)
-        if kind == 0:
-            W = np.column_stack([ids(a, 1)] + line_walk(a, b, zero))
-        elif kind == 1:
-            W = np.column_stack(point_walk(a, b, zero))
-        else:  # point a to line b: from line_through(a, 0), anchored at a's first coordinate
-            W = np.column_stack(line_walk(through(a, zero, own_is_point=True), b, a[:, 0]))
-        rows = [_compress_backtracks(row) for row in W.tolist()]
-        if kind == 2:  # a line-to-point walk is the reversed point-to-line walk
-            rows = [r[::-1] if flip else r for r, flip in zip(rows, on_line[0][mask].tolist())]
-        for i, row in zip(np.flatnonzero(mask).tolist(), rows):
-            walks[i] = row
+        S, x1 = start[mask], anchor[mask]
+        d = sub[coords(end[mask]), coords(S)]
+        if point_kind:
+            xs = [*moore(d[:, 1:]).T, 0]
+            ys = [*basis, sub[d[:, 0], basis_sum]]
+        else:
+            tail = moore(sub[d[:, 1:], mul[f[:, x1].T, d[:, :1]]])
+            xs = [x1] + [add(x1, b) for b in basis]
+            ys = [sub[d[:, 0], total(tail)], *tail.T]
+        walk, cur = [S], S
+        for x, y in zip(xs, ys):
+            mid = adj[cur, x]
+            cur = adj[mid, add(cur % q, y)]
+            walk += [mid, cur]
+        rows = zip(np.column_stack(walk).tolist(), mixed[mask].tolist(), flip[mask].tolist())
+        for i, (row, drop, rev) in zip(np.flatnonzero(mask).tolist(), rows):
+            row = _compress_backtracks(row[1:] if drop else row)
+            walks[i] = row[::-1] if rev else row
 
     lengths = np.array([len(w) for w in walks], dtype=np.int64)
     flat = np.fromiter(itertools.chain.from_iterable(walks), np.int64, int(lengths.sum()))
@@ -422,7 +380,7 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     u, v = flat[:-1][step], flat[1:][step]
     if not ((flat[ends - lengths] == src).all() and (flat[ends - 1] == dst).all()):
         raise SolveFailed("batched walk endpoints do not match the request")
-    if not (graph.adjacency[u, v % q] == v).all():
+    if not (adj[u, v % q] == v).all():
         raise SolveFailed("batched walk contains a non-edge")
     return walks
 
@@ -468,13 +426,6 @@ class CycleWitness:
 
     def is_valid_cycle(self) -> bool:
         return self.is_closed() and self.vertices_distinct() and self.edges_valid()
-
-    def vertex_sequence(self) -> tuple:
-        out = []
-        for pt, ln in zip(self.points, self.lines):
-            out.extend((pt, ln))
-        out.append(self.closure)
-        return tuple(out)
 
 
 def cycle_from_coefficients(spec: FamilySpec, us, cs, start: Point | None = None) -> CycleWitness:

@@ -2,16 +2,18 @@
 
 Every eigenvalue is +/- sqrt(q * N) where N is the number of roots of one
 weight polynomial, so the whole spectrum is carried as (sign, radicand)
-pairs with exact integer radicands and multiplicities.  No floats enter the
-bookkeeping; the expander bound exposes a float only for display.
+pairs with exact integer radicands and multiplicities.  No floats enter:
+the expander bound is the exact pair (q, radicand) as well.
 
-Two routes give the spectrum: an exhaustive value sweep for every family,
-and for the linearized family one closed form at every m, built from the
-rank distribution of the linear parts.  They share no machinery.
+Two routes give the spectrum: an exhaustive value sweep over every linear
+part for every family, and for the linearized family one closed form at
+every m, built from the rank distribution of the linear parts.  They share
+no machinery.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -76,12 +78,6 @@ class SpectrumReport:
             elif en.sign == 0:
                 hist[0] = en.multiplicity // 2
         return hist
-
-    def multiplicity_of(self, sign: int, radicand: int) -> int:
-        for en in self.entries:
-            if en.sign == sign and en.radicand == radicand:
-                return en.multiplicity
-        return 0
 
     def second_largest_radicand(self) -> int | None:
         radicands = sorted({en.radicand for en in self.entries}, reverse=True)
@@ -148,8 +144,7 @@ def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -
     F = spec.field
     f_rows = [spec.f_values(x) for x in F.elements()]
     hist: Counter[int] = Counter()
-    for widx in range(0, total_w, q):  # w_1 = 0: one index per linear part
-        linear = spec.weight_tuple(widx)[1:]
+    for linear in itertools.product(F.elements(), repeat=spec.m):
         hits: Counter[int] = Counter()
         for fx in f_rows:
             acc = F.zero
@@ -247,12 +242,6 @@ class ExpansionBound:
 
     q: int
     radicand: int
-
-    @property
-    def approx(self) -> float:
-        import math
-
-        return (self.q - math.sqrt(self.radicand)) / 2
 
 
 def expansion_bound(p: int, e: int, m: int) -> ExpansionBound:

@@ -12,8 +12,8 @@ predicted_metrics, the predictions `linwenger metrics` reports, so the
 theorems are stated once; a prediction of None fails its criterion.
 
 Criterion 7 builds its seeded path witnesses with one path_witnesses batch
-per graph, which checks every step against the neighbour array criterion 3
-certifies, and compares the first WITNESS_CROSS_CHECK walks of each graph id
+per graph, which steps along the neighbour array criterion 3 certifies and
+checks every step against it, and compares the first WITNESS_CROSS_CHECK walks of each graph id
 for id with diameter_witness, so both routes stay exercised and paired.  Its
 length bound is the predicted diameter, and the predicted girth picks the
 cycle witness of each case.

@@ -273,6 +273,28 @@ class TestIndexTables:
         for a, b in itertools.combinations(ys, 2):
             assert (a + b).trace() == (a.trace() + b.trace()) % F.p
 
+    def test_coefficient_powers_square_from_the_top_bit(self, monkeypatch):
+        F = GF(2, 17, modulus=(1, 0, 0, 1) + (0,) * 13 + (1,))
+        x = F.from_index(0b10110011100011101)
+        square, fifth = x * x, x * x * x * x * x
+        conj, acc = x, x
+        for _ in range(F.e - 1):
+            conj = conj * conj
+            acc = acc + conj
+        calls = []
+        mul = Field._mul
+        monkeypatch.setattr(Field, "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+
+        def counted(fn):
+            calls.clear()
+            return fn(), len(calls)
+
+        assert counted(lambda: x.frob(1)) == (square, 1)
+        assert counted(lambda: x**5) == (fifth, 3)
+        assert counted(x.trace) == (acc.coeffs[0], 16)
+        assert counted(lambda: x**1) == (x, 0)
+        assert counted(lambda: x**0) == (F.one, 0)
+
 
 class TestConwayTable:
     def test_frozen_spot_values(self):

@@ -16,7 +16,6 @@ from linwenger import (
     OutOfRange,
     Point,
     adjacent,
-    build,
     components,
     export,
     line_through,
@@ -78,10 +77,15 @@ class TestFamilySpec:
         # constant map collapses everything
         assert not FamilySpec.custom(3, 1, 1, f_indices=((0,),)).theta_injective
 
-    def test_weight_tuple_base_q(self):
-        spec = FamilySpec.linearized(3, 1, 2)
-        w = spec.weight_tuple(5)  # 5 = 2 + 1*3 base 3, low digit first
-        assert ids(w) == (2, 1, 0)
+    def test_custom_coefficients_are_element_indices(self):
+        # index 10 would act as 10 mod 3 = 1 yet compare and serialize as 10
+        with pytest.raises(ValueError):
+            FamilySpec.custom(3, 1, 1, ((0, 10),))
+        with pytest.raises(ValueError):
+            FamilySpec.custom(3, 1, 1, ((-1, 1),))
+        with pytest.raises(ValueError):
+            FamilySpec.custom(2, 2, 1, ((0, 4),))
+        assert FamilySpec.custom(2, 2, 1, ((0, 3),)).to_json_dict()["f_list"] == [[0, 3]]
 
     def test_json_dict(self):
         spec = FamilySpec.custom(2, 1, 1, f_indices=((0, 1),))
@@ -131,7 +135,7 @@ class TestGraph:
             assert structure_faults(g.spec, g.adjacency) == []
 
     def test_wenger_counts(self):
-        g = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
+        g = Graph(FamilySpec.wenger(3, 1, 1)).materialize()
         assert g.n == 18
         assert g.n_edges == 27
         assert g.adjacency.shape == (18, 3)
@@ -157,7 +161,7 @@ class TestGraph:
         assert structure_faults(g.spec, g.adjacency[:-1]) != []  # a row short
 
     def test_encode_layout(self):
-        g = build(FamilySpec.linearized(2, 1, 1))
+        g = Graph(FamilySpec.linearized(2, 1, 1))
         F = g.spec.field
         assert g.encode(Point((F.zero, F.zero))) == 0
         assert g.encode(Point((F.one, F.zero))) == 1
@@ -168,27 +172,30 @@ class TestGraph:
     @given(st.data())
     def test_encode_decode_roundtrip(self, data):
         spec = FamilySpec.linearized(3, 1, 2)
-        g = build(spec)
+        g = Graph(spec)
         vid = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         v = g.decode(vid)
         assert g.encode(v) == vid
         assert isinstance(v, Line) == (vid >= g.n // 2)
 
     def test_decode_out_of_range(self):
-        g = build(FamilySpec.linearized(2, 1, 1))
+        g = Graph(FamilySpec.linearized(2, 1, 1))
         with pytest.raises(OutOfRange):
             g.decode(-1)
         with pytest.raises(OutOfRange):
             g.decode(g.n)
 
     def test_neighbor_order_is_canonical(self):
-        g = build(FamilySpec.linearized(3, 1, 1))
+        g = Graph(FamilySpec.linearized(3, 1, 1))
         F = g.spec.field
         P = Point((F.from_int(2), F.one))
-        nbrs = g.neighbors_of_point(P)
-        assert [L.coords[0].index for L in nbrs] == [0, 1, 2]
+        lines = [g.decode(v) for v in g.neighbor_ids(g.encode(P))]
+        assert [L.coords[0].index for L in lines] == [0, 1, 2]
+        assert all(isinstance(L, Line) and adjacent(g.spec, P, L) for L in lines)
         L = Line((F.one, F.from_int(2)))
-        assert [Q.coords[0].index for Q in g.neighbors_of_line(L)] == [0, 1, 2]
+        points = [g.decode(v) for v in g.neighbor_ids(g.encode(L))]
+        assert [Q.coords[0].index for Q in points] == [0, 1, 2]
+        assert all(isinstance(Q, Point) and adjacent(g.spec, Q, L) for Q in points)
 
     def test_lazy_matches_materialized(self):
         for spec in (
@@ -197,8 +204,8 @@ class TestGraph:
             FamilySpec.wenger(3, 1, 2),
             FamilySpec.custom(3, 1, 2, f_indices=((1, 2, 1), (0, 0, 1))),
         ):
-            lazy = build(spec)
-            full = build(spec, mode="materialized")
+            lazy = Graph(spec)
+            full = Graph(spec).materialize()
             assert not lazy.materialized and full.materialized
             A = full.csr()  # wraps the array; must leave its row order alone
             assert np.shares_memory(A.indices, full.adjacency)
@@ -250,9 +257,7 @@ class TestGraph:
     def test_budget(self):
         spec = FamilySpec.linearized(2, 1, 1)  # 8 vertices
         with pytest.raises(BudgetExceeded):
-            build(spec, mode="materialized", max_vertices=4)
-        with pytest.raises(ValueError):
-            build(spec, mode="eager")
+            Graph(spec, vertex_budget=4).materialize()
 
     def test_lazy_graph_leaves_theta_unevaluated(self):
         # theta_injective sweeps the field; only meta_dict and the spectrum need it
@@ -270,20 +275,20 @@ class TestGraph:
 
     def test_custom_linear_poly_matches_wenger_m1(self):
         # x^(p^0) and x^1 coincide, so the m=1 graphs are identical
-        lin = build(FamilySpec.custom(3, 1, 1, f_indices=((0, 1),)), mode="materialized")
-        wen = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
+        lin = Graph(FamilySpec.custom(3, 1, 1, f_indices=((0, 1),))).materialize()
+        wen = Graph(FamilySpec.wenger(3, 1, 1)).materialize()
         assert list(lin.edges()) == list(wen.edges())
 
 
 class TestExport:
     def test_edgelist_exact(self):
-        g = build(FamilySpec.linearized(2, 1, 1), mode="materialized")
+        g = Graph(FamilySpec.linearized(2, 1, 1)).materialize()
         buf = io.StringIO()
         export(g, "edgelist", buf)
         assert buf.getvalue() == "0 4\n0 5\n1 4\n1 7\n2 6\n2 7\n3 5\n3 6\n"
 
     def test_dimacs_header_and_edges(self):
-        g = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
+        g = Graph(FamilySpec.wenger(3, 1, 1)).materialize()
         buf = io.StringIO()
         export(g, "dimacs", buf)
         lines = buf.getvalue().splitlines()
@@ -294,7 +299,7 @@ class TestExport:
         assert int(u) >= 1 and int(v) >= 1
 
     def test_json_meta(self):
-        g = build(FamilySpec.linearized(2, 2, 1))
+        g = Graph(FamilySpec.linearized(2, 2, 1))
         buf = io.StringIO()
         export(g, "json", buf)
         d = json.loads(buf.getvalue())
@@ -304,17 +309,17 @@ class TestExport:
             export(g, "json_meta", io.StringIO())
 
     def test_file_sink(self, tmp_path):
-        g = build(FamilySpec.linearized(2, 1, 1), mode="materialized")
+        g = Graph(FamilySpec.linearized(2, 1, 1)).materialize()
         path = tmp_path / "g.edges"
         export(g, "edgelist", path)
         assert path.read_text().count("\n") == 8
 
     def test_unknown_format(self):
-        g = build(FamilySpec.linearized(2, 1, 1))
+        g = Graph(FamilySpec.linearized(2, 1, 1))
         with pytest.raises(ValueError):
             export(g, "gml", io.StringIO())
 
     def test_export_budget(self):
-        g = build(FamilySpec.linearized(2, 1, 2), max_vertices=4)
+        g = Graph(FamilySpec.linearized(2, 1, 2), vertex_budget=4)
         with pytest.raises(BudgetExceeded):
             export(g, "edgelist", io.StringIO())

@@ -14,13 +14,13 @@ from linwenger import metrics as metrics_mod
 from linwenger import (
     Acyclic,
     FamilySpec,
+    Graph,
     Line,
     NoSixCycle,
     Point,
     SamePoint,
     SolveFailed,
     UnsupportedRegime,
-    build,
     common_neighbor,
     components,
     cycle_from_coefficients,
@@ -30,8 +30,10 @@ from linwenger import (
     diameter_witness,
     eccentricities,
     girth,
+    line_through,
     metrics_report,
     path_witnesses,
+    point_through,
     predicted_metrics,
     verify_cycle_system,
 )
@@ -117,7 +119,7 @@ class TestGirth:
         assert girth(g) == naive_girth(g.adjacency, g.n)
 
     def test_wenger_girth(self):
-        g = build(FamilySpec.wenger(3, 1, 2), mode="materialized")
+        g = Graph(FamilySpec.wenger(3, 1, 2)).materialize()
         assert girth(g) == naive_girth(g.adjacency, g.n)
 
     def test_acyclic(self):
@@ -152,7 +154,7 @@ ORACLE_SPECS = [
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}")
 def test_bfs_metrics_match_networkx(spec):
-    g = build(spec, mode="materialized")
+    g = Graph(spec).materialize()
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
@@ -198,7 +200,7 @@ class TestCommonNeighbor:
         assert common_neighbor(g, Point((F.one, F.zero)), Point((F.one, F.one))) is None
 
     def test_family_restriction(self):
-        g = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
+        g = Graph(FamilySpec.wenger(3, 1, 1)).materialize()
         F = g.spec.field
         with pytest.raises(UnsupportedRegime):
             common_neighbor(g, Point((F.zero, F.zero)), Point((F.one, F.zero)))
@@ -262,7 +264,7 @@ class TestDiameterWitness:
         a, b = g.decode(0), g.decode(1)
         with pytest.raises(UnsupportedRegime):
             diameter_witness(g, a, b)
-        wg = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
+        wg = Graph(FamilySpec.wenger(3, 1, 1)).materialize()
         with pytest.raises(UnsupportedRegime):
             diameter_witness(wg, wg.decode(0), wg.decode(1))
 
@@ -272,35 +274,56 @@ class TestDiameterWitness:
             diameter_witness(g, g.decode(0), 5)
 
     @pytest.mark.parametrize("p,e,m", [(3, 2, 2), (2, 3, 3), (5, 2, 1)])
-    def test_moore_reduction_matches_direct_solves(self, p, e, m, monkeypatch):
-        """Every walk's weights equal the solution of its own full Moore
-        system, and each witness runs fq_solve once, on the m x m matrix."""
-        spec = FamilySpec.linearized(p, e, m)
-        g = build(spec)
-        F = spec.field
+    def test_one_moore_solve_per_witness(self, p, e, m, monkeypatch):
+        """Every witness with a != b runs fq_solve once, on the m x m Moore
+        matrix, whatever the sides of its ends."""
+        g = Graph(FamilySpec.linearized(p, e, m))
         calls = []
         monkeypatch.setattr(
             metrics_mod, "fq_solve", lambda *a: calls.append(a) or fields.fq_solve(*a)
         )
         rng = random.Random(7)
-        n_walks = 0
+        n_walks, sides = 0, set()
         for _ in range(24):
             a, b = g.decode(rng.randrange(g.n)), g.decode(rng.randrange(g.n))
-            w = diameter_witness(g, a, b)
+            diameter_witness(g, a, b)
             n_walks += a != b
-            if a == b or isinstance(a, Point) != isinstance(b, Point):
-                continue
-            d = [y - x for x, y in zip(a.coords, b.coords)]
-            if isinstance(a, Line):  # anchors x_j, weights t_j: sum t_j = d_1, ...
-                rows = [[F.one] * (m + 1)] + [
-                    [x.frob(k) for x in w.anchors] for k in range(m)
-                ]
-                assert list(w.step_weights) == fields.fq_solve(F, rows, d)
-            else:  # steps u_i = t^i, weights l_i with the last one zero
-                rows = [[u.frob(k) for u in w.anchors[:m]] for k in range(m)]
-                assert list(w.step_weights) == fields.fq_solve(F, rows, d[1:]) + [F.zero]
+            sides.add((type(a), type(b)))
+        assert len(sides) == 4
         assert len(calls) == n_walks
         assert all(len(rows) == m == len(rows[0]) for _, rows, _ in calls)
+
+
+def test_lazy_witnesses_above_the_table_limit():
+    """The scalar route is the only one for q > 2^16, where no index tables
+    exist: every pair kind on L_2(2^17), checked against the incidence
+    equations by plain powering."""
+    spec = FamilySpec.linearized(2, 17, 2)
+    g, F = Graph(spec), spec.field
+    assert F.q > fields.TABLE_LIMIT and F._tables() is None
+
+    def incident(P, L):
+        return all(
+            L.coords[k] + P.coords[k] == P.coords[0] ** (2 ** (k - 1)) * L.coords[0]
+            for k in range(1, spec.m + 1)
+        )
+
+    rng = random.Random("L_2(2^17)")
+    for a_side, b_side in product((0, 1), repeat=2):
+        a = g.decode(a_side * g.half + rng.randrange(g.half))
+        b = g.decode(b_side * g.half + rng.randrange(g.half))
+        verts = diameter_witness(g, a, b).vertices
+        assert verts[0] == a and verts[-1] == b
+        assert len(verts) - 1 <= 2 * (spec.m + 1)
+        for u, v in zip(verts, verts[1:]):
+            assert isinstance(u, Point) != isinstance(v, Point)
+            assert incident(*((u, v) if isinstance(u, Point) else (v, u)))
+
+    P = g.decode(rng.randrange(g.half))
+    L = line_through(spec, P, F.from_index(rng.randrange(F.q)))
+    P2 = point_through(spec, L, F.from_index(rng.randrange(F.q)))
+    assert P2 != P and common_neighbor(g, P, P2) == L
+    assert common_neighbor(g, P, g.decode(rng.randrange(g.half))) is None
 
 
 def _walk_ids(g, a, b):
@@ -336,11 +359,11 @@ class TestPathWitnesses:
         g = graph_cache(2, 1, 2)  # m > e
         with pytest.raises(UnsupportedRegime):
             path_witnesses(g, [0], [1])
-        wg = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
+        wg = Graph(FamilySpec.wenger(3, 1, 1)).materialize()
         with pytest.raises(UnsupportedRegime):
             path_witnesses(wg, [0], [1])
         with pytest.raises(ValueError):
-            path_witnesses(build(FamilySpec.linearized(3, 1, 1)), [0], [1])
+            path_witnesses(Graph(FamilySpec.linearized(3, 1, 1)), [0], [1])
 
     def test_corrupted_adjacency_is_caught(self, graph_cache):
         g = graph_cache(3, 2, 2)
@@ -353,6 +376,20 @@ class TestPathWitnesses:
         nbrs[u, v % g.spec.q] = nbrs[u, (v + 1) % g.spec.q]
         with pytest.raises(SolveFailed):
             path_witnesses(fake, sources, targets)
+
+    def test_corrupted_reverse_step_is_caught(self, graph_cache):
+        # a line-to-point walk is stepped from the point, so the rows its
+        # steps (u, v) are checked in were not read while building it
+        g = graph_cache(3, 2, 2)
+        sources, targets = [g.half + 1], [11]
+        (walk,) = path_witnesses(g, sources, targets)
+        nbrs = g.adjacency.copy()
+        fake = SimpleNamespace(spec=g.spec, materialized=True, adjacency=nbrs)
+        for u, v in zip(walk, walk[1:]):
+            nbrs[u, v % g.spec.q] = nbrs[u, (v + 1) % g.spec.q]
+            with pytest.raises(SolveFailed):
+                path_witnesses(fake, sources, targets)
+            nbrs[u, v % g.spec.q] = v
 
 
 class TestCycleWitnesses:
@@ -439,12 +476,6 @@ class TestCycleWitnesses:
         assert w.points[0] == start
         assert w.is_closed() and w.is_valid_cycle()
 
-    def test_vertex_sequence_shape(self):
-        w = cycle_witness_6(FamilySpec.linearized(3, 1, 1))
-        seq = w.vertex_sequence()
-        assert len(seq) == 7 and seq[0] == seq[-1]
-        assert all(isinstance(v, Point) == (i % 2 == 0) for i, v in enumerate(seq))
-
 
 class TestPredictions:
     def test_table(self):
@@ -488,7 +519,7 @@ class TestMetricsReport:
         assert rep.all_match
 
     def test_wenger_report_tolerates_missing_predictions(self):
-        g = build(FamilySpec.wenger(3, 1, 1), mode="materialized")
+        g = Graph(FamilySpec.wenger(3, 1, 1)).materialize()
         rep = metrics_report(g)
         assert rep.matches["diameter"] is None
         assert rep.all_match
