@@ -207,7 +207,9 @@ class Graph:
 
     Lazy graphs answer neighbor queries by solving the adjacency equations.
     materialize() stores the one materialized form, an (n, q) array of
-    neighbour ids whose row v is neighbor_ids(v); csr() wraps that array.
+    neighbour ids whose row v is neighbor_ids(v).  csr() wraps that array
+    as a sparse matrix for spectrum.walk_trace, the package's one CSR reader;
+    the BFS metrics read the array itself.
     """
 
     def __init__(self, spec: FamilySpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET):
@@ -242,9 +244,12 @@ class Graph:
             acc += self.half
         return acc
 
-    def decode(self, vid: int) -> Point | Line:
+    def _check_id(self, vid: int) -> None:
         if not 0 <= vid < self.n:
             raise OutOfRange(f"vertex id {vid} outside [0, {self.n})")
+
+    def decode(self, vid: int) -> Point | Line:
+        self._check_id(vid)
         side, local = divmod(vid, self.half)
         F = self.spec.field
         coords = []
@@ -258,6 +263,7 @@ class Graph:
     def neighbor_ids(self, vid: int) -> list[int]:
         """All q neighbours of vertex vid, ordered by the canonical index of
         their first coordinate."""
+        self._check_id(vid)
         if self._nbrs is not None:
             return self._nbrs[vid].tolist()
         v = self.decode(vid)
@@ -308,7 +314,7 @@ class Graph:
                 ids[:] = x + (half if side == 0 else 0)
                 for k in range(2, m + 2):
                     ids += (sub * q ** (k - 1))[mul[f[k - 2][p1], l1], own[:, k - 1 : k]]
-        nbrs.flags.writeable = False  # csr() shares this memory
+        nbrs.flags.writeable = False  # csr(), for walk_trace, shares this memory
         self._nbrs = nbrs
         return self
 

@@ -1,12 +1,12 @@
 """BFS metrics (components, diameter, girth) and constructive witnesses.
 
-BFS results are exact and assume nothing about the graph.  They read
-graph.csr(): components through scipy's connected_components, and
-eccentricities and girth through one batched level-synchronous sweep whose
-working set is capped at _SWEEP_BYTES whatever the vertex count.  The witness
-builders do the opposite: they exploit the Frobenius-family structure to
-produce short paths and cycles in closed form, and every witness is
-re-validated edge by edge before it is returned.
+BFS results are exact and assume nothing about the graph.  They read only
+the (n, q) neighbour array graph.adjacency: components by min-label
+propagation, and eccentricities and girth through one batched
+level-synchronous sweep whose working set is capped at _SWEEP_BYTES whatever
+the vertex count.  The witness builders do the opposite: they exploit the
+Frobenius-family structure to produce short paths and cycles in closed form,
+and every witness is re-validated edge by edge before it is returned.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
@@ -52,18 +52,30 @@ _SWEEP_BYTES = 1 << 25
 
 
 def components(graph: Graph) -> tuple[int, list[int]]:
-    """Number of connected components and their sizes, in discovery order
-    (ordered by smallest contained vertex id)."""
-    import numpy as np
-    from scipy.sparse.csgraph import connected_components
+    """Number of connected components and their sizes, ordered by smallest
+    contained vertex id.
 
-    count, labels = connected_components(graph.csr(), directed=False)
-    _, first = np.unique(labels, return_index=True)
-    return count, np.bincount(labels)[np.argsort(first)].tolist()
+    Min-label propagation on graph.adjacency: every vertex starts with its
+    own id and, each round, takes the least label among itself and its
+    neighbours, until no label moves.  Each vertex then carries the smallest
+    id of its component, so the sorted distinct labels order the sizes."""
+    import numpy as np
+
+    adj = graph.adjacency
+    label = np.arange(len(adj))
+    while True:
+        new = label.copy()
+        for j in range(adj.shape[1]):  # a column at a time: no (n, q) temporary
+            np.minimum(new, label[adj[:, j]], out=new)
+        if (new == label).all():
+            break
+        label = new
+    _, sizes = np.unique(label, return_counts=True)
+    return len(sizes), sizes.tolist()
 
 
 def _sweep(graph: Graph, girth_only: bool):
-    """Level-synchronous BFS from every vertex of graph.csr(), in batches.
+    """Level-synchronous BFS from every vertex of graph.adjacency, in batches.
 
     A batch holds one bit column per source in n-row bit matrices.  One
     level ORs each vertex's neighbour rows into `once`, and `twice` keeps the
@@ -77,23 +89,16 @@ def _sweep(graph: Graph, girth_only: bool):
     shorter cycle."""
     import numpy as np
 
-    A = graph.csr()
-    n = A.shape[0]
-    deg = np.diff(A.indptr)
-    d = int(deg.max(initial=0))
-    if (deg == d).all():
-        table = A.indices.reshape(n, d)
-    else:  # pad short rows with the id n of an empty extra row
-        table = np.full((n, d), n)
-        table[np.arange(d) < deg[:, None]] = A.indices
+    table = graph.adjacency
+    n, d = table.shape
     width = max(1, _SWEEP_BYTES // n)
     ecc = np.zeros(n, dtype=np.int64)
     best = None
     for lo in range(0, n, width):
         cols = np.arange(min(width, n - lo))
-        frontier = np.zeros((n + 1, (cols.size + 7) // 8), dtype=np.uint8)
+        frontier = np.zeros((n, (cols.size + 7) // 8), dtype=np.uint8)
         frontier[lo + cols, cols >> 3] = 1 << (cols & 7)
-        seen = frontier[:n].copy()
+        seen = frontier.copy()
         level = 1
         while not (girth_only and best is not None and 2 * level - 1 >= best):
             once = np.zeros_like(seen)
@@ -105,7 +110,7 @@ def _sweep(graph: Graph, girth_only: bool):
                 once |= hit
             new = once & ~seen
             if girth_only:
-                if (once & frontier[:n]).any():
+                if (once & frontier).any():
                     best = 2 * level - 1
                 elif (new & twice).any():
                     best = 2 * level
@@ -114,7 +119,7 @@ def _sweep(graph: Graph, girth_only: bool):
                 break
             ecc[lo + cols[np.unpackbits(reached, bitorder="little")[: cols.size] > 0]] = level
             seen |= new
-            frontier[:n] = new
+            frontier = new
             level += 1
     return best if girth_only else ecc
 
@@ -150,6 +155,8 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
     spec = graph.spec
     if spec.family != "linearized":
         raise UnsupportedRegime("common-neighbor solving needs the Frobenius family")
+    if not (isinstance(P, Point) and isinstance(P2, Point)):
+        raise TypeError("common_neighbor takes two Points")
     if P == P2:
         raise SamePoint("common_neighbor needs two distinct points")
     u = P.coords[0] - P2.coords[0]

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ThetaNotInjective
-from .fields import fq_rank
+from .fields import _check_field_params, fq_rank
 from .graphs import FamilySpec, Graph
 # count_roots is not called here; it stays bound because perfbench/spans.py
 # wraps linwenger.spectrum.count_roots (its linearized.count_roots_* metrics
@@ -245,5 +245,8 @@ class ExpansionBound:
 
 
 def expansion_bound(p: int, e: int, m: int) -> ExpansionBound:
+    _check_field_params(p, e)
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     q = p**e
     return ExpansionBound(q=q, radicand=q * p ** (min(m, e) - 1))

@@ -16,10 +16,10 @@ from linwenger import (
     OutOfRange,
     Point,
     adjacent,
-    components,
     export,
     line_through,
     point_through,
+    walk_trace,
 )
 from linwenger import graphs
 from linwenger.graphs import structure_faults
@@ -185,6 +185,15 @@ class TestGraph:
         with pytest.raises(OutOfRange):
             g.decode(g.n)
 
+    def test_neighbor_ids_out_of_range(self):
+        # a materialized graph must not wrap -1 around to row n - 1
+        lazy = Graph(FamilySpec.linearized(2, 1, 1))
+        full = Graph(FamilySpec.linearized(2, 1, 1)).materialize()
+        for g in (lazy, full):
+            for vid in (-1, g.n):
+                with pytest.raises(OutOfRange):
+                    g.neighbor_ids(vid)
+
     def test_neighbor_order_is_canonical(self):
         g = Graph(FamilySpec.linearized(3, 1, 1))
         F = g.spec.field
@@ -209,7 +218,7 @@ class TestGraph:
             assert not lazy.materialized and full.materialized
             A = full.csr()  # wraps the array; must leave its row order alone
             assert np.shares_memory(A.indices, full.adjacency)
-            components(full)
+            walk_trace(full, 2)
             for vid in range(full.n):
                 row = full.adjacency[vid].tolist()
                 assert row == lazy.neighbor_ids(vid)

@@ -6,8 +6,9 @@ from itertools import combinations, product
 from types import SimpleNamespace
 
 import networkx as nx
+import numpy as np
 import pytest
-from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from linwenger import fields
 from linwenger import metrics as metrics_mod
@@ -123,19 +124,16 @@ class TestGirth:
         assert girth(g) == naive_girth(g.adjacency, g.n)
 
     def test_acyclic(self):
-        # a 4-vertex path: rows of unequal length exercise the sweep's padding
-        A = sparse.csr_matrix(([1] * 6, ([0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2])), shape=(4, 4))
-        path = SimpleNamespace(n=4, csr=lambda: A)
+        # a perfect matching on 4 vertices
+        matching = SimpleNamespace(adjacency=np.array([[1], [0], [3], [2]]))
         with pytest.raises(Acyclic):
-            girth(path)
-        assert eccentricities(path).tolist() == [3, 2, 2, 3]
+            girth(matching)
+        assert eccentricities(matching).tolist() == [1, 1, 1, 1]
 
     def test_odd_cycles_match_networkx(self):
         # the point-line graphs are bipartite; these exercise the odd-cycle rule
-        tailed = nx.cycle_graph(5)
-        tailed.add_edges_from([(0, 5), (1, 5)])  # a triangle on the 5-cycle
-        for G in (nx.cycle_graph(5), nx.cycle_graph(7), nx.petersen_graph(), tailed):
-            fake = SimpleNamespace(n=len(G), csr=lambda G=G: nx.to_scipy_sparse_array(G))
+        for G in (nx.cycle_graph(5), nx.cycle_graph(7), nx.petersen_graph(), nx.complete_graph(4)):
+            fake = SimpleNamespace(adjacency=np.array([sorted(G[v]) for v in G]))
             assert girth(fake) == nx.girth(G)
             assert eccentricities(fake).tolist() == [nx.eccentricity(G)[v] for v in G]
 
@@ -168,6 +166,28 @@ def test_bfs_metrics_match_networkx(spec):
     assert girth(g) == nx.girth(G)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ORACLE_SPECS + [FamilySpec.linearized(7, 1, 3)],  # 49 components
+    ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}",
+)
+def test_components_match_scipy(spec):
+    g = Graph(spec).materialize()
+    count, labels = connected_components(g.csr(), directed=False)
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    assert components(g) == (count, sizes[np.argsort(first)].tolist())
+
+
+def test_bfs_reads_only_the_neighbour_array(monkeypatch):
+    def refuse(self):
+        raise AssertionError("BFS metrics must not build a CSR matrix")
+
+    monkeypatch.setattr(Graph, "csr", refuse)
+    for spec in (FamilySpec.linearized(2, 2, 2), FamilySpec.wenger(3, 1, 2)):
+        report = metrics_report(Graph(spec).materialize())
+        assert report.all_match and report.components == predicted_metrics(spec).components
+
+
 @pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 1), (2, 2, 2)])
 def test_one_source_batches_agree(p, e, m, graph_cache, monkeypatch):
     g = graph_cache(p, e, m)
@@ -198,6 +218,14 @@ class TestCommonNeighbor:
         g = graph_cache(3, 1, 1)
         F = g.spec.field
         assert common_neighbor(g, Point((F.one, F.zero)), Point((F.one, F.one))) is None
+
+    def test_non_point_rejected(self, graph_cache):
+        g = graph_cache(3, 1, 1)
+        F = g.spec.field
+        with pytest.raises(TypeError):
+            common_neighbor(g, Line((F.zero, F.zero)), Point((F.one, F.zero)))
+        with pytest.raises(TypeError):
+            common_neighbor(g, Point((F.one, F.zero)), Line((F.zero, F.zero)))
 
     def test_family_restriction(self):
         g = Graph(FamilySpec.wenger(3, 1, 1)).materialize()

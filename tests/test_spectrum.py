@@ -7,8 +7,10 @@ import pytest
 
 from linwenger import (
     BudgetExceeded,
+    DegreeMismatch,
     FamilySpec,
     Graph,
+    NonPrime,
     SpectrumEntry,
     SpectrumReport,
     ThetaNotInjective,
@@ -247,6 +249,14 @@ class TestExpansionBound:
     def test_prime_field(self):
         b = expansion_bound(5, 1, 1)
         assert b.q == 5 and b.radicand == 5
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(NonPrime):
+            expansion_bound(4, 1, 1)
+        with pytest.raises(DegreeMismatch):
+            expansion_bound(2, 0, 1)  # would give the float radicand 0.5
+        with pytest.raises(ValueError):
+            expansion_bound(3, 1, 0)
 
     def test_radicand_is_second_largest(self):
         for p, e, m in ((2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2)):
