@@ -184,8 +184,7 @@ def test_bfs_reads_only_the_neighbour_array(monkeypatch):
 
     monkeypatch.setattr(Graph, "csr", refuse)
     for spec in (FamilySpec.linearized(2, 2, 2), FamilySpec.wenger(3, 1, 2)):
-        report = metrics_report(Graph(spec).materialize())
-        assert report.all_match and report.components == predicted_metrics(spec).components
+        assert metrics_report(Graph(spec).materialize()).all_match
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 1), (2, 2, 2)])
