@@ -14,6 +14,7 @@ from .errors import (
     FieldMismatch,
     NoSixCycle,
     NonPrime,
+    NotBipartite,
     OutOfRange,
     ReducibleModulus,
     SamePoint,

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import Acyclic, BudgetExceeded, ConfigError, SolveFailed
+from .errors import Acyclic, BudgetExceeded, ConfigError, NotBipartite, SolveFailed
 from .graphs import DEFAULT_VERTEX_BUDGET, FamilySpec, Graph, export, structure_faults
 from .metrics import metrics_report
 from .spectrum import (
@@ -271,7 +271,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
-    except (SolveFailed, Acyclic) as exc:
+    # NotBipartite is a ValueError, but the CLI's graphs are the package's own
+    except (SolveFailed, Acyclic, NotBipartite) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (ConfigError, ValueError) as exc:

@@ -45,6 +45,12 @@ class BudgetExceeded(RuntimeError):
     """The operation would exceed the configured vertex or evaluation budget."""
 
 
+class NotBipartite(ValueError):
+    """A neighbour array is not laid out as the package builds it: points
+    [0, n/2), lines [n/2, n), every edge across.  From a package-built graph
+    this indicates a bug."""
+
+
 class Acyclic(RuntimeError):
     """Girth is undefined: the graph contains no cycle."""
 

@@ -161,6 +161,18 @@ class Line:
         return "[" + ", ".join(repr(c) for c in self.coords) + "]"
 
 
+def _check_vertex(spec: FamilySpec, v) -> None:
+    """Raise unless v is a Point or Line of spec: m+1 coordinates, all
+    elements of spec.field."""
+    if not isinstance(v, (Point, Line)):
+        raise TypeError(f"expected a Point or Line, got {type(v).__name__}")
+    F = spec.field
+    if len(v.coords) != spec.m + 1 or not all(
+        isinstance(c, FieldElement) and (c.field is F or c.field == F) for c in v.coords
+    ):
+        raise ValueError(f"{v!r} is not a vertex over {F!r} with {spec.m + 1} coordinates")
+
+
 def adjacent(spec: FamilySpec, P: Point, L: Line) -> bool:
     """The m defining equations l_k + p_k = f_k(p_1) l_1."""
     p1, l1 = P.coords[0], L.coords[0]
@@ -236,6 +248,11 @@ class Graph:
     # -- id codec -------------------------------------------------------------
 
     def encode(self, v: Point | Line) -> int:
+        _check_vertex(self.spec, v)
+        return self._id(v)
+
+    def _id(self, v: Point | Line) -> int:
+        """encode without the vertex check, for vertices the package built."""
         q = self.spec.q
         acc = 0
         for c in reversed(v.coords):
@@ -268,7 +285,7 @@ class Graph:
             return self._nbrs[vid].tolist()
         v = self.decode(vid)
         through = line_through if isinstance(v, Point) else point_through
-        return [self.encode(through(self.spec, v, x)) for x in self.spec.field.elements()]
+        return [self._id(through(self.spec, v, x)) for x in self.spec.field.elements()]
 
     # -- materialization --------------------------------------------------------
 
@@ -363,6 +380,21 @@ class Graph:
         return f"Graph({s.family} p={s.p} e={s.e} m={s.m}, {self.n} vertices)"
 
 
+def _own_side_rows(nbrs):
+    """Boolean per row of an (n, q) neighbour array: does the vertex list a
+    neighbour on its own side?  Points are ids [0, n/2) and lines [n/2, n).
+
+    A point row is sound when its least entry is a line, a line row when its
+    greatest is a point, so the test is one row reduction per side and makes
+    no (n, q) temporary."""
+    import numpy as np
+
+    half = len(nbrs) // 2
+    return np.concatenate(
+        [nbrs[:half].min(axis=1, initial=half) < half, nbrs[half:].max(axis=1, initial=-1) >= half]
+    )
+
+
 def structure_faults(spec: FamilySpec, nbrs) -> list[str]:
     """What is wrong with an (n, q) neighbour array for spec; [] when sound:
     a repeated id in a row, a neighbour on the vertex's own side, an
@@ -370,16 +402,15 @@ def structure_faults(spec: FamilySpec, nbrs) -> list[str]:
     import numpy as np
     from scipy import sparse
 
-    n, q, half, nnz = spec.n_vertices, spec.q, spec.n_vertices // 2, 2 * spec.n_edges
+    n, q, nnz = spec.n_vertices, spec.q, 2 * spec.n_edges
     if nbrs.shape != (n, q) or nbrs.min() < 0 or nbrs.max() >= n:
         return [f"array of shape {nbrs.shape} is not {n} rows of {q} ids in [0, {n})"]
     rows = np.sort(nbrs, axis=1)
-    own_side = (nbrs >= half) == (np.arange(n) >= half)[:, None]
     ones = np.ones(nbrs.size, dtype=np.int32)
     A = sparse.csr_matrix((ones, (np.repeat(np.arange(n), q), nbrs.ravel())), shape=(n, n))
     counts = {
         "rows repeat a neighbour": (rows[:, 1:] == rows[:, :-1]).any(axis=1).sum(),
-        "vertices have a neighbour on their own side": own_side.any(axis=1).sum(),
+        "vertices have a neighbour on their own side": _own_side_rows(nbrs).sum(),
         "adjacency entries differ from the transpose": (A != A.T).nnz,
         f"nonzeros missing from 2 q^(m+2) = {nnz}": nnz - A.nnz,
     }

@@ -1,12 +1,16 @@
 """BFS metrics (components, diameter, girth) and constructive witnesses.
 
-BFS results are exact and assume nothing about the graph.  They read only
-the (n, q) neighbour array graph.adjacency: components by min-label
-propagation, and eccentricities and girth through one batched
-level-synchronous sweep whose working set is capped at _SWEEP_BYTES whatever
-the vertex count.  The witness builders do the opposite: they exploit the
-Frobenius-family structure to produce short paths and cycles in closed form,
-and every witness is re-validated edge by edge before it is returned.
+BFS results are exact and read only the (n, q) neighbour array
+graph.adjacency: components by min-label propagation, and eccentricities and
+girth through one batched level-synchronous sweep whose working set is capped
+at _SWEEP_BYTES whatever the vertex count.  The sweep relies on one property
+of the graph, the bipartite layout the package builds (points [0, n/2),
+lines [n/2, n), every edge across), and certifies it on entry, raising
+NotBipartite (a ValueError) otherwise; each level then gathers only the side
+the frontier is not on, and every cycle is even.  The witness builders do
+the opposite: they exploit the Frobenius-family structure to produce short
+paths and cycles in closed form, and every witness is re-validated edge by
+edge before it is returned.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from .errors import (
     Acyclic,
     NoSixCycle,
+    NotBipartite,
     OutOfRange,
     SamePoint,
     SolveFailed,
@@ -36,7 +41,9 @@ from .graphs import (
     Graph,
     Line,
     Point,
+    _check_vertex,
     _f_table,
+    _own_side_rows,
     adjacent,
     line_through,
     point_through,
@@ -46,8 +53,9 @@ from .spectrum import component_count_formula
 # ---------------------------------------------------------------------------
 # BFS oracles.
 
-# Bytes of one sweep batch: about eight bit matrices of n rows and one bit
-# per source, so a batch runs _SWEEP_BYTES // n sources at any n.
+# Bytes of one sweep batch: about eight bit matrices of n/2 rows (one side)
+# and one bit per source, so a batch runs _SWEEP_BYTES // (n/2) sources at
+# any n.
 _SWEEP_BYTES = 1 << 25
 
 
@@ -77,12 +85,20 @@ def components(graph: Graph) -> tuple[int, list[int]]:
 def _sweep(graph: Graph, girth_only: bool):
     """Level-synchronous BFS from every vertex of graph.adjacency, in batches.
 
-    A batch holds one bit column per source in n-row bit matrices.  One
-    level ORs each vertex's neighbour rows into `once`, and `twice` keeps the
-    bits reached from two frontier neighbours.  A new vertex reached twice
-    closes a cycle of 2 * level; a frontier vertex with a frontier neighbour
-    closes one of 2 * level - 1.  Every non-tree edge of each BFS is one of
-    these, so the shortest over all sources is the girth.
+    The array must be laid out as the package builds it: points are ids
+    [0, n/2), lines [n/2, n), and every row lists only the other side
+    (certified on entry; NotBipartite otherwise).  So a batch takes its
+    sources from one side, and each frontier lies on one side: a level
+    gathers only the n/2 rows of the other side, through that side's half of
+    the table.
+
+    A batch holds one bit column per source in n/2-row bit matrices, with
+    one `seen` matrix per side.  One level ORs each receiving vertex's
+    neighbour rows into `once`, and `twice` keeps the bits reached from two
+    frontier neighbours.  The graph is bipartite, so no edge joins two
+    frontier vertices, and every non-tree edge of each BFS gives a new
+    vertex reached twice: a cycle of 2 * level.  The shortest over all
+    sources is the girth.
 
     Returns the eccentricity array, or with girth_only the girth (None for a
     forest); a girth_only batch stops once its next level cannot close a
@@ -91,36 +107,40 @@ def _sweep(graph: Graph, girth_only: bool):
 
     table = graph.adjacency
     n, d = table.shape
-    width = max(1, _SWEEP_BYTES // n)
+    half = n // 2
+    if n % 2 or _own_side_rows(table).any():
+        raise NotBipartite("BFS needs points [0, n/2) and lines [n/2, n), adjacent across only")
+    width = max(1, _SWEEP_BYTES // half)
     ecc = np.zeros(n, dtype=np.int64)
     best = None
-    for lo in range(0, n, width):
-        cols = np.arange(min(width, n - lo))
-        frontier = np.zeros((n, (cols.size + 7) // 8), dtype=np.uint8)
-        frontier[lo + cols, cols >> 3] = 1 << (cols & 7)
-        seen = frontier.copy()
-        level = 1
-        while not (girth_only and best is not None and 2 * level - 1 >= best):
-            once = np.zeros_like(seen)
-            twice = np.zeros_like(seen) if girth_only else None
-            for j in range(d):
-                hit = frontier[table[:, j]]
-                if girth_only:
-                    twice |= once & hit
-                once |= hit
-            new = once & ~seen
-            if girth_only:
-                if (once & frontier).any():
-                    best = 2 * level - 1
-                elif (new & twice).any():
+    for side in (0, 1):
+        for lo in range(side * half, (side + 1) * half, width):
+            cols = np.arange(min(width, (side + 1) * half - lo))
+            frontier = np.zeros((half, (cols.size + 7) // 8), dtype=np.uint8)
+            frontier[lo - side * half + cols, cols >> 3] = 1 << (cols & 7)
+            seen = [np.zeros_like(frontier), np.zeros_like(frontier)]
+            seen[side] |= frontier
+            at, level = side, 1
+            while not (girth_only and best is not None and 2 * level >= best):
+                rows = table[(1 - at) * half : (2 - at) * half]
+                once = frontier[rows[:, 0] - at * half]
+                twice = np.zeros_like(once) if girth_only else None
+                for j in range(1, d):  # offset a column at a time: no (n/2, q) copy
+                    hit = frontier[rows[:, j] - at * half]
+                    if girth_only:
+                        twice |= once & hit
+                    once |= hit
+                at = 1 - at
+                once &= ~seen[at]  # in place: now the vertices new at this level
+                if girth_only and (once & twice).any():
                     best = 2 * level
-            reached = np.bitwise_or.reduce(new, axis=0)
-            if not reached.any():
-                break
-            ecc[lo + cols[np.unpackbits(reached, bitorder="little")[: cols.size] > 0]] = level
-            seen |= new
-            frontier = new
-            level += 1
+                reached = np.bitwise_or.reduce(once, axis=0)
+                if not reached.any():
+                    break
+                ecc[lo + cols[np.unpackbits(reached, bitorder="little")[: cols.size] > 0]] = level
+                seen[at] |= once
+                frontier = once
+                level += 1
     return best if girth_only else ecc
 
 
@@ -157,6 +177,8 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
         raise UnsupportedRegime("common-neighbor solving needs the Frobenius family")
     if not (isinstance(P, Point) and isinstance(P2, Point)):
         raise TypeError("common_neighbor takes two Points")
+    _check_vertex(spec, P)
+    _check_vertex(spec, P2)
     if P == P2:
         raise SamePoint("common_neighbor needs two distinct points")
     u = P.coords[0] - P2.coords[0]
@@ -261,10 +283,10 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
     so it needs no neighbour array and no index tables."""
     spec = graph.spec
     _require_witness_regime(spec)
+    _check_vertex(spec, a)
+    _check_vertex(spec, b)
     if a == b:
         return _validated_walk(spec, [a], a, b)
-    if not (isinstance(a, (Point, Line)) and isinstance(b, (Point, Line))):
-        raise TypeError("witness endpoints must be Point or Line")
     F, m = spec.field, spec.m
     basis = list(F.basis[:m])
     start, end, x1 = a, b, F.zero

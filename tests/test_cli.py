@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from linwenger import cli
 from linwenger.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
-from linwenger.errors import Acyclic, SolveFailed
+from linwenger.errors import Acyclic, NotBipartite, SolveFailed
 
 EDGELIST_L1_2 = "0 4\n0 5\n1 4\n1 7\n2 6\n2 7\n3 5\n3 6\n"
 
@@ -250,6 +250,7 @@ class TestInternalErrors:
     @pytest.mark.parametrize("exc,code", [
         (SolveFailed("constructed line fails adjacency"), EXIT_MISMATCH),
         (Acyclic("graph contains no cycle"), EXIT_MISMATCH),
+        (NotBipartite("BFS needs points [0, n/2) and lines [n/2, n)"), EXIT_MISMATCH),
         (MemoryError(), EXIT_BUDGET),
         (IndexError("index 9 is out of bounds"), EXIT_MISMATCH),
         (KeyError("missing"), EXIT_MISMATCH),

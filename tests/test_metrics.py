@@ -124,18 +124,41 @@ class TestGirth:
         assert girth(g) == naive_girth(g.adjacency, g.n)
 
     def test_acyclic(self):
-        # a perfect matching on 4 vertices
-        matching = SimpleNamespace(adjacency=np.array([[1], [0], [3], [2]]))
+        # a perfect matching on 4 vertices, points 0, 1 and lines 2, 3
+        matching = SimpleNamespace(adjacency=np.array([[2], [3], [0], [1]]))
         with pytest.raises(Acyclic):
             girth(matching)
         assert eccentricities(matching).tolist() == [1, 1, 1, 1]
 
-    def test_odd_cycles_match_networkx(self):
-        # the point-line graphs are bipartite; these exercise the odd-cycle rule
-        for G in (nx.cycle_graph(5), nx.cycle_graph(7), nx.petersen_graph(), nx.complete_graph(4)):
-            fake = SimpleNamespace(adjacency=np.array([sorted(G[v]) for v in G]))
-            assert girth(fake) == nx.girth(G)
-            assert eccentricities(fake).tolist() == [nx.eccentricity(G)[v] for v in G]
+    def test_bipartite_fakes_match_networkx(self):
+        # relabelled so that one colour class is [0, n/2), as the sweep requires
+        for G in (
+            nx.cycle_graph(6),
+            nx.cycle_graph(8),
+            nx.convert_node_labels_to_integers(nx.hypercube_graph(3)),
+            nx.heawood_graph(),
+            nx.complete_bipartite_graph(3, 3),
+        ):
+            top, bottom = nx.bipartite.sets(G)
+            assert len(top) == len(bottom)
+            H = nx.relabel_nodes(G, {v: i for i, v in enumerate(sorted(top) + sorted(bottom))})
+            fake = SimpleNamespace(adjacency=np.array([sorted(H[v]) for v in range(len(H))]))
+            assert girth(fake) == nx.girth(H)
+            assert eccentricities(fake).tolist() == [nx.eccentricity(H)[v] for v in range(len(H))]
+
+    def test_non_bipartite_layouts_rejected(self, graph_cache):
+        fakes = [
+            np.array([sorted(G[v]) for v in G])
+            for G in (nx.cycle_graph(5), nx.complete_graph(4), nx.petersen_graph())
+        ]
+        nbrs = graph_cache(3, 1, 1).adjacency.copy()
+        nbrs[0, 0] = 1  # one point lists a point
+        for adjacency in fakes + [nbrs]:
+            fake = SimpleNamespace(adjacency=adjacency)
+            with pytest.raises(ValueError):
+                eccentricities(fake)
+            with pytest.raises(ValueError):
+                girth(fake)
 
 
 ORACLE_SPECS = [
@@ -191,9 +214,34 @@ def test_bfs_reads_only_the_neighbour_array(monkeypatch):
 def test_one_source_batches_agree(p, e, m, graph_cache, monkeypatch):
     g = graph_cache(p, e, m)
     ecc, best = eccentricities(g).tolist(), girth(g)
-    monkeypatch.setattr(metrics_mod, "_SWEEP_BYTES", 1)  # one source per batch
-    assert eccentricities(g).tolist() == ecc
-    assert girth(g) == best
+    # one source per batch; then five, which divides no side here, so that a
+    # batch ends inside a side
+    for sweep_bytes in (1, 5 * g.half):
+        monkeypatch.setattr(metrics_mod, "_SWEEP_BYTES", sweep_bytes)
+        assert eccentricities(g).tolist() == ecc
+        assert girth(g) == best
+
+
+def test_foreign_vertices_rejected():
+    """encode, common_neighbor and diameter_witness take only vertices of the
+    graph: m+1 coordinates over its field."""
+    g = Graph(FamilySpec.linearized(3, 1, 1))
+    F, G5 = g.spec.field, fields.GF(5)
+    good = Point((F.zero, F.zero))
+    long = Point((F.one,) * 3)  # its digits spell 13, a line's id
+    foreign = Point((G5.from_int(4), G5.from_int(4)))  # its digits spell 16, a line's id
+    for bad in (long, foreign, Line(long.coords), Line(foreign.coords)):
+        with pytest.raises(ValueError):
+            g.encode(bad)
+        with pytest.raises(ValueError):
+            diameter_witness(g, good, bad)
+        with pytest.raises(ValueError):
+            diameter_witness(g, bad, bad)
+    for bad in (long, foreign):
+        with pytest.raises(ValueError):
+            common_neighbor(g, good, bad)
+        with pytest.raises(ValueError):
+            common_neighbor(g, bad, good)
 
 
 class TestCommonNeighbor:
