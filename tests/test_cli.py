@@ -250,10 +250,10 @@ class TestInternalErrors:
     @pytest.mark.parametrize("exc,code", [
         (SolveFailed("constructed line fails adjacency"), EXIT_MISMATCH),
         (Acyclic("graph contains no cycle"), EXIT_MISMATCH),
-        (NotBipartite("BFS needs points [0, n/2) and lines [n/2, n)"), EXIT_MISMATCH),
         (MemoryError(), EXIT_BUDGET),
         (IndexError("index 9 is out of bounds"), EXIT_MISMATCH),
         (KeyError("missing"), EXIT_MISMATCH),
+        (NotBipartite("BFS needs points [0, n/2) and lines [n/2, n)"), EXIT_MISMATCH),
     ])
     def test_mapped_to_exit_code_without_traceback(self, exc, code, capsys, monkeypatch):
         def raise_it(graph):
