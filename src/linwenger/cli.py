@@ -163,6 +163,8 @@ def cmd_metrics(args) -> int:
             f"sizes {report.sizes}",
             f"diameter {show(report.diameter, pred.diameter)}",
             f"girth {show(report.girth, pred.girth)}",
+            f"bfs sources {report.bfs_sources} of {graph.n} "
+            f"({report.automorphisms} automorphisms certified)",
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if report.all_match else EXIT_MISMATCH

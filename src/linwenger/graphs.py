@@ -26,6 +26,9 @@ DEFAULT_VERTEX_BUDGET = 2_000_000
 # Graph.materialize gathers this many bytes of rows at a time, which bounds
 # each of its temporaries at any n.
 _GATHER_BYTES = 32 << 20
+# The largest (n, q) neighbour array Graph.materialize allocates, whatever
+# the vertex budget: the budgets bound bytes, the resource that runs out.
+_ARRAY_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,7 @@ class Graph:
         self.vertex_budget = vertex_budget
         self._nbrs = None
         self._csr = None
+        self._orbits = None  # the metrics' certified automorphism orbits
 
     # -- size ---------------------------------------------------------------
 
@@ -301,20 +305,29 @@ class Graph:
         (p_1, l_1) is (own first, x) for a point and (x, own first) for a
         line.  Products and differences are gathered from the field's q x q
         index tables, and the f_k values come from _f_table.  The rows
-        are gathered a block of at most _GATHER_BYTES at a time."""
+        are gathered a block of at most _GATHER_BYTES at a time.
+
+        BudgetExceeded, before anything is allocated, when n exceeds the
+        vertex budget or the array would exceed _ARRAY_BYTES."""
         if self._nbrs is not None:
             return self
         if self.n > self.vertex_budget:
             raise BudgetExceeded(
                 f"{self.n} vertices exceed the materialization budget {self.vertex_budget}"
             )
+        q = self.spec.q
+        if self.n * q * 4 > _ARRAY_BYTES:
+            raise BudgetExceeded(
+                f"the ({self.n}, {q}) int32 neighbour array needs {self.n * q * 4} bytes, "
+                f"over the {_ARRAY_BYTES}-byte array budget"
+            )
         import numpy as np
 
         spec = self.spec
-        q, m, half = spec.q, spec.m, self.half
-        # every index (< q) and id (< n) fits the result's dtype, so the
-        # gathers and their (block, q) temporaries use it too
-        dtype = np.int32 if self.n * q < 2**31 else np.int64
+        m, half = spec.m, self.half
+        # the array budget keeps every id (< n) and index (< q) within int32,
+        # so the gathers and their (block, q) temporaries use it too
+        dtype = np.int32
         mul, sub = (t.astype(dtype) for t in spec.field.index_tables())
         f = _f_table(spec, dtype)
         x = np.arange(q, dtype=dtype)

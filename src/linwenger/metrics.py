@@ -3,11 +3,16 @@
 BFS results are exact and read only the (n, q) neighbour array
 graph.adjacency: components by min-label propagation, and eccentricities and
 girth through one batched level-synchronous sweep whose working set is capped
-at _SWEEP_BYTES whatever the vertex count.  The sweep relies on one property
-of the graph, the bipartite layout the package builds (points [0, n/2),
-lines [n/2, n), every edge across), and certifies it on entry, raising
-NotBipartite (a ValueError) otherwise; each level then gathers only the side
-the frontier is not on, and every cycle is even.  The witness builders do
+at _SWEEP_BYTES whatever the vertex count.  The sweep relies on two
+properties, and certifies both on the array of every graph it runs on.  The
+bipartite layout the package builds (points [0, n/2), lines [n/2, n), every
+edge across) is checked on entry, with NotBipartite (a ValueError)
+otherwise; each level then gathers only the side the frontier is not on, and
+every cycle is even.  Automorphisms: the shift maps A(a), B(b) and T_k(c) of
+the point-line graphs are candidates, each kept only if it maps every listed
+neighbour to a listed neighbour (_orbits), and the sweep runs from one
+source per orbit of the kept maps: 2 sources on a linearized graph, q + 1 on
+a Wenger graph, every vertex when none is certified.  The witness builders do
 the opposite: they exploit the Frobenius-family structure to produce short
 paths and cycles in closed form, and every witness is re-validated edge by
 edge before it is returned.
@@ -23,6 +28,7 @@ step against it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -57,33 +63,182 @@ from .spectrum import component_count_formula
 # and one bit per source, so a batch runs _SWEEP_BYTES // (n/2) sources at
 # any n.
 _SWEEP_BYTES = 1 << 25
+# Bytes of neighbour ids _is_automorphism checks at a time: a block of rows,
+# read in memory order, small enough for its gathers to stay in cache.
+_CERTIFY_BYTES = 1 << 20
+
+
+def _min_labels(n: int, relation):
+    """Min-label propagation over ids [0, n): every id starts as its own
+    label and, each round, takes the least label among itself and label[r]
+    for each index array r that relation() yields, then the label of its
+    label (a shortcut within what it reaches), until no label moves.  Each id
+    then carries the least id it reaches through the arrays."""
+    import numpy as np
+
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        for r in relation():
+            np.minimum(new, label[r], out=new)
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
 
 
 def components(graph: Graph) -> tuple[int, list[int]]:
     """Number of connected components and their sizes, ordered by smallest
     contained vertex id.
 
-    Min-label propagation on graph.adjacency: every vertex starts with its
-    own id and, each round, takes the least label among itself and its
-    neighbours, until no label moves.  Each vertex then carries the smallest
-    id of its component, so the sorted distinct labels order the sizes."""
+    Min-label propagation on graph.adjacency, one column at a time (no
+    (n, q) temporary): each vertex ends with the smallest id of its
+    component, so the sorted distinct labels order the sizes."""
     import numpy as np
 
     adj = graph.adjacency
-    label = np.arange(len(adj))
-    while True:
-        new = label.copy()
-        for j in range(adj.shape[1]):  # a column at a time: no (n, q) temporary
-            np.minimum(new, label[adj[:, j]], out=new)
-        if (new == label).all():
-            break
-        label = new
+    label = _min_labels(len(adj), lambda: (adj[:, j] for j in range(adj.shape[1])))
     _, sizes = np.unique(label, return_counts=True)
     return len(sizes), sizes.tolist()
 
 
+def _candidate_shifts(spec: FamilySpec):
+    """The candidate automorphisms of the point-line graphs, as pairs
+    (point shifts, line shifts) of (m+1, q) index tables: a vertex with first
+    coordinate x has shifts[j][x] added to its coordinate j.  With a, b, c
+    over the F_p-basis of GF(q) and 2 <= k <= m+1:
+
+        A(a):   P -> (p_1 + a, p_k),            L -> (l_1, l_k + f_k(a) l_1)
+        B(b):   P -> (p_1, p_k + f_k(p_1) b),   L -> (l_1 + b, l_k)
+        T_k(c): P -> (p_1, p_k + c),            L -> (l_1, l_k - c)
+
+    B and T_k preserve l_k + p_k = f_k(p_1) l_1 for any maps f_k; A does so
+    exactly when every f_k is additive.  Nothing here assumes either: each
+    candidate is certified on the neighbour array before it is used."""
+    import numpy as np
+
+    F, q, m = spec.field, spec.q, spec.m
+    mul, sub = F.index_tables()
+    f = _f_table(spec)
+    x = np.arange(q)
+    for b in (F.basis[i].index for i in range(spec.e)):
+        a_shift = np.zeros((2, m + 1, q), dtype=np.int64)
+        a_shift[0, 0] = b
+        a_shift[1, 1:] = mul[f[:, b][:, None], x]
+        b_shift = np.zeros_like(a_shift)
+        b_shift[0, 1:] = mul[f, b]
+        b_shift[1, 0] = b
+        yield a_shift
+        yield b_shift
+        for k in range(1, m + 1):
+            t_shift = np.zeros_like(a_shift)
+            t_shift[0, k] = b
+            t_shift[1, k] = sub[0, b]
+            yield t_shift
+
+
+def _permutation(shifts, digits, add):
+    """The vertex-id map of a pair of shift tables; digits[j] holds
+    coordinate j of every local id [0, n/2)."""
+    import numpy as np
+
+    half, q = len(digits[0]), add.shape[0]
+    perm = np.empty(2 * half, dtype=digits[0].dtype)
+    for side, shift in enumerate(shifts):
+        out = perm[side * half : (side + 1) * half]
+        out[:] = side * half
+        for j, digit in enumerate(digits):
+            out += add[digit, shift[j][digits[0]]] * q**j
+    return perm
+
+
+def _is_automorphism(table, perm) -> bool:
+    """Does perm map the relation "v is listed in row u" of the (n, q)
+    neighbour array onto itself?  perm must be a bijection of [0, n), and
+    every entry v of every row u must have adjacency[perm u, perm v mod q]
+    == perm v: an entry equal to perm v proves it is in row perm u whatever
+    the row order, because a vertex id's first coordinate is id mod q.  A
+    bijection that maps the relation into itself maps it onto itself.
+
+    The rows are checked a block of _CERTIFY_BYTES at a time, as flat
+    gathers (no (n, q) temporary), and the first failing block ends the
+    test."""
+    import numpy as np
+
+    n, q = table.shape
+    if len(perm) != n or (np.bincount(perm, minlength=n) != 1).any():
+        return False
+    flat = table.reshape(-1)
+    row_start, first = perm * q, perm % q
+    rows = max(1, _CERTIFY_BYTES // (q * table.itemsize))
+    for lo in range(0, n, rows):
+        block = table[lo : lo + rows]
+        at = np.take(first, block)
+        at += row_start[lo : lo + rows, None]  # flat index of (perm u, perm v mod q)
+        if not np.array_equal(np.take(flat, at), np.take(perm, block)):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class Orbits:
+    """Orbits of the group the certified automorphisms generate: rep_of[v]
+    is the least id in v's orbit, reps the distinct representatives, and
+    automorphisms the number of generators certified."""
+
+    rep_of: object
+    reps: object
+    automorphisms: int
+
+
+def _orbits(graph) -> Orbits:
+    """The certified orbits of graph.adjacency, computed once per graph.
+
+    Each candidate of _candidate_shifts is kept only if _is_automorphism
+    certifies it on the array; the orbits are then the min-label propagation
+    of components over the kept maps and their inverses.  An array without a
+    spec, or one no candidate fits, gets no generator, and every vertex is
+    its own orbit."""
+    cached = getattr(graph, "_orbits", None)
+    if cached is not None:
+        return cached
+    import numpy as np
+
+    table = graph.adjacency
+    n, q = table.shape
+    spec = getattr(graph, "spec", None)
+    kept = []  # a zero-argument builder per certified map
+    if spec is not None:
+        _, sub = spec.field.index_tables()
+        add = sub[:, sub[0]].astype(table.dtype)
+        local = np.arange(n // 2, dtype=table.dtype)
+        digits = [local // q**j % q for j in range(spec.m + 1)]
+        for shifts in _candidate_shifts(spec):
+            build = functools.partial(_permutation, shifts, digits, add)
+            if _is_automorphism(table, build()):
+                kept.append(build)
+
+    def maps():  # rebuilt each round: one map in memory at a time, not all of them
+        for build in kept:
+            perm = build()
+            inverse = np.empty_like(perm)
+            inverse[perm] = np.arange(n, dtype=perm.dtype)
+            yield perm
+            yield inverse
+
+    rep_of = _min_labels(n, maps)
+    graph._orbits = Orbits(rep_of, np.flatnonzero(rep_of == np.arange(n)), len(kept))
+    return graph._orbits
+
+
 def _sweep(graph: Graph, girth_only: bool):
-    """Level-synchronous BFS from every vertex of graph.adjacency, in batches.
+    """Level-synchronous BFS of graph.adjacency from one source per certified
+    automorphism orbit (_orbits), in batches.
+
+    An automorphism maps every BFS to a BFS, so a vertex has the
+    eccentricity of its orbit's representative, and the shortest cycle any
+    source closes is one a representative closes.  With no certified
+    automorphism every vertex is a representative: the all-source sweep.
 
     The array must be laid out as the package builds it: points are ids
     [0, n/2), lines [n/2, n), and every row lists only the other side
@@ -97,7 +252,7 @@ def _sweep(graph: Graph, girth_only: bool):
     neighbour rows into `once`, and `twice` keeps the bits reached from two
     frontier neighbours.  The graph is bipartite, so no edge joins two
     frontier vertices, and every non-tree edge of each BFS gives a new
-    vertex reached twice: a cycle of 2 * level.  The shortest over all
+    vertex reached twice: a cycle of 2 * level.  The shortest over the
     sources is the girth.
 
     Returns the eccentricity array, or with girth_only the girth (None for a
@@ -110,14 +265,17 @@ def _sweep(graph: Graph, girth_only: bool):
     half = n // 2
     if n % 2 or _own_side_rows(table).any():
         raise NotBipartite("BFS needs points [0, n/2) and lines [n/2, n), adjacent across only")
+    orbits = _orbits(graph)
     width = max(1, _SWEEP_BYTES // half)
     ecc = np.zeros(n, dtype=np.int64)
     best = None
-    for side in (0, 1):
-        for lo in range(side * half, (side + 1) * half, width):
-            cols = np.arange(min(width, (side + 1) * half - lo))
+    reps = orbits.reps
+    for side, sources in enumerate((reps[reps < half], reps[reps >= half])):
+        for lo in range(0, sources.size, width):
+            batch = sources[lo : lo + width]
+            cols = np.arange(batch.size)
             frontier = np.zeros((half, (cols.size + 7) // 8), dtype=np.uint8)
-            frontier[lo - side * half + cols, cols >> 3] = 1 << (cols & 7)
+            frontier[batch - side * half, cols >> 3] = 1 << (cols & 7)
             seen = [np.zeros_like(frontier), np.zeros_like(frontier)]
             seen[side] |= frontier
             at, level = side, 1
@@ -137,11 +295,11 @@ def _sweep(graph: Graph, girth_only: bool):
                 reached = np.bitwise_or.reduce(once, axis=0)
                 if not reached.any():
                     break
-                ecc[lo + cols[np.unpackbits(reached, bitorder="little")[: cols.size] > 0]] = level
+                ecc[batch[np.unpackbits(reached, bitorder="little")[: cols.size] > 0]] = level
                 seen[at] |= once
                 frontier = once
                 level += 1
-    return best if girth_only else ecc
+    return best if girth_only else ecc[orbits.rep_of]
 
 
 def eccentricities(graph: Graph):
@@ -601,6 +759,8 @@ class MetricsReport:
     diameter: int
     girth: int
     predicted: PredictedMetrics
+    bfs_sources: int  # orbit representatives the BFS sweep ran from
+    automorphisms: int  # generators certified on the neighbour array
 
     @property
     def matches(self) -> dict[str, bool | None]:
@@ -628,16 +788,22 @@ class MetricsReport:
                 "girth": self.predicted.girth,
             },
             "match": self.matches,
+            "bfs_sources": self.bfs_sources,
+            "automorphisms": self.automorphisms,
         }
 
 
 def metrics_report(graph: Graph) -> MetricsReport:
     count, sizes = components(graph)
+    diam, best = diameter(graph), girth(graph)
+    orbits = _orbits(graph)  # certified once, in the first sweep
     return MetricsReport(
         spec=graph.spec,
         components=count,
         sizes=sizes,
-        diameter=diameter(graph),
-        girth=girth(graph),
+        diameter=diam,
+        girth=best,
         predicted=predicted_metrics(graph.spec),
+        bfs_sources=len(orbits.reps),
+        automorphisms=orbits.automorphisms,
     )

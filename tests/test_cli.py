@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from linwenger import cli
 from linwenger.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 from linwenger.errors import Acyclic, NotBipartite, SolveFailed
+from linwenger.fields import Field
 
 EDGELIST_L1_2 = "0 4\n0 5\n1 4\n1 7\n2 6\n2 7\n3 5\n3 6\n"
 
@@ -165,6 +167,8 @@ class TestMetrics:
         assert "components 1 (predicted 1, ok)" in out
         assert "diameter 4 (predicted 4, ok)" in out
         assert "girth 6 (predicted 6, ok)" in out
+        # L_1(4): A(a) and B(b) for a basis of two, and T_2(c) likewise
+        assert "bfs sources 2 of 32 (6 automorphisms certified)" in out
 
     def test_json(self, capsys):
         code = main(["metrics", "--p", "2", "--m", "2", "--json"])
@@ -173,6 +177,19 @@ class TestMetrics:
         d = json.loads(out)
         assert d["components"] == 2 and d["girth"] == 8
         assert d["match"] == {"components": True, "diameter": None, "girth": True}
+        assert d["bfs_sources"] == 2 and d["automorphisms"] == 4
+
+    def test_array_over_the_byte_budget_exits_at_once(self, monkeypatch, capsys):
+        # L_1(997) has 1,988,018 vertices, within the vertex budget, but its
+        # (n, q) int32 array would take 7.9 GB: refused before any allocation
+        def refuse(*_args, **_kw):
+            raise AssertionError("nothing may be allocated for an over-budget graph")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(Field, "index_tables", refuse)
+        assert main(["metrics", "--p", "997", "--e", "1", "--m", "1"]) == EXIT_BUDGET
+        _, err = capsys.readouterr()
+        assert "7928215784 bytes" in err and "array budget" in err
 
     def test_wenger_without_predictions(self, capsys):
         code = main(["metrics", "--p", "3", "--m", "1", "--family", "wenger"])

@@ -268,6 +268,14 @@ class TestGraph:
         with pytest.raises(BudgetExceeded):
             Graph(spec, vertex_budget=4).materialize()
 
+    def test_array_byte_budget(self, monkeypatch):
+        # L_1(2): an (8, 2) int32 array of 64 bytes
+        monkeypatch.setattr(graphs, "_ARRAY_BYTES", 63)
+        with pytest.raises(BudgetExceeded, match="64 bytes"):
+            Graph(FamilySpec.linearized(2, 1, 1)).materialize()
+        monkeypatch.setattr(graphs, "_ARRAY_BYTES", 64)
+        assert Graph(FamilySpec.linearized(2, 1, 1)).materialize().adjacency.nbytes == 64
+
     def test_lazy_graph_leaves_theta_unevaluated(self):
         # theta_injective sweeps the field; only meta_dict and the spectrum need it
         spec = FamilySpec.linearized(2, 16, 1)

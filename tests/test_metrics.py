@@ -214,12 +214,91 @@ def test_bfs_reads_only_the_neighbour_array(monkeypatch):
 def test_one_source_batches_agree(p, e, m, graph_cache, monkeypatch):
     g = graph_cache(p, e, m)
     ecc, best = eccentricities(g).tolist(), girth(g)
-    # one source per batch; then five, which divides no side here, so that a
-    # batch ends inside a side
+    # without a spec no automorphism is certified, so every vertex is a source
+    everyone = SimpleNamespace(adjacency=g.adjacency)
+    # one source per batch; then five, which divides no side here, so that an
+    # all-source batch ends inside a side
     for sweep_bytes in (1, 5 * g.half):
         monkeypatch.setattr(metrics_mod, "_SWEEP_BYTES", sweep_bytes)
-        assert eccentricities(g).tolist() == ecc
-        assert girth(g) == best
+        for graph in (g, everyone):
+            assert eccentricities(graph).tolist() == ecc
+            assert girth(graph) == best
+
+
+def _nx_graph(nbrs):
+    G = nx.Graph()
+    G.add_edges_from((u, int(v)) for u in range(len(nbrs)) for v in nbrs[u])
+    return G
+
+
+def _nx_eccentricity(G, v):
+    return max(nx.single_source_shortest_path_length(G, v).values())
+
+
+LIN_2_3_3 = FamilySpec.linearized(2, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ORACLE_SPECS + [FamilySpec.linearized(7, 1, 3), LIN_2_3_3],  # L_3(7): 49 components
+    ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}",
+)
+def test_orbit_sweep_matches_all_sources_and_networkx(spec):
+    g = Graph(spec).materialize()
+    everyone = SimpleNamespace(adjacency=g.adjacency)  # no spec: the all-source sweep
+    orbits = metrics_mod._orbits(g)
+    assert len(metrics_mod._orbits(everyone).reps) == g.n
+    assert len(orbits.reps) <= spec.q + 1 and orbits.automorphisms >= 1
+    ecc = eccentricities(g)
+    assert ecc.tolist() == eccentricities(everyone).tolist()
+    assert girth(g) == girth(everyone)
+    G = _nx_graph(g.adjacency)
+    sample = sorted(set(range(0, g.n, -(-g.n // 64))) | set(orbits.reps.tolist()))
+    assert [ecc[v] for v in sample] == [_nx_eccentricity(G, v) for v in sample]
+    if spec != LIN_2_3_3:  # networkx's girth takes 15 s there
+        assert girth(g) == nx.girth(G)
+
+
+@pytest.mark.parametrize("p,e,m,point,col", [(7, 1, 1, 18, 1), (2, 1, 3, 7, 1)])
+def test_rewired_edge_pair_certifies_no_automorphism(p, e, m, point, col, graph_cache):
+    """Swap the column-`col` lines of two points with the same first
+    coordinate, in a copy of the array: it stays q-regular, bipartite and
+    ordered by first coordinate, but gains a 4-cycle away from ids 0 and n/2.
+    No candidate automorphism survives, so the sweep runs from every vertex
+    and finds the 4-cycle; the sound graph's orbits, used uncertified, miss
+    it."""
+    g = graph_cache(p, e, m)
+    q = g.spec.q
+    u1, u2 = point, point + q
+    nbrs = g.adjacency.copy()
+    v1, v2 = nbrs[u1, col], nbrs[u2, col]
+    nbrs[u1, col], nbrs[u2, col] = v2, v1
+    nbrs[v1, u1 % q], nbrs[v2, u2 % q] = u2, u1
+    G = _nx_graph(nbrs)
+    assert nx.girth(G) == 4
+
+    rewired = SimpleNamespace(spec=g.spec, adjacency=nbrs)
+    assert metrics_mod._orbits(rewired).automorphisms == 0
+    assert girth(rewired) == 4
+    assert eccentricities(rewired).tolist() == [_nx_eccentricity(G, v) for v in range(g.n)]
+    uncertified = SimpleNamespace(adjacency=nbrs, _orbits=metrics_mod._orbits(g))
+    assert girth(uncertified) in (6, 8)
+
+
+@pytest.mark.parametrize(
+    "spec,sources",
+    [
+        (LIN_2_3_3, 2),
+        (FamilySpec.linearized(7, 1, 3), 2),
+        (FamilySpec.linearized(3, 1, 2), 2),
+        (FamilySpec.wenger(3, 1, 2), 4),  # q + 1: A(a) fails, f_3 = x^2 is not additive
+    ],
+    ids=lambda x: f"{x.family}-{x.p}-{x.e}-{x.m}" if isinstance(x, FamilySpec) else str(x),
+)
+def test_bfs_sources_per_family(spec, sources):
+    """A codec or generator change that silently falls back to the
+    all-source sweep shows here, without any timing."""
+    assert metrics_report(Graph(spec).materialize()).bfs_sources == sources
 
 
 def test_foreign_vertices_rejected():
@@ -606,3 +685,5 @@ class TestMetricsReport:
         assert d["predicted"]["components"] == 2
         assert d["match"]["components"] is True
         assert d["spec"]["family"] == "linearized"
+        # one point and one line orbit under A, B and T_2, T_3 over GF(2)
+        assert d["bfs_sources"] == 2 and d["automorphisms"] == 4
