@@ -40,6 +40,7 @@ from .metrics import (
     PathWitness,
     PredictedMetrics,
     common_neighbor,
+    common_neighbors,
     components,
     cycle_from_coefficients,
     cycle_witness_6,

@@ -24,6 +24,15 @@ time, so it serves lazy graphs of any q, including q > 2^16 where no index
 tables exist.  path_witnesses takes whole arrays of vertex-id pairs on a
 materialized graph, steps by gathers from graph.adjacency, and checks every
 step against it.
+
+Common neighbours have two routes with one rule: two distinct points share a
+line exactly when their difference is (u, l u, l f_3(u), ..., l f_(m+1)(u))
+with u nonzero, and the line is then forced.  common_neighbor solves one pair
+of Point objects, so it serves lazy graphs of any q.  common_neighbors takes
+whole arrays of point-id pairs on a materialized graph, runs the rule as
+gathers from the field's index tables, and checks every line it returns
+against graph.adjacency.  On one pair the batch is slower, so neither route
+is built on the other.
 """
 
 from __future__ import annotations
@@ -350,6 +359,61 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
     if not (adjacent(spec, P, line) and adjacent(spec, P2, line)):
         raise SolveFailed("constructed line fails adjacency; internal error")
     return line
+
+
+def common_neighbors(graph: Graph, points, others):
+    """The common_neighbor rule for whole arrays of point-id pairs on a
+    materialized Frobenius-family graph: an int64 array holding the id of
+    the line both points of each pair lie on, or -1 where they share none.
+
+    Coordinates are decoded as ids // q^j % q, and the rule runs as gathers
+    from the field's q x q index tables: with u = p_1 - p'_1 and
+    l = (p_2 - p'_2) / u, a pair shares a line iff u != 0 and
+    p_k - p'_k = l f_k(u) for k = 3..m+1, and the line is
+    (l, f_k(p_1) l - p_k).  Every returned line L is checked before it is
+    returned, in one gather: adjacency[i, l] == L and adjacency[j, l] == L,
+    row i listing i's neighbours by first coordinate; any miss raises
+    SolveFailed.  The errors are those of common_neighbor: TypeError for a
+    line id, SamePoint for i == j, OutOfRange for an id outside [0, n)."""
+    import numpy as np
+
+    spec = graph.spec
+    if spec.family != "linearized":
+        raise UnsupportedRegime("common-neighbor solving needs the Frobenius family")
+    if not graph.materialized:
+        raise ValueError("batched common neighbours need a materialized graph")
+    a = np.asarray(points, dtype=np.int64).reshape(-1)
+    b = np.asarray(others, dtype=np.int64).reshape(-1)
+    n, half = spec.n_vertices, spec.n_vertices // 2
+    if a.shape != b.shape:
+        raise ValueError(f"{a.size} points but {b.size} others")
+    if a.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+        raise OutOfRange(f"vertex ids must lie in [0, {n})")
+    if a.size and max(a.max(), b.max()) >= half:
+        raise TypeError(f"common_neighbors takes point ids, in [0, {half})")
+    if (a == b).any():
+        raise SamePoint("common_neighbors needs two distinct points in each pair")
+
+    F, q, m = spec.field, spec.q, spec.m
+    mul, sub = F.index_tables()
+    inv = np.argmax(mul == F.one.index, axis=1)  # inv[0] = 0, never used
+    f = _f_table(spec)
+    powers = q ** np.arange(m + 1)
+    P = a[:, None] // powers % q
+    d = sub[P, b[:, None] // powers % q]
+    u = d[:, 0]
+    l = mul[d[:, 1], inv[u]]
+    shared = u != 0
+    for k in range(3, m + 2):
+        shared &= d[:, k - 1] == mul[l, f[k - 2][u]]
+    line = half + l
+    for k in range(2, m + 2):
+        line += sub[mul[f[k - 2][P[:, 0]], l], P[:, k - 1]] * q ** (k - 1)
+    adj = graph.adjacency
+    L, at = line[shared], l[shared]
+    if not ((adj[a[shared], at] == L).all() and (adj[b[shared], at] == L).all()):
+        raise SolveFailed("batched common neighbour fails adjacency; internal error")
+    return np.where(shared, line, -1)
 
 
 # ---------------------------------------------------------------------------

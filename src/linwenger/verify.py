@@ -13,10 +13,18 @@ theorems are stated once; a prediction of None fails its criterion.
 
 Criterion 7 builds its seeded path witnesses with one path_witnesses batch
 per graph, which steps along the neighbour array criterion 3 certifies and
-checks every step against it, and compares the first WITNESS_CROSS_CHECK walks of each graph id
-for id with diameter_witness, so both routes stay exercised and paired.  Its
-length bound is the predicted diameter, and the predicted girth picks the
-cycle witness of each case.
+checks every step against it, and compares the first CROSS_CHECK walks of
+each graph id for id with diameter_witness, so both routes stay exercised
+and paired.  Its length bound is the predicted diameter, and the predicted
+girth picks the cycle witness of each case.
+
+Criterion 8 solves its point pairs (every pair on four graphs, seeded
+samples on L_1(11)) with one common_neighbors batch per graph, which checks
+every line it returns against the neighbour array.  The oracle is the
+intersection of the two neighbour rows, sorted and searched for an id listed
+twice, so it shares nothing with the solver; the first CROSS_CHECK answers
+of each graph are compared id for id with common_neighbor, and the published
+L_1(11) pair is solved by common_neighbor alone.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .graphs import DEFAULT_VERTEX_BUDGET, FamilySpec, Graph, Line, Point, struc
 from .linearized import rank_distribution
 from .metrics import (
     common_neighbor,
+    common_neighbors,
     components,
     cycle_from_coefficients,
     cycle_witness_6,
@@ -76,8 +85,10 @@ RANK_CASES = (
 NEIGHBOR_CASES = ((2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1))
 SAMPLED_NEIGHBOR_CASE = (11, 1, 1)
 WITNESS_PAIRS_PER_GRAPH = 1000
-# Leading batched walks per graph compared id for id with diameter_witness.
-WITNESS_CROSS_CHECK = 32
+# Leading batched answers per graph compared id for id with the per-pair
+# route: walks with diameter_witness (criterion 7), lines with
+# common_neighbor (criterion 8).
+CROSS_CHECK = 32
 SAMPLED_NEIGHBOR_PAIRS = 10_000
 
 ALL_CASES = tuple(sorted(set(SPECTRUM_CASES) | set(DIAMETER_CASES) | set(GIRTH_CASES)))
@@ -260,7 +271,7 @@ def check_witnesses(run: _Runner) -> tuple[str, str]:
         except Exception as exc:  # noqa: BLE001 - any failure is a criterion failure
             fails.append(f"{label}: batched path witnesses raised {exc!r}")
             walks = []
-        for a, b, walk in zip(sources, targets, walks[:WITNESS_CROSS_CHECK]):
+        for a, b, walk in zip(sources, targets, walks[:CROSS_CHECK]):
             try:
                 w = diameter_witness(g, g.decode(a), g.decode(b))
             except Exception as exc:  # noqa: BLE001
@@ -306,32 +317,53 @@ def check_witnesses(run: _Runner) -> tuple[str, str]:
     )
 
 
-def _check_point_pairs(g: Graph, pairs, fails: list[str]) -> int:
-    """Compare common_neighbor with the intersection of the two neighbour
-    sets on each pair of point ids; stop at the first mismatch.  Returns the
-    number of pairs that agree."""
-    pts = [g.decode(i) for i in range(g.half)]
-    nbrs = [set(g.neighbor_ids(i)) for i in range(g.half)]
-    checked = 0
-    for i, j in pairs:
-        line = common_neighbor(g, pts[i], pts[j])
-        if nbrs[i] & nbrs[j] != (set() if line is None else {g.encode(line)}):
-            fails.append(f"L_1({g.spec.q}): mismatch at {pts[i]}, {pts[j]}")
+def _check_point_pairs(g: Graph, ij, fails: list[str]) -> int:
+    """Compare one common_neighbors batch over the rows (i, j) of a
+    (pairs, 2) array of point ids with the intersection of the two neighbour
+    rows, and its first CROSS_CHECK answers id for id with common_neighbor.
+    The intersection reads only graph.adjacency, nothing of the solver: each
+    pair's 2q ids are sorted, an id listed twice is a shared line, and a pair
+    with more than one fails.  Returns the number of pairs before the first
+    mismatch, whose points are named in fails."""
+    import numpy as np
+
+    label = _label((g.spec.p, g.spec.e, g.spec.m))
+    try:
+        got = common_neighbors(g, ij[:, 0], ij[:, 1])
+    except Exception as exc:  # noqa: BLE001 - any failure is a criterion failure
+        fails.append(f"{label}: batched common neighbours raised {exc!r}")
+        return 0
+    for (i, j), line_id in zip(ij[:CROSS_CHECK].tolist(), got.tolist()):
+        try:
+            line = common_neighbor(g, g.decode(i), g.decode(j))
+        except Exception as exc:  # noqa: BLE001
+            fails.append(f"{label}: common_neighbor at {g.decode(i)}, {g.decode(j)} raised {exc!r}")
             break
-        checked += 1
-    return checked
+        if (-1 if line is None else g.encode(line)) != line_id:
+            fails.append(f"{label}: batch != common_neighbor at {g.decode(i)}, {g.decode(j)}")
+            break
+    rows = np.sort(np.concatenate([g.adjacency[ij[:, 0]], g.adjacency[ij[:, 1]]], axis=1), axis=1)
+    twice = rows[:, 1:] == rows[:, :-1]
+    shared = np.where(twice, rows[:, 1:], -1).max(axis=1, initial=-1)
+    bad = np.flatnonzero((got != shared) | (twice.sum(axis=1) > 1))
+    if bad.size:
+        i, j = ij[bad[0]].tolist()
+        fails.append(f"{label}: mismatch at {g.decode(i)}, {g.decode(j)}")
+        return int(bad[0])
+    return len(ij)
 
 
 def check_common_neighbor(run: _Runner) -> tuple[str, str]:
+    import numpy as np
+
     fails, skips = [], []
     n_checked = 0
     for _, g in run.graphs(NEIGHBOR_CASES, skips):
-        n_checked += _check_point_pairs(g, itertools.combinations(range(g.half), 2), fails)
+        n_checked += _check_point_pairs(g, np.column_stack(np.triu_indices(g.half, 1)), fails)
     for _, g in run.graphs((SAMPLED_NEIGHBOR_CASE,), skips):
-        rng = run.rng("common-neighbor")
-        draws = [(rng.randrange(g.half), rng.randrange(g.half))
-                 for _ in range(SAMPLED_NEIGHBOR_PAIRS)]
-        n_checked += _check_point_pairs(g, [(i, j) for i, j in draws if i != j], fails)
+        rng, half = run.rng("common-neighbor"), g.half
+        draws = [(rng.randrange(half), rng.randrange(half)) for _ in range(SAMPLED_NEIGHBOR_PAIRS)]
+        n_checked += _check_point_pairs(g, np.array([(i, j) for i, j in draws if i != j]), fails)
         F = g.spec.field
         P = Point((F.zero, F.zero))
         P2 = Point((F.from_int(-1), F.from_int(-1)))

@@ -3,12 +3,15 @@
 Each test prints a single pass/fail line and asserts exact integer agreement
 (the check functions themselves compare with ==, never with tolerances).
 Criteria with a stated time budget also assert the wall-clock bound.  A last
-test feeds criteria 4-7 wrong predictions and expects them to fail.
+test feeds criteria 4-7 wrong predictions and expects them to fail, and the
+criterion 8 tests feed it wrong common-neighbour answers.
 """
 
 import dataclasses
+import random
 import time
 
+import numpy as np
 import pytest
 
 from linwenger import verify
@@ -98,3 +101,69 @@ def test_wrong_predictions_fail(monkeypatch, name, wrong, failing):
     run = _Runner(seed=0, max_vertices=300)
     statuses = {n: _BY_NUMBER[n][1](run)[0] for n in (4, 5, 6, 7)}
     assert {n for n, status in statuses.items() if status == "FAIL"} == set(failing)
+
+
+def test_criterion_08_checks_the_same_pairs():
+    """Every point pair of the four exhaustive graphs, and each i != j draw
+    of the seeded L_1(11) sample: 10386 pairs at seed 0."""
+    rng = random.Random("0:common-neighbor")
+    draws = [(rng.randrange(121), rng.randrange(121)) for _ in range(verify.SAMPLED_NEIGHBOR_PAIRS)]
+    expected = 6 + 36 + 120 + 300 + sum(i != j for i, j in draws)
+    assert expected == 10386
+    status, detail = _BY_NUMBER[8][1](_Runner(seed=0))
+    assert (status, detail) == ("PASS", f"{expected} point pairs agree with brute-force intersection")
+
+
+def _flip_after_cross_check(got, flip):
+    """A copy of a batch answer with one answer past the cross-checked
+    prefix changed by flip (line id -> wrong answer)."""
+    got = got.copy()
+    k = verify.CROSS_CHECK + int(np.flatnonzero(got[verify.CROSS_CHECK :] >= 0)[0])
+    got[k] = flip(got[k])
+    return got
+
+
+@pytest.mark.parametrize(
+    "flip", [lambda line: -1, lambda line: line + 1], ids=["line-to-none", "wrong-line"]
+)
+def test_criterion_08_catches_a_wrong_batch_answer(monkeypatch, flip):
+    real = verify.common_neighbors
+    monkeypatch.setattr(
+        verify, "common_neighbors", lambda g, i, j: _flip_after_cross_check(real(g, i, j), flip)
+    )
+    status, detail = _BY_NUMBER[8][1](_Runner(seed=0))
+    assert status == "FAIL" and "mismatch at" in detail
+
+
+def test_criterion_08_cross_check_catches_a_wrong_per_pair_answer(monkeypatch):
+    real, calls = verify.common_neighbor, []
+
+    def wrong_once(g, P, P2):
+        calls.append(P)
+        line = real(g, P, P2)
+        if len(calls) == 3:  # one answer in the first graph's cross-check
+            F = g.spec.field
+            return verify.Line((F.one, F.one)) if line is None else None
+        return line
+
+    monkeypatch.setattr(verify, "common_neighbor", wrong_once)
+    status, detail = _BY_NUMBER[8][1](_Runner(seed=0))
+    assert status == "FAIL" and "batch != common_neighbor" in detail
+
+
+def test_criterion_08_fails_a_pair_sharing_two_lines(graph_cache):
+    """The row-intersection oracle fails a pair listed as sharing two lines,
+    though the batch still finds (and certifies) the one it solves for."""
+    g = graph_cache(5, 1, 1)
+    points, others = np.triu_indices(g.half, 1)
+    lines = verify.common_neighbors(g, points, others)
+    # a pair whose line is not the least of row j, so that the largest id
+    # listed twice stays the batch's line and only the count can fail it
+    k = next(k for k, line in enumerate(lines) if line > g.adjacency[others[k]].min())
+    i, j, line = int(points[k]), int(others[k]), int(lines[k])
+    fake = verify.Graph(g.spec)
+    fake._nbrs = g.adjacency.copy()
+    fake._nbrs[i, (line + 1) % g.spec.q] = g.adjacency[j].min()
+    fails = []
+    assert verify._check_point_pairs(fake, np.array([[i, j]]), fails) == 0
+    assert fails == [f"L_1(5): mismatch at {g.decode(i)}, {g.decode(j)}"]

@@ -18,11 +18,13 @@ from linwenger import (
     Graph,
     Line,
     NoSixCycle,
+    OutOfRange,
     Point,
     SamePoint,
     SolveFailed,
     UnsupportedRegime,
     common_neighbor,
+    common_neighbors,
     components,
     cycle_from_coefficients,
     cycle_witness_6,
@@ -374,6 +376,114 @@ class TestCommonNeighbor:
         L = common_neighbor(g, P, P2)
         assert L is not None
         assert tuple(c.index for c in L.coords) == (1, 0)
+
+
+def _per_pair_ids(g, points, others):
+    """common_neighbor on each pair, as line ids with -1 for none."""
+    out = []
+    for i, j in zip(points, others):
+        line = common_neighbor(g, g.decode(i), g.decode(j))
+        out.append(-1 if line is None else g.encode(line))
+    return out
+
+
+def _row_intersection_ids(g, points, others):
+    """The shared line of each pair from the neighbour rows alone, -1 for none."""
+    out = []
+    for i, j in zip(points, others):
+        shared = set(g.adjacency[i].tolist()) & set(g.adjacency[j].tolist())
+        assert len(shared) <= 1
+        out.append(shared.pop() if shared else -1)
+    return out
+
+
+class TestCommonNeighbors:
+    @pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (2, 2)])
+    def test_every_pair_matches_both_oracles(self, p, e, graph_cache):
+        g = graph_cache(p, e, 1)
+        pairs = [(i, j) for i, j in product(range(g.half), repeat=2) if i != j]
+        points, others = [i for i, _ in pairs], [j for _, j in pairs]
+        got = common_neighbors(g, points, others)
+        assert got.dtype == np.int64
+        assert got.tolist() == _per_pair_ids(g, points, others)
+        assert got.tolist() == _row_intersection_ids(g, points, others)
+
+    @pytest.mark.parametrize("p,e,m", [(3, 2, 2), (2, 3, 3)])
+    def test_sampled_pairs_match_both_oracles(self, p, e, m, graph_cache):
+        """2000 seeded pairs, the first half built to share a line, so the
+        conditions on coordinates 3..m+1 decide both ways."""
+        g = graph_cache(p, e, m)
+        spec, F = g.spec, g.spec.field
+        rng = random.Random(f"common:{p}:{e}:{m}")
+        points, others = [], []
+        for _ in range(1000):
+            P = g.decode(rng.randrange(g.half))
+            L = line_through(spec, P, F.from_index(rng.randrange(F.q)))
+            x = F.from_index(rng.choice([i for i in range(F.q) if i != P.coords[0].index]))
+            points.append(g.encode(P))
+            others.append(g.encode(point_through(spec, L, x)))
+        while len(points) < 2000:
+            i, j = rng.randrange(g.half), rng.randrange(g.half)
+            if i != j:
+                points.append(i)
+                others.append(j)
+        got = common_neighbors(g, points, others)
+        assert (got[:1000] >= 0).all() and (got[1000:] >= 0).any() and (got[1000:] < 0).any()
+        assert got.tolist() == _per_pair_ids(g, points, others)
+        assert got.tolist() == _row_intersection_ids(g, points, others)
+
+    def test_empty_batch(self, graph_cache):
+        got = common_neighbors(graph_cache(3, 1, 1), [], [])
+        assert got.dtype == np.int64 and got.size == 0
+
+    def test_errors_match_the_per_pair_route(self, graph_cache):
+        g = graph_cache(3, 1, 1)
+        line = g.half + 4
+        with pytest.raises(TypeError):
+            common_neighbor(g, g.decode(line), g.decode(1))
+        for bad in ([line], [1]), ([1], [line]):
+            with pytest.raises(TypeError):
+                common_neighbors(g, *bad)
+        with pytest.raises(SamePoint):
+            common_neighbor(g, g.decode(2), g.decode(2))
+        with pytest.raises(SamePoint):
+            common_neighbors(g, [1, 2], [3, 2])
+        for vid in (-1, g.n):
+            with pytest.raises(OutOfRange):
+                common_neighbor(g, g.decode(vid), g.decode(1))
+            with pytest.raises(OutOfRange):
+                common_neighbors(g, [vid], [1])
+            with pytest.raises(OutOfRange):
+                common_neighbors(g, [1], [vid])
+        for spec in (FamilySpec.wenger(3, 1, 1), FamilySpec.custom(3, 1, 1, [[0, 2]])):
+            other = Graph(spec).materialize()
+            with pytest.raises(UnsupportedRegime):
+                common_neighbor(other, other.decode(0), other.decode(1))
+            with pytest.raises(UnsupportedRegime):
+                common_neighbors(other, [0], [1])
+        with pytest.raises(ValueError):
+            common_neighbors(Graph(g.spec), [0], [1])  # lazy
+        with pytest.raises(ValueError):
+            common_neighbors(g, [0, 1], [2])
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rewired_point_row_is_caught(self, side, graph_cache):
+        """A Graph whose private copy of the array lists another line in the
+        shared line's slot of one point row: the batch raises SolveFailed."""
+        g = graph_cache(3, 2, 2)
+        rng = random.Random("rewired")
+        points = [rng.randrange(g.half) for _ in range(50)]
+        others = [(i + 1) % g.half for i in points]
+        sound = common_neighbors(g, points, others)
+        k = int(np.flatnonzero(sound >= 0)[0])
+        pair, q = (points[k], others[k]), g.spec.q
+        fake = Graph(g.spec)
+        fake._nbrs = g.adjacency.copy()
+        assert common_neighbors(fake, points, others).tolist() == sound.tolist()
+        slot = sound[k] % q
+        fake._nbrs[pair[side], slot] = fake._nbrs[pair[side], (slot + 1) % q]
+        with pytest.raises(SolveFailed):
+            common_neighbors(fake, points, others)
 
 
 class TestDiameterWitness:
