@@ -18,11 +18,21 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import DegreeMismatch, FieldMismatch, NonPrime, ReducibleModulus, SolveFailed
+from .errors import (
+    BudgetExceeded,
+    DegreeMismatch,
+    FieldMismatch,
+    NonPrime,
+    ReducibleModulus,
+    SolveFailed,
+)
 
 P_LIMIT = 1 << 15  # characteristic stays comfortably inside machine words
 Q_LIMIT = 1 << 24  # enumeration-scale ceiling on the field size
 TABLE_LIMIT = 1 << 16  # fields this small cache every element and use index tables
+# Bytes of one q x q int64 table of Field.index_tables: q = 2048 is the
+# largest within it, well above the q <= 645 that graphs._ARRAY_BYTES allows.
+_TABLE_BYTES = 1 << 25
 
 
 def is_prime(n: int) -> bool:
@@ -536,12 +546,14 @@ class Field:
     def index_tables(self):
         """(mul, sub): q x q numpy arrays of canonical indices, mul[a, b] the
         index of a * b and sub[a, b] that of a - b, gathered from the log and
-        antilog tables and the coordinate digits.  Needs q <= TABLE_LIMIT."""
+        antilog tables and the coordinate digits.  BudgetExceeded, before
+        anything is built, when one table would pass _TABLE_BYTES (so q is
+        always within TABLE_LIMIT)."""
         import numpy as np
 
+        if 8 * self.q**2 > _TABLE_BYTES:
+            raise BudgetExceeded(f"a {self.q} x {self.q} index table exceeds {_TABLE_BYTES} bytes")
         T = self._tab or self._tables()
-        if T is None:
-            raise ValueError(f"index tables need q <= {TABLE_LIMIT}, got {self.q}")
         log = np.array(T.log)
         mul = np.array([x.index for x in T.exp])[log[:, None] + log]
         mul[0] = mul[:, 0] = 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,7 +233,7 @@ class Graph:
         self.vertex_budget = vertex_budget
         self._nbrs = None
         self._csr = None
-        self._orbits = None  # the metrics' certified automorphism orbits
+        self._bfs = None  # the metrics' BFS record (metrics._sweep)
 
     # -- size ---------------------------------------------------------------
 
@@ -266,7 +267,7 @@ class Graph:
         return acc
 
     def _check_id(self, vid: int) -> None:
-        if not 0 <= vid < self.n:
+        if not 0 <= operator.index(vid) < self.n:  # TypeError unless an integer
             raise OutOfRange(f"vertex id {vid} outside [0, {self.n})")
 
     def decode(self, vid: int) -> Point | Line:

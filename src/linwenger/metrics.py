@@ -2,20 +2,16 @@
 
 BFS results are exact and read only the (n, q) neighbour array
 graph.adjacency: components by min-label propagation, and eccentricities and
-girth through one batched level-synchronous sweep whose working set is capped
-at _SWEEP_BYTES whatever the vertex count.  The sweep relies on two
-properties, and certifies both on the array of every graph it runs on.  The
-bipartite layout the package builds (points [0, n/2), lines [n/2, n), every
-edge across) is checked on entry, with NotBipartite (a ValueError)
-otherwise; each level then gathers only the side the frontier is not on, and
-every cycle is even.  Automorphisms: the shift maps A(a), B(b) and T_k(c) of
-the point-line graphs are candidates, each kept only if it maps every listed
-neighbour to a listed neighbour (_orbits), and the sweep runs from one
-source per orbit of the kept maps: 2 sources on a linearized graph, q + 1 on
-a Wenger graph, every vertex when none is certified.  The witness builders do
-the opposite: they exploit the Frobenius-family structure to produce short
-paths and cycles in closed form, and every witness is re-validated edge by
-edge before it is returned.
+girth from one batched level-synchronous sweep per graph (_sweep), cached on
+the graph and capped at _SWEEP_BYTES of working set whatever the vertex
+count.  The sweep certifies, on the array of every graph it runs on, the two
+properties it relies on: the bipartite layout the package builds (points
+[0, n/2), lines [n/2, n), every edge across; NotBipartite otherwise), and
+the shift automorphisms whose orbits it takes one source from (_orbits): 2
+sources on a linearized graph, q + 1 on a Wenger graph, every vertex when
+none is certified.  The witness builders do the opposite: they exploit the
+Frobenius-family structure to produce short paths and cycles in closed
+form, and every witness is re-validated edge by edge before it is returned.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
@@ -189,28 +185,16 @@ def _is_automorphism(table, perm) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Orbits:
-    """Orbits of the group the certified automorphisms generate: rep_of[v]
-    is the least id in v's orbit, reps the distinct representatives, and
-    automorphisms the number of generators certified."""
-
-    rep_of: object
-    reps: object
-    automorphisms: int
-
-
-def _orbits(graph) -> Orbits:
-    """The certified orbits of graph.adjacency, computed once per graph.
+def _orbits(graph):
+    """The certified orbits of graph.adjacency, as (rep_of, automorphisms):
+    rep_of[v] is the least id in v's orbit, and automorphisms the number of
+    generators certified.
 
     Each candidate of _candidate_shifts is kept only if _is_automorphism
     certifies it on the array; the orbits are then the min-label propagation
     of components over the kept maps and their inverses.  An array without a
     spec, or one no candidate fits, gets no generator, and every vertex is
     its own orbit."""
-    cached = getattr(graph, "_orbits", None)
-    if cached is not None:
-        return cached
     import numpy as np
 
     table = graph.adjacency
@@ -235,13 +219,23 @@ def _orbits(graph) -> Orbits:
             yield perm
             yield inverse
 
-    rep_of = _min_labels(n, maps)
-    graph._orbits = Orbits(rep_of, np.flatnonzero(rep_of == np.arange(n)), len(kept))
-    return graph._orbits
+    return _min_labels(n, maps), len(kept)
 
 
-def _sweep(graph: Graph, girth_only: bool):
-    """Level-synchronous BFS of graph.adjacency from one source per certified
+@dataclass(frozen=True)
+class _BfsRecord:
+    """One graph's sweep: eccentricities (read-only), girth (None for a
+    forest), BFS sources run and automorphisms certified."""
+
+    ecc: object
+    girth: int | None
+    sources: int
+    automorphisms: int
+
+
+def _sweep(graph: Graph) -> _BfsRecord:
+    """The BFS record of graph.adjacency, computed once per graph and cached
+    as graph._bfs: a level-synchronous BFS from one source per certified
     automorphism orbit (_orbits), in batches.
 
     An automorphism maps every BFS to a BFS, so a vertex has the
@@ -262,11 +256,11 @@ def _sweep(graph: Graph, girth_only: bool):
     frontier neighbours.  The graph is bipartite, so no edge joins two
     frontier vertices, and every non-tree edge of each BFS gives a new
     vertex reached twice: a cycle of 2 * level.  The shortest over the
-    sources is the girth.
-
-    Returns the eccentricity array, or with girth_only the girth (None for a
-    forest); a girth_only batch stops once its next level cannot close a
-    shorter cycle."""
+    sources is the girth, so `twice` is kept only at levels that can still
+    close a shorter cycle than the best found."""
+    record = getattr(graph, "_bfs", None)
+    if record is not None:
+        return record
     import numpy as np
 
     table = graph.adjacency
@@ -274,11 +268,11 @@ def _sweep(graph: Graph, girth_only: bool):
     half = n // 2
     if n % 2 or _own_side_rows(table).any():
         raise NotBipartite("BFS needs points [0, n/2) and lines [n/2, n), adjacent across only")
-    orbits = _orbits(graph)
+    rep_of, automorphisms = _orbits(graph)
+    reps = np.flatnonzero(rep_of == np.arange(n))
     width = max(1, _SWEEP_BYTES // half)
     ecc = np.zeros(n, dtype=np.int64)
     best = None
-    reps = orbits.reps
     for side, sources in enumerate((reps[reps < half], reps[reps >= half])):
         for lo in range(0, sources.size, width):
             batch = sources[lo : lo + width]
@@ -288,18 +282,19 @@ def _sweep(graph: Graph, girth_only: bool):
             seen = [np.zeros_like(frontier), np.zeros_like(frontier)]
             seen[side] |= frontier
             at, level = side, 1
-            while not (girth_only and best is not None and 2 * level >= best):
+            while True:
+                cycles = best is None or 2 * level < best
                 rows = table[(1 - at) * half : (2 - at) * half]
                 once = frontier[rows[:, 0] - at * half]
-                twice = np.zeros_like(once) if girth_only else None
+                twice = np.zeros_like(once) if cycles else None
                 for j in range(1, d):  # offset a column at a time: no (n/2, q) copy
                     hit = frontier[rows[:, j] - at * half]
-                    if girth_only:
+                    if cycles:
                         twice |= once & hit
                     once |= hit
                 at = 1 - at
                 once &= ~seen[at]  # in place: now the vertices new at this level
-                if girth_only and (once & twice).any():
+                if cycles and (once & twice).any():
                     best = 2 * level
                 reached = np.bitwise_or.reduce(once, axis=0)
                 if not reached.any():
@@ -308,12 +303,15 @@ def _sweep(graph: Graph, girth_only: bool):
                 seen[at] |= once
                 frontier = once
                 level += 1
-    return best if girth_only else ecc[orbits.rep_of]
+    ecc = ecc[rep_of]
+    ecc.flags.writeable = False
+    graph._bfs = _BfsRecord(ecc, best, reps.size, automorphisms)
+    return graph._bfs
 
 
 def eccentricities(graph: Graph):
-    """Exact eccentricity of every vertex within its component."""
-    return _sweep(graph, girth_only=False)
+    """Exact eccentricity of every vertex within its component (read-only)."""
+    return _sweep(graph).ecc
 
 
 def diameter(graph: Graph) -> int:
@@ -324,7 +322,7 @@ def diameter(graph: Graph) -> int:
 
 def girth(graph: Graph) -> int:
     """Exact girth: the shortest cycle closed by a BFS from any vertex."""
-    best = _sweep(graph, girth_only=True)
+    best = _sweep(graph).girth
     if best is None:
         raise Acyclic("graph contains no cycle")
     return best
@@ -361,6 +359,25 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
     return line
 
 
+def _id_pairs(graph: Graph, first, second, route: str):
+    """The two id arrays of a batch route on a materialized graph, checked
+    (integer dtype, bool excluded, unless empty; equal lengths; ids in
+    [0, n)), as int64 vectors."""
+    import numpy as np
+
+    if not graph.materialized:
+        raise ValueError(f"batched {route} need a materialized graph")
+    a, b = (np.asarray(ids).reshape(-1) for ids in (first, second))
+    if any(ids.size and not np.issubdtype(ids.dtype, np.integer) for ids in (a, b)):
+        raise TypeError(f"vertex ids must be integers, not {a.dtype} and {b.dtype}")
+    if a.size != b.size:
+        raise ValueError(f"id arrays of unequal lengths {a.size} and {b.size}")
+    n = graph.spec.n_vertices
+    if a.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+        raise OutOfRange(f"vertex ids must lie in [0, {n})")
+    return a.astype(np.int64), b.astype(np.int64)
+
+
 def common_neighbors(graph: Graph, points, others):
     """The common_neighbor rule for whole arrays of point-id pairs on a
     materialized Frobenius-family graph: an int64 array holding the id of
@@ -380,15 +397,8 @@ def common_neighbors(graph: Graph, points, others):
     spec = graph.spec
     if spec.family != "linearized":
         raise UnsupportedRegime("common-neighbor solving needs the Frobenius family")
-    if not graph.materialized:
-        raise ValueError("batched common neighbours need a materialized graph")
-    a = np.asarray(points, dtype=np.int64).reshape(-1)
-    b = np.asarray(others, dtype=np.int64).reshape(-1)
-    n, half = spec.n_vertices, spec.n_vertices // 2
-    if a.shape != b.shape:
-        raise ValueError(f"{a.size} points but {b.size} others")
-    if a.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
-        raise OutOfRange(f"vertex ids must lie in [0, {n})")
+    a, b = _id_pairs(graph, points, others, "common neighbours")
+    half = spec.n_vertices // 2
     if a.size and max(a.max(), b.max()) >= half:
         raise TypeError(f"common_neighbors takes point ids, in [0, {half})")
     if (a == b).any():
@@ -554,15 +564,8 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
 
     spec = graph.spec
     _require_witness_regime(spec)
-    if not graph.materialized:
-        raise ValueError("batched path witnesses need a materialized graph")
-    src = np.asarray(sources, dtype=np.int64).reshape(-1)
-    dst = np.asarray(targets, dtype=np.int64).reshape(-1)
-    n, half = spec.n_vertices, spec.n_vertices // 2
-    if src.shape != dst.shape:
-        raise ValueError(f"{src.size} sources but {dst.size} targets")
-    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-        raise OutOfRange(f"vertex ids must lie in [0, {n})")
+    src, dst = _id_pairs(graph, sources, targets, "path witnesses")
+    half = spec.n_vertices // 2
 
     F, q, m = spec.field, spec.q, spec.m
     adj = graph.adjacency
@@ -679,10 +682,10 @@ class CycleWitness:
         return self.is_closed() and self.vertices_distinct() and self.edges_valid()
 
 
-def cycle_from_coefficients(spec: FamilySpec, us, cs, start: Point | None = None) -> CycleWitness:
-    """Construct the closed walk determined by decrements u_i and slopes c_i:
-    L_i is the neighbor of P_i with first coordinate c_i, and P_(i+1) is the
-    neighbor of L_i with first coordinate p_1(P_i) - u_i."""
+def cycle_from_coefficients(spec: FamilySpec, us, cs) -> CycleWitness:
+    """The closed walk from the all-zero point P_1 given by decrements u_i and
+    slopes c_i: L_i is the neighbor of P_i with first coordinate c_i, and
+    P_(i+1) is the neighbor of L_i with first coordinate p_1(P_i) - u_i."""
     if spec.family != "linearized":
         raise UnsupportedRegime("cycle construction needs the Frobenius family")
     if len(us) != len(cs) or len(us) < 2:
@@ -690,11 +693,9 @@ def cycle_from_coefficients(spec: FamilySpec, us, cs, start: Point | None = None
     F = spec.field
     us = tuple(u if isinstance(u, FieldElement) else F.from_int(u) for u in us)
     cs = tuple(c if isinstance(c, FieldElement) else F.from_int(c) for c in cs)
-    if start is None:
-        start = Point((F.zero,) * (spec.m + 1))
-    points = [start]
+    cur = Point((F.zero,) * (spec.m + 1))
+    points = [cur]
     lines = []
-    cur = start
     for i, (u, c) in enumerate(zip(us, cs)):
         ln = line_through(spec, cur, c)
         lines.append(ln)
@@ -860,7 +861,7 @@ class MetricsReport:
 def metrics_report(graph: Graph) -> MetricsReport:
     count, sizes = components(graph)
     diam, best = diameter(graph), girth(graph)
-    orbits = _orbits(graph)  # certified once, in the first sweep
+    record = _sweep(graph)  # swept once, by diameter()
     return MetricsReport(
         spec=graph.spec,
         components=count,
@@ -868,6 +869,6 @@ def metrics_report(graph: Graph) -> MetricsReport:
         diameter=diam,
         girth=best,
         predicted=predicted_metrics(graph.spec),
-        bfs_sources=len(orbits.reps),
-        automorphisms=orbits.automorphisms,
+        bfs_sources=record.sources,
+        automorphisms=record.automorphisms,
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from linwenger import fields
 from linwenger.errors import (
+    BudgetExceeded,
     DegreeMismatch,
     FieldMismatch,
     NonPrime,
@@ -235,6 +236,17 @@ class TestIndexTables:
             mul, sub = F.index_tables()
             assert (mul == np.array([[(a * b).index for b in els] for a in els])).all()
             assert (sub == np.array([[(a - b).index for b in els] for a in els])).all()
+
+    def test_index_tables_refuse_over_the_byte_cap(self, monkeypatch):
+        # a table cap just under one 7 x 7 int64 table: refused before any
+        # table, or the field's log tables, are built
+        F = Field(7)
+        monkeypatch.setattr(fields, "_TABLE_BYTES", 8 * 7 * 7 - 1)
+        with pytest.raises(BudgetExceeded):
+            F.index_tables()
+        assert F._tab is None
+        monkeypatch.setattr(fields, "_TABLE_BYTES", 8 * 7 * 7)
+        assert F.index_tables()[0].shape == (7, 7)
 
     def test_results_are_the_cached_elements(self):
         F = GF(5, 2)

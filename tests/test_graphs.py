@@ -185,6 +185,19 @@ class TestGraph:
         with pytest.raises(OutOfRange):
             g.decode(g.n)
 
+    def test_ids_must_be_integers(self):
+        import numpy as np
+
+        lazy = Graph(FamilySpec.linearized(3, 1, 1))
+        full = Graph(FamilySpec.linearized(3, 1, 1)).materialize()
+        for g in (lazy, full):
+            for bad in (3.0, 1.5, np.float64(2), "3", None):
+                with pytest.raises(TypeError):
+                    g.decode(bad)
+                with pytest.raises(TypeError):
+                    g.neighbor_ids(bad)
+            assert g.decode(np.int64(3)) == g.decode(3)
+
     def test_neighbor_ids_out_of_range(self):
         # a materialized graph must not wrap -1 around to row n - 1
         lazy = Graph(FamilySpec.linearized(2, 1, 1))

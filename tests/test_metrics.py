@@ -216,15 +216,64 @@ def test_bfs_reads_only_the_neighbour_array(monkeypatch):
 def test_one_source_batches_agree(p, e, m, graph_cache, monkeypatch):
     g = graph_cache(p, e, m)
     ecc, best = eccentricities(g).tolist(), girth(g)
-    # without a spec no automorphism is certified, so every vertex is a source
-    everyone = SimpleNamespace(adjacency=g.adjacency)
     # one source per batch; then five, which divides no side here, so that an
     # all-source batch ends inside a side
     for sweep_bytes in (1, 5 * g.half):
         monkeypatch.setattr(metrics_mod, "_SWEEP_BYTES", sweep_bytes)
-        for graph in (g, everyone):
+        # fresh graphs, each swept once at this batch size; without a spec no
+        # automorphism is certified, so every vertex is a source
+        fresh = SimpleNamespace(spec=g.spec, adjacency=g.adjacency)
+        everyone = SimpleNamespace(adjacency=g.adjacency)
+        for graph in (fresh, everyone):
             assert eccentricities(graph).tolist() == ecc
             assert girth(graph) == best
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 1), (2, 2, 2)])
+def test_girth_before_diameter_matches_after(p, e, m, graph_cache, monkeypatch):
+    """The sweep gives every eccentricity and the girth whichever is asked
+    for first, including when each batch holds one source, so that the
+    girth found by an early batch gates the cycle test of the later ones."""
+    spec = graph_cache(p, e, m).spec
+    for sweep_bytes in (metrics_mod._SWEEP_BYTES, 1):
+        monkeypatch.setattr(metrics_mod, "_SWEEP_BYTES", sweep_bytes)
+        first, second = Graph(spec).materialize(), Graph(spec).materialize()
+        best = girth(first)
+        diam = diameter(second)
+        assert (diameter(first), girth(second)) == (diam, best)
+        assert eccentricities(first).tolist() == eccentricities(second).tolist()
+
+
+def test_report_checks_certifies_and_sweeps_once(monkeypatch):
+    """One metrics_report runs one layout check, one certification and one
+    BFS per graph: diameter and girth read one cached record."""
+    calls = []
+
+    def counted(name):
+        real = getattr(metrics_mod, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_own_side_rows", "_orbits"):
+        monkeypatch.setattr(metrics_mod, name, counted(name))
+    g = Graph(FamilySpec.linearized(3, 1, 2)).materialize()
+    report = metrics_report(g)
+    assert sorted(calls) == ["_orbits", "_own_side_rows"]
+    assert (report.bfs_sources, report.automorphisms) == (g._bfs.sources, g._bfs.automorphisms)
+    assert (diameter(g), girth(g)) == (report.diameter, report.girth)
+    assert len(calls) == 2
+
+
+def test_cached_eccentricities_are_read_only(graph_cache):
+    g = graph_cache(3, 1, 1)
+    ecc = eccentricities(g)
+    assert ecc is eccentricities(g)
+    with pytest.raises(ValueError):
+        ecc[0] = 0
 
 
 def _nx_graph(nbrs):
@@ -248,21 +297,26 @@ LIN_2_3_3 = FamilySpec.linearized(2, 3, 3)
 def test_orbit_sweep_matches_all_sources_and_networkx(spec):
     g = Graph(spec).materialize()
     everyone = SimpleNamespace(adjacency=g.adjacency)  # no spec: the all-source sweep
-    orbits = metrics_mod._orbits(g)
-    assert len(metrics_mod._orbits(everyone).reps) == g.n
-    assert len(orbits.reps) <= spec.q + 1 and orbits.automorphisms >= 1
+    rep_of, automorphisms = metrics_mod._orbits(g)
+    reps = np.flatnonzero(rep_of == np.arange(g.n))
+    assert (metrics_mod._orbits(everyone)[0] == np.arange(g.n)).all()
+    assert len(reps) <= spec.q + 1 and automorphisms >= 1
     ecc = eccentricities(g)
+    assert (g._bfs.sources, g._bfs.automorphisms) == (len(reps), automorphisms)
     assert ecc.tolist() == eccentricities(everyone).tolist()
+    assert everyone._bfs.sources == g.n
     assert girth(g) == girth(everyone)
     G = _nx_graph(g.adjacency)
-    sample = sorted(set(range(0, g.n, -(-g.n // 64))) | set(orbits.reps.tolist()))
+    sample = sorted(set(range(0, g.n, -(-g.n // 64))) | set(reps.tolist()))
     assert [ecc[v] for v in sample] == [_nx_eccentricity(G, v) for v in sample]
     if spec != LIN_2_3_3:  # networkx's girth takes 15 s there
         assert girth(g) == nx.girth(G)
 
 
 @pytest.mark.parametrize("p,e,m,point,col", [(7, 1, 1, 18, 1), (2, 1, 3, 7, 1)])
-def test_rewired_edge_pair_certifies_no_automorphism(p, e, m, point, col, graph_cache):
+def test_rewired_edge_pair_certifies_no_automorphism(
+    p, e, m, point, col, graph_cache, monkeypatch
+):
     """Swap the column-`col` lines of two points with the same first
     coordinate, in a copy of the array: it stays q-regular, bipartite and
     ordered by first coordinate, but gains a 4-cycle away from ids 0 and n/2.
@@ -280,11 +334,12 @@ def test_rewired_edge_pair_certifies_no_automorphism(p, e, m, point, col, graph_
     assert nx.girth(G) == 4
 
     rewired = SimpleNamespace(spec=g.spec, adjacency=nbrs)
-    assert metrics_mod._orbits(rewired).automorphisms == 0
+    assert metrics_mod._orbits(rewired)[1] == 0
     assert girth(rewired) == 4
     assert eccentricities(rewired).tolist() == [_nx_eccentricity(G, v) for v in range(g.n)]
-    uncertified = SimpleNamespace(adjacency=nbrs, _orbits=metrics_mod._orbits(g))
-    assert girth(uncertified) in (6, 8)
+    sound = metrics_mod._orbits(g)
+    monkeypatch.setattr(metrics_mod, "_orbits", lambda graph: sound)
+    assert girth(SimpleNamespace(adjacency=nbrs)) in (6, 8)
 
 
 @pytest.mark.parametrize(
@@ -466,6 +521,17 @@ class TestCommonNeighbors:
         with pytest.raises(ValueError):
             common_neighbors(g, [0, 1], [2])
 
+    def test_ids_must_be_integers(self, graph_cache):
+        # no cast to ids: 1.7 is not id 1, and a bool mask is not ids 0 and 1
+        g = graph_cache(3, 1, 1)
+        for bad in (([1.7], [2.2]), ([1], [2.0]), ([True], [False]), (np.arange(2), [3.0, 4.0])):
+            with pytest.raises(TypeError):
+                common_neighbors(g, *bad)
+        assert common_neighbors(g, np.array([1], dtype=np.uint8), [2]).tolist() == (
+            common_neighbors(g, [1], [2]).tolist()
+        )
+        assert common_neighbors(g, np.array([], dtype=float), []).size == 0
+
     @pytest.mark.parametrize("side", [0, 1])
     def test_rewired_point_row_is_caught(self, side, graph_cache):
         """A Graph whose private copy of the array lists another line in the
@@ -618,6 +684,13 @@ class TestPathWitnesses:
         g = graph_cache(3, 2, 2)
         assert path_witnesses(g, [5, g.half + 7], [5, g.half + 7]) == [[5], [g.half + 7]]
         assert path_witnesses(g, [], []) == []
+        assert path_witnesses(g, np.zeros(0, dtype=bool), np.array([])) == []
+
+    def test_ids_must_be_integers(self, graph_cache):
+        g = graph_cache(3, 2, 2)
+        for bad in (([1.7], [2.2]), ([5], [700.0]), ([True], [False])):
+            with pytest.raises(TypeError):
+                path_witnesses(g, *bad)
 
     def test_regime_and_layout_restrictions(self, graph_cache):
         g = graph_cache(2, 1, 2)  # m > e
@@ -731,14 +804,6 @@ class TestCycleWitnesses:
                 continue
             w = cycle_from_coefficients(spec, (u1, u2), (c1, c2))
             assert not w.is_valid_cycle()
-
-    def test_custom_start_point(self):
-        spec = FamilySpec.linearized(3, 1, 1)
-        F = spec.field
-        start = Point((F.one, F.from_int(2)))
-        w = cycle_from_coefficients(spec, (1, 1, -2), (1, -1, 0), start=start)
-        assert w.points[0] == start
-        assert w.is_closed() and w.is_valid_cycle()
 
 
 class TestPredictions:
