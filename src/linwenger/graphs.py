@@ -223,16 +223,15 @@ class Graph:
 
     Lazy graphs answer neighbor queries by solving the adjacency equations.
     materialize() stores the one materialized form, an (n, q) array of
-    neighbour ids whose row v is neighbor_ids(v).  csr() wraps that array
-    as a sparse matrix for spectrum.walk_trace, the package's one CSR reader;
-    the BFS metrics read the array itself.
+    neighbour ids whose row v is neighbor_ids(v).  Every reader in the
+    package, the walk trace, the structure check and the BFS metrics
+    included, reads that array and nothing else.
     """
 
     def __init__(self, spec: FamilySpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET):
         self.spec = spec
         self.vertex_budget = vertex_budget
         self._nbrs = None
-        self._csr = None
         self._bfs = None  # the metrics' BFS record (metrics._sweep)
 
     # -- size ---------------------------------------------------------------
@@ -345,7 +344,7 @@ class Graph:
                 ids[:] = x + (half if side == 0 else 0)
                 for k in range(2, m + 2):
                     ids += (sub * q ** (k - 1))[mul[f[k - 2][p1], l1], own[:, k - 1 : k]]
-        nbrs.flags.writeable = False  # csr(), for walk_trace, shares this memory
+        nbrs.flags.writeable = False  # csr() shares this memory
         self._nbrs = nbrs
         return self
 
@@ -358,19 +357,18 @@ class Graph:
     def csr(self):
         """The neighbour array as a scipy CSR matrix with int32 entries 0/1.
 
-        Its column indices are the array itself, not a copy, so they keep
-        the first-coordinate order of each row and are not sorted."""
-        if self._csr is None:
-            import numpy as np
-            from scipy import sparse
+        No package code calls it: it stays only as a wrap point of the
+        benchmark's tracer and as an oracle for the tests.  Its column
+        indices are the array itself, not a copy, so building it is cheap;
+        they keep the first-coordinate order of each row and are not
+        sorted."""
+        import numpy as np
+        from scipy import sparse
 
-            nbrs = self.adjacency
-            indptr = np.arange(0, nbrs.size + 1, self.spec.q, dtype=nbrs.dtype)
-            data = np.ones(nbrs.size, dtype=np.int32)
-            self._csr = sparse.csr_matrix(
-                (data, nbrs.reshape(-1), indptr), shape=(self.n, self.n)
-            )
-        return self._csr
+        nbrs = self.adjacency
+        indptr = np.arange(0, nbrs.size + 1, self.spec.q, dtype=nbrs.dtype)
+        data = np.ones(nbrs.size, dtype=np.int32)
+        return sparse.csr_matrix((data, nbrs.reshape(-1), indptr), shape=(self.n, self.n))
 
     # -- edge streaming -----------------------------------------------------------
 
@@ -411,22 +409,23 @@ def _own_side_rows(nbrs):
 
 def structure_faults(spec: FamilySpec, nbrs) -> list[str]:
     """What is wrong with an (n, q) neighbour array for spec; [] when sound:
-    a repeated id in a row, a neighbour on the vertex's own side, an
-    asymmetric adjacency matrix, or a nonzero count other than 2 q^(m+2)."""
-    import numpy as np
-    from scipy import sparse
+    a row not listed by first coordinate, a neighbour on the vertex's own
+    side, or an entry u of row v whose own row does not list v.
 
-    n, q, nnz = spec.n_vertices, spec.q, 2 * spec.n_edges
+    Ids are congruent to their first coordinate mod q, so a row listed by
+    first coordinate (entry j = j mod q) holds q distinct ids, and the
+    array has 2 q^(m+2) nonzeros.  Row u then lists v at column v mod q,
+    so the symmetry test is one gather, as in path_witnesses."""
+    import numpy as np
+
+    n, q = spec.n_vertices, spec.q
     if nbrs.shape != (n, q) or nbrs.min() < 0 or nbrs.max() >= n:
         return [f"array of shape {nbrs.shape} is not {n} rows of {q} ids in [0, {n})"]
-    rows = np.sort(nbrs, axis=1)
-    ones = np.ones(nbrs.size, dtype=np.int32)
-    A = sparse.csr_matrix((ones, (np.repeat(np.arange(n), q), nbrs.ravel())), shape=(n, n))
+    ids = np.arange(n)[:, None]
     counts = {
-        "rows repeat a neighbour": (rows[:, 1:] == rows[:, :-1]).any(axis=1).sum(),
+        "rows are not listed by first coordinate": (nbrs % q != np.arange(q)).any(axis=1).sum(),
         "vertices have a neighbour on their own side": _own_side_rows(nbrs).sum(),
-        "adjacency entries differ from the transpose": (A != A.T).nnz,
-        f"nonzeros missing from 2 q^(m+2) = {nnz}": nnz - A.nnz,
+        "entries are not listed back by their neighbour": (nbrs[nbrs, ids % q] != ids).sum(),
     }
     return [f"{count} {what}" for what, count in counts.items() if count]
 

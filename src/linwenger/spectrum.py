@@ -26,6 +26,9 @@ from .graphs import FamilySpec, Graph
 from .linearized import count_roots, rank_distribution  # noqa: F401
 
 DEFAULT_EVAL_BUDGET = 10**8
+# walk_trace gathers this many bytes of walk ends at a time, which bounds
+# each of its temporaries at any n.
+_WALK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -213,25 +216,43 @@ def component_count_formula(spec: FamilySpec) -> int:
 def walk_trace(graph: Graph, k: int) -> int:
     """trace(A^(2k)) as an exact integer, 1 <= k <= 4.
 
-    A is symmetric, so trace(A^(2k)) is the sum of squared entries of A^k.
-    An entry of A^k counts walks of length k between two fixed ends, and
-    such a walk is fixed by its first k - 1 steps, so every entry is at most
-    q^(k-1) and the sparse power stays exact in int64.  np.bincount counts
-    each entry value v, and the sum of count * v^2 is taken in Python ints,
-    so it is exact at any size."""
+    It reads graph.adjacency and nothing else, so any (n, q) neighbour
+    array serves, a rewired one with no spec included, and it returns the
+    sum of squared entries of A^k: trace(A^(2k)) when A is symmetric.  Row
+    v of A^k is the multiset of the ends of the q^k walks that follow the
+    rows from v.
+    For a block of rows the ends come from k - 1 gathers through the array;
+    each row is sorted, and the length of each run of equal ends is one
+    nonzero entry of A^k.  A block holds at most E = _WALK_BYTES / itemsize
+    ends, so the sum of its squared run lengths is at most E^2 and exact in
+    int64; the blocks are summed in Python ints, exact at any size.
+
+    BudgetExceeded, before anything is allocated, when the q^k ends of one
+    vertex alone exceed _WALK_BYTES."""
     if not 1 <= k <= 4:
         raise ValueError(f"walk exponent k must be in [1, 4], got {k}")
-    q = graph.spec.q
-    if q ** (k - 1) >= 2**63:
-        raise BudgetExceeded(f"walk counts up to {q}^{k - 1} overflow int64")
     import numpy as np
 
-    A = graph.csr()
-    M = A.astype(np.int64)
-    for _ in range(k - 1):
-        M = M @ A
-    counts = np.bincount(M.data)
-    return sum(int(c) * v * v for v, c in enumerate(counts.tolist()) if c)
+    adj = graph.adjacency
+    n, q = adj.shape
+    rows = _WALK_BYTES // (q**k * adj.itemsize)
+    if rows == 0:
+        raise BudgetExceeded(
+            f"the {q**k} walk ends of one vertex need {q**k * adj.itemsize} bytes, "
+            f"over the {_WALK_BYTES}-byte walk budget"
+        )
+    total = 0
+    for start in range(0, n, rows):
+        ends = adj[start : start + rows]
+        for _ in range(k - 1):
+            ends = np.take(adj, ends, axis=0).reshape(len(ends), -1)
+        ends = np.sort(ends, axis=1)
+        new = np.empty(ends.shape, dtype=bool)  # where a run starts
+        new[:, 0] = True
+        np.not_equal(ends[:, 1:], ends[:, :-1], out=new[:, 1:])
+        runs = np.diff(np.flatnonzero(new), append=ends.size)
+        total += int(np.dot(runs, runs))
+    return total
 
 
 @dataclass(frozen=True)

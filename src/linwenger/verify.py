@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .fields import FpMatrix, fp_rank_kernel
+from .fields import GF, fq_rank
 from .graphs import DEFAULT_VERTEX_BUDGET, FamilySpec, Graph, Line, Point, structure_faults
 from .linearized import rank_distribution
 from .metrics import (
@@ -212,8 +212,8 @@ def check_regularity_and_counts(run: _Runner) -> tuple[str, str]:
         checked += 1
     return _finish(
         fails, skips,
-        f"{checked} neighbour arrays: q distinct ids per row, points next to lines only, "
-        "symmetric, 2 q^(m+2) nonzeros",
+        f"{checked} neighbour arrays: rows listed by first coordinate (q distinct ids, "
+        "2 q^(m+2) nonzeros), points next to lines only, symmetric",
     )
 
 
@@ -381,7 +381,7 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
     for case in RANK_CASES:
         p, e, m = case
         spec = run.spec(case)
-        F = spec.field
+        F, Fp = spec.field, GF(p)
         f_basis = [spec.f_values(b) for b in F.basis]
         tally: Counter[int] = Counter()
         for linear in itertools.product(F.elements(), repeat=m):
@@ -390,9 +390,8 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
                 acc = F.zero
                 for w, f in zip(linear, fb):
                     acc = acc + w * f
-                images.append(acc.coeffs)
-            rank, _ = fp_rank_kernel(FpMatrix(p, tuple(images)))
-            tally[rank] += 1
+                images.append([Fp.from_index(c) for c in acc.coeffs])
+            tally[fq_rank(Fp, images)] += 1
         scale = spec.q ** (m - min(m, e))
         predicted = {r: a * scale for r, a in rank_distribution(p, e, m).items()}
         if dict(tally) != predicted:

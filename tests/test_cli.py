@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linwenger
 from linwenger import cli
 from linwenger.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 from linwenger.errors import Acyclic, NotBipartite, SolveFailed
@@ -291,6 +295,30 @@ _SMALL_CASES = [
     if (p**e) ** (m + 2) <= 4096
 ]
 _DIGITS = "0123456789"
+
+
+def test_subcommands_run_without_scipy(tmp_path):
+    # scipy made unimportable in a fresh interpreter: no package code path
+    # may reach it
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from linwenger.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(linwenger.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv, says in (
+        (["verify", "--seed", "0"], "11 pass"),
+        (["metrics", "--p", "3", "--e", "2", "--m", "2"], "girth 6 (predicted 6, ok)"),
+        (["build", "--p", "3", "--m", "2", "--format", "edgelist", "--out", str(tmp_path / "g")],
+         "regular=yes"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, (argv, proc.stderr)
+        assert says in proc.stdout
 
 
 @st.composite

@@ -143,21 +143,28 @@ class TestGraph:
 
     def test_structure_faults_reports_injected_faults(self, graph_cache):
         g = graph_cache(3, 1, 1)
-        half = g.n // 2
-        stranger = next(u for u in range(half, g.n) if u not in g.adjacency[1])
+        q, half = g.spec.q, g.n // 2
+        # a line with first coordinate 0 that vertex 1 is not next to, so
+        # writing it into column 0 keeps row 1 listed by first coordinate
+        stranger = next(u for u in range(half, g.n, q) if u not in g.adjacency[1])
 
-        def faults_after(v, j, u):
+        def faults_after(v, cols, ids):
             nbrs = g.adjacency.copy()
-            nbrs[v, j] = u
-            return [f.split(" ", 1)[1] for f in structure_faults(g.spec, nbrs)]
+            nbrs[v, cols] = ids
+            return structure_faults(g.spec, nbrs)
 
-        transpose = "adjacency entries differ from the transpose"
-        missing = "nonzeros missing from 2 q^(m+2) = 54"
-        duplicate = faults_after(0, 1, g.adjacency[0, 0])
-        assert duplicate == ["rows repeat a neighbour", transpose, missing]
-        assert faults_after(1, 0, stranger) == [transpose]  # one-sided entry
-        same_side = faults_after(half, 0, half + 1)
-        assert same_side == ["vertices have a neighbour on their own side", transpose]
+        order = "rows are not listed by first coordinate"
+        back = "entries are not listed back by their neighbour"
+        # row 0 lists its first neighbour twice; the displaced one still lists 0
+        assert faults_after(0, 1, g.adjacency[0, 0]) == [f"1 {order}", f"1 {back}"]
+        # row 1 lists a stranger, which does not list 1; the displaced line does
+        assert faults_after(1, 0, stranger) == [f"2 {back}"]
+        # a line lists another line (of the same first coordinate)
+        assert faults_after(half, 0, half + q) == [
+            "1 vertices have a neighbour on their own side", f"2 {back}"
+        ]
+        # two entries of a row swapped: the same neighbours in the wrong columns
+        assert faults_after(0, [0, 1], g.adjacency[0, [1, 0]]) == [f"1 {order}", f"2 {back}"]
         assert structure_faults(g.spec, g.adjacency[:-1]) != []  # a row short
 
     def test_encode_layout(self):
@@ -232,6 +239,7 @@ class TestGraph:
             A = full.csr()  # wraps the array; must leave its row order alone
             assert np.shares_memory(A.indices, full.adjacency)
             walk_trace(full, 2)
+            assert structure_faults(spec, full.adjacency) == []
             for vid in range(full.n):
                 row = full.adjacency[vid].tolist()
                 assert row == lazy.neighbor_ids(vid)

@@ -2,8 +2,11 @@
 
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from linwenger import (
     BudgetExceeded,
@@ -21,7 +24,9 @@ from linwenger import (
     spectrum_enumerate,
     walk_trace,
 )
+from linwenger import spectrum as spectrum_mod
 from linwenger.linearized import count_roots
+from linwenger.verify import SPECTRUM_CASES
 
 
 def brute_force_histogram(spec: FamilySpec) -> dict[int, int]:
@@ -187,7 +192,69 @@ class TestEnumerate:
         assert trace_from_report(rep, 1) == 2 * spec.n_edges
 
 
+def csr_squared_entries(adj, k: int) -> int:
+    """The sum of squared entries of A^k by scipy sparse products, where A
+    is the CSR matrix of the (n, q) array adj; a repeated id in a row adds
+    up to an entry of 2."""
+    n, q = adj.shape
+    ones = np.ones(adj.size, dtype=np.int64)
+    A = sparse.csr_matrix((ones, (np.repeat(np.arange(n), q), adj.ravel())), shape=(n, n))
+    M = A
+    for _ in range(k - 1):
+        M = M @ A
+    return sum(int(v) ** 2 for v in M.data)
+
+
+def rewired(adj, v, j, u):
+    """A copy of adj with entry (v, j) set to u, behind a graph with no spec."""
+    out = adj.copy()
+    out[v, j] = u
+    return SimpleNamespace(adjacency=out)
+
+
+ORACLE_GRAPH_SPECS = [FamilySpec.linearized(*case) for case in SPECTRUM_CASES] + [
+    FamilySpec.wenger(3, 1, 2),
+    FamilySpec.wenger(2, 2, 1),
+    FamilySpec.custom(3, 1, 2, f_indices=((1, 2, 1), (0, 0, 1))),
+]
+
+
 class TestWalkTrace:
+    @pytest.mark.parametrize(
+        "spec", ORACLE_GRAPH_SPECS, ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}"
+    )
+    def test_matches_csr_oracle(self, spec, monkeypatch):
+        adj = Graph(spec).materialize().adjacency
+        graph = SimpleNamespace(adjacency=adj)  # the array alone, no spec
+        expected = {k: csr_squared_entries(adj, k) for k in (1, 2, 3)}
+        assert {k: walk_trace(graph, k) for k in (1, 2, 3)} == expected
+        # blocks of one row each give the same sums
+        monkeypatch.setattr(spectrum_mod, "_WALK_BYTES", adj.shape[1] ** 3 * adj.itemsize)
+        assert walk_trace(graph, 3) == expected[3]
+
+    def test_rewired_arrays_match_csr_oracle(self, graph_cache, monkeypatch):
+        adj = graph_cache(3, 1, 2).adjacency
+        half, q = len(adj) // 2, adj.shape[1]
+        stranger = next(u for u in range(half, len(adj)) if u not in adj[1])
+        graphs = (
+            rewired(adj, 0, 1, adj[0, 0]),  # a repeated entry: A holds a 2
+            rewired(adj, 1, 0, stranger),  # a one-sided entry: A is not symmetric
+        )
+        for g in graphs:
+            expected = [csr_squared_entries(g.adjacency, k) for k in (1, 2, 3, 4)]
+            assert [walk_trace(g, k) for k in (1, 2, 3, 4)] == expected
+            monkeypatch.setattr(spectrum_mod, "_WALK_BYTES", q**4 * adj.itemsize)
+            assert [walk_trace(g, k) for k in (1, 2, 3, 4)] == expected
+            monkeypatch.undo()
+
+    def test_one_vertex_over_the_walk_budget_is_refused(self, graph_cache, monkeypatch):
+        g = graph_cache(3, 1, 1)
+        itemsize = g.adjacency.itemsize
+        monkeypatch.setattr(spectrum_mod, "_WALK_BYTES", 3**3 * itemsize - 1)
+        assert walk_trace(g, 2) == csr_squared_entries(g.adjacency, 2)
+        with pytest.raises(BudgetExceeded, match=f"{3**3 * itemsize} bytes"):
+            walk_trace(g, 3)
+
     @pytest.mark.parametrize("p,e,m", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2)])
     def test_matches_spectrum(self, p, e, m, graph_cache):
         g = graph_cache(p, e, m)
@@ -207,10 +274,8 @@ class TestWalkTrace:
             walk_trace(g, 5)
 
     def test_pure_python_route_agrees(self, graph_cache):
-        from linwenger import spectrum as spectrum_mod
-
         g = graph_cache(2, 1, 1)
-        # force the dict-based accumulation and compare with the sparse route
+        # count the walks in dicts and compare with the gather route
         total = 0
         for v in range(g.n):
             weights = {v: 1}
@@ -222,7 +287,6 @@ class TestWalkTrace:
                 weights = nxt
             total += sum(c * c for c in weights.values())
         assert total == walk_trace(g, 2)
-        assert spectrum_mod is not None
 
 
 class TestComponents:
