@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Survey exact spectra and BFS metrics over a parameter grid.
 
-For every prime power q = p^e and exponent count m that fit the vertex
-budget, build the Frobenius-family graph, enumerate its spectrum, and put
-the BFS ground truth (components, diameter, girth) next to the closed-form
-predictions.  Rows where any available prediction disagrees are marked and
-the script exits nonzero, so it doubles as a quick smoke sweep.
+For every prime power q = p^e and exponent count m within the byte budget
+(graph_bytes), build the Frobenius-family graph, enumerate its spectrum, and
+put the BFS ground truth (components, diameter, girth) next to the
+closed-form predictions.  Rows where any available prediction disagrees are
+marked and the script exits nonzero, so it doubles as a quick smoke sweep.
 
     python3 scripts/spectrum_survey.py --max-q 9 --max-m 3
 """
@@ -25,6 +25,7 @@ from linwenger import (
     spectrum_enumerate,
 )
 from linwenger.fields import is_prime
+from linwenger.graphs import graph_bytes
 
 
 def spectrum_str(report, max_entries=6):
@@ -34,7 +35,7 @@ def spectrum_str(report, max_entries=6):
     return " ".join(parts)
 
 
-def survey(max_q, max_m, max_vertices):
+def survey(max_q, max_m, max_bytes):
     rows = []
     ok = True
     for p in range(2, max_q + 1):
@@ -44,11 +45,11 @@ def survey(max_q, max_m, max_vertices):
         while p**e <= max_q:
             q = p**e
             for m in range(1, max_m + 1):
-                if 2 * q ** (m + 1) > max_vertices:
-                    continue
                 spec = FamilySpec.linearized(p, e, m)
+                if graph_bytes(spec) > max_bytes:
+                    continue
                 t0 = time.perf_counter()
-                graph = Graph(spec, vertex_budget=max_vertices).materialize()
+                graph = Graph(spec, byte_budget=max_bytes).materialize()
                 rep = metrics_report(graph)
                 enum = spectrum_enumerate(spec)
                 closed = closed_form_linearized(p, e, m).to_report(spec)
@@ -80,10 +81,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-q", type=int, default=8, help="largest field size to try")
     ap.add_argument("--max-m", type=int, default=3, help="largest number of maps")
-    ap.add_argument("--max-vertices", type=int, default=100_000)
+    ap.add_argument("--max-bytes", type=int, default=1 << 26, help="graph_bytes limit")
     args = ap.parse_args()
 
-    rows, ok = survey(args.max_q, args.max_m, args.max_vertices)
+    rows, ok = survey(args.max_q, args.max_m, args.max_bytes)
     head = f"{'p':>3} {'e':>2} {'m':>2} {'q':>3} {'|V|':>7} {'comp':>4} {'diam':>4} " \
            f"{'girth':>5} {'closed':>6} {'check':>8} {'sec':>6}  spectrum"
     print(head)

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import Acyclic, BudgetExceeded, ConfigError, NotBipartite, SolveFailed
-from .graphs import DEFAULT_VERTEX_BUDGET, FamilySpec, Graph, export, structure_faults
+from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, export, structure_faults
 from .metrics import metrics_report
 from .spectrum import (
     DEFAULT_EVAL_BUDGET,
@@ -90,7 +90,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_build(args) -> int:
     spec = _spec_from_args(args)
-    graph = Graph(spec, vertex_budget=args.max_vertices)
+    graph = Graph(spec, byte_budget=args.max_bytes)
     summary = f"{spec.family} p={spec.p} e={spec.e} m={spec.m} |V|={graph.n} |E|={graph.n_edges}"
     faults = []
     if args.format != "json":  # the JSON summary needs no adjacency
@@ -145,7 +145,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    graph = Graph(_spec_from_args(args), vertex_budget=args.max_vertices).materialize()
+    graph = Graph(_spec_from_args(args), byte_budget=args.max_bytes).materialize()
     report = metrics_report(graph)
     if args.json:
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
@@ -173,7 +173,7 @@ def cmd_metrics(args) -> int:
 def cmd_verify(args) -> int:
     results = run_acceptance(
         seed=args.seed,
-        max_vertices=args.max_vertices,
+        max_bytes=args.max_bytes,
         max_evals=args.max_evals,
         perturb=args.perturb,
     )
@@ -215,6 +215,13 @@ def _add_common(sub: argparse.ArgumentParser, need_graph: bool) -> None:
                      help="irreducible modulus coefficients, low degree first, e.g. 1,1,1")
 
 
+def _positive(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a budget must be positive, got {value}")
+    return value
+
+
 def _add_output(sub: argparse.ArgumentParser, *options: str) -> None:
     """--out plus the listed options, so each subcommand accepts only what it reads."""
     sub.add_argument("--out", default=None, help="write output to this path")
@@ -222,10 +229,10 @@ def _add_output(sub: argparse.ArgumentParser, *options: str) -> None:
         sub.add_argument("--json", action="store_true", help="machine-readable output")
     if "seed" in options:
         sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    if "max_vertices" in options:
-        sub.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_BUDGET)
+    if "max_bytes" in options:
+        sub.add_argument("--max-bytes", type=_positive, default=DEFAULT_BYTE_BUDGET)
     if "max_evals" in options:
-        sub.add_argument("--max-evals", type=int, default=DEFAULT_EVAL_BUDGET)
+        sub.add_argument("--max-evals", type=_positive, default=DEFAULT_EVAL_BUDGET)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -239,7 +246,7 @@ def make_parser() -> argparse.ArgumentParser:
     b = subs.add_parser("build", help="construct a graph and export it")
     _add_common(b, need_graph=True)
     b.add_argument("--format", choices=("edgelist", "dimacs", "json"), default="edgelist")
-    _add_output(b, "max_vertices")
+    _add_output(b, "max_bytes")
     b.set_defaults(fn=cmd_build)
 
     s = subs.add_parser("spectrum", help="closed-form and/or enumerated spectrum")
@@ -250,13 +257,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     mt = subs.add_parser("metrics", help="BFS components, diameter, girth vs predictions")
     _add_common(mt, need_graph=True)
-    _add_output(mt, "json", "max_vertices")
+    _add_output(mt, "json", "max_bytes")
     mt.set_defaults(fn=cmd_metrics)
 
     v = subs.add_parser("verify", help="run the full acceptance matrix")
     v.add_argument("--perturb", action="store_true",
                    help="inject a single-edge fault to confirm the checks can fail")
-    _add_output(v, "json", "seed", "max_vertices", "max_evals")
+    _add_output(v, "json", "seed", "max_bytes", "max_evals")
     v.set_defaults(fn=cmd_verify)
 
     return parser

@@ -31,7 +31,8 @@ P_LIMIT = 1 << 15  # characteristic stays comfortably inside machine words
 Q_LIMIT = 1 << 24  # enumeration-scale ceiling on the field size
 TABLE_LIMIT = 1 << 16  # fields this small cache every element and use index tables
 # Bytes of one q x q int64 table of Field.index_tables: q = 2048 is the
-# largest within it, well above the q <= 645 that graphs._ARRAY_BYTES allows.
+# largest within it, well above the q <= 487 of any graph that
+# graphs.graph_bytes fits in the default 2 GiB budget.
 _TABLE_BYTES = 1 << 25
 
 

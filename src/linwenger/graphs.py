@@ -23,13 +23,10 @@ from .errors import BudgetExceeded, OutOfRange
 from .fields import GF, Field, FieldElement
 
 FAMILIES = ("linearized", "wenger", "custom")
-DEFAULT_VERTEX_BUDGET = 2_000_000
+DEFAULT_BYTE_BUDGET = 2 << 30  # the graph_bytes(spec) a Graph may reach by default
 # Graph.materialize gathers this many bytes of rows at a time, which bounds
 # each of its temporaries at any n.
 _GATHER_BYTES = 32 << 20
-# The largest (n, q) neighbour array Graph.materialize allocates, whatever
-# the vertex budget: the budgets bound bytes, the resource that runs out.
-_ARRAY_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -204,6 +201,15 @@ def line_through(spec: FamilySpec, P: Point, l1: FieldElement) -> Line:
     return Line(tuple(coords))
 
 
+def graph_bytes(spec: FamilySpec) -> int:
+    """Peak bytes (tracemalloc, pinned by the tests) held for spec's graph:
+    its (n, q) int32 array, the most per vertex that structure_faults,
+    materialize or the BFS sweep adds, index tables and 4 MiB of blocks."""
+    n, q, m = spec.n_vertices, spec.q, spec.m
+    extra = max(5 * q + 16, 4 * (q + m + 1), 2 * (m + 1) + 40)
+    return n * (4 * q + extra) + 32 * q * q + (4 << 20)
+
+
 def _f_table(spec: FamilySpec, dtype=None):
     """(m, q) array whose row k - 2 holds the index of f_k(x) for every
     element x, in index order."""
@@ -228,9 +234,9 @@ class Graph:
     included, reads that array and nothing else.
     """
 
-    def __init__(self, spec: FamilySpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET):
+    def __init__(self, spec: FamilySpec, byte_budget: int = DEFAULT_BYTE_BUDGET):
         self.spec = spec
-        self.vertex_budget = vertex_budget
+        self.byte_budget = byte_budget
         self._nbrs = None
         self._bfs = None  # the metrics' BFS record (metrics._sweep)
 
@@ -266,6 +272,8 @@ class Graph:
         return acc
 
     def _check_id(self, vid: int) -> None:
+        if isinstance(vid, bool):
+            raise TypeError("a vertex id must be an integer, not a bool")
         if not 0 <= operator.index(vid) < self.n:  # TypeError unless an integer
             raise OutOfRange(f"vertex id {vid} outside [0, {self.n})")
 
@@ -305,34 +313,28 @@ class Graph:
         (p_1, l_1) is (own first, x) for a point and (x, own first) for a
         line.  Products and differences are gathered from the field's q x q
         index tables, and the f_k values come from _f_table.  The rows
-        are gathered a block of at most _GATHER_BYTES at a time.
+        are gathered a block at a time, and each block's (rows, q) gathers
+        and (rows, m + 1) coordinate digits stay within _GATHER_BYTES.
 
-        BudgetExceeded, before anything is allocated, when n exceeds the
-        vertex budget or the array would exceed _ARRAY_BYTES."""
+        BudgetExceeded, before anything is allocated, past the byte budget
+        (graph_bytes) or at 2^31 array entries (int32 ids and flat indices)."""
         if self._nbrs is not None:
             return self
-        if self.n > self.vertex_budget:
-            raise BudgetExceeded(
-                f"{self.n} vertices exceed the materialization budget {self.vertex_budget}"
-            )
-        q = self.spec.q
-        if self.n * q * 4 > _ARRAY_BYTES:
-            raise BudgetExceeded(
-                f"the ({self.n}, {q}) int32 neighbour array needs {self.n * q * 4} bytes, "
-                f"over the {_ARRAY_BYTES}-byte array budget"
-            )
+        spec = self.spec
+        q, m, half = spec.q, spec.m, self.half
+        need = graph_bytes(spec)
+        if need > self.byte_budget:
+            raise BudgetExceeded(f"graph needs {need} bytes, over the byte budget {self.byte_budget}")
+        if self.n * q >= 2**31:
+            raise BudgetExceeded(f"the ({self.n}, {q}) array has 2^31 entries or more, past int32")
         import numpy as np
 
-        spec = self.spec
-        m, half = spec.m, self.half
-        # the array budget keeps every id (< n) and index (< q) within int32,
-        # so the gathers and their (block, q) temporaries use it too
         dtype = np.int32
         mul, sub = (t.astype(dtype) for t in spec.field.index_tables())
         f = _f_table(spec, dtype)
         x = np.arange(q, dtype=dtype)
         nbrs = np.empty((self.n, q), dtype=dtype)
-        rows = max(1, _GATHER_BYTES // (q * nbrs.itemsize))
+        rows = max(1, _GATHER_BYTES // (max(q, m + 1) * nbrs.itemsize))
         for start in range(0, half, rows):
             stop = min(start + rows, half)
             own = (  # coordinate indices
@@ -373,9 +375,9 @@ class Graph:
     # -- edge streaming -----------------------------------------------------------
 
     def edges(self):
-        """All edges as (point id, line id) pairs, sorted lexicographically."""
-        for pid in range(self.half):
-            yield from ((pid, lid) for lid in sorted(self.neighbor_ids(pid)))
+        """All edges as (point id, line id) pairs, sorted, from graph.adjacency."""
+        for pid, row in enumerate(self.adjacency[: self.half]):
+            yield from ((pid, lid) for lid in sorted(row.tolist()))
 
     def meta_dict(self) -> dict:
         base = self.spec.to_json_dict()
@@ -435,14 +437,11 @@ def export(graph: Graph, fmt: str, sink) -> None:
 
     edgelist: one "u v" per line with u < v, lexicographically sorted,
     newline-terminated.  dimacs: "p edge N M" header then 1-indexed "e u v"
-    lines.  json: the parameter/size summary as a JSON object.
+    lines.  json: the parameter/size summary as a JSON object, the one format
+    that does not materialize the graph (under its byte budget).
     """
     if fmt not in ("edgelist", "dimacs", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
-    if fmt in ("edgelist", "dimacs") and graph.n > graph.vertex_budget:
-        raise BudgetExceeded(
-            f"{graph.n} vertices exceed the export budget {graph.vertex_budget}"
-        )
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             export(graph, fmt, fh)

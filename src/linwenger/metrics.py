@@ -8,8 +8,9 @@ count.  The sweep certifies, on the array of every graph it runs on, the two
 properties it relies on: the bipartite layout the package builds (points
 [0, n/2), lines [n/2, n), every edge across; NotBipartite otherwise), and
 the shift automorphisms whose orbits it takes one source from (_orbits): 2
-sources on a linearized graph, q + 1 on a Wenger graph, every vertex when
-none is certified.  The witness builders do the opposite: they exploit the
+sources when every f_k is additive (every linearized graph, and a Wenger
+graph with m = 1 or with p = 2 and m = 2), q + 1 on other Wenger graphs,
+every vertex when none is certified.  The witness builders do the opposite: they exploit the
 Frobenius-family structure to produce short paths and cycles in closed
 form, and every witness is re-validated edge by edge before it is returned.
 

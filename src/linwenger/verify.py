@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .fields import GF, fq_rank
-from .graphs import DEFAULT_VERTEX_BUDGET, FamilySpec, Graph, Line, Point, structure_faults
+from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, Line, Point, structure_faults
 from .linearized import rank_distribution
 from .metrics import (
     common_neighbor,
@@ -126,10 +126,10 @@ def _within_budget(build, cases, skips):
 class _Runner:
     """Shared state for one acceptance run: budgets, seed, graph/report caches."""
 
-    def __init__(self, seed=0, max_vertices=DEFAULT_VERTEX_BUDGET,
+    def __init__(self, seed=0, max_bytes=DEFAULT_BYTE_BUDGET,
                  max_evals=DEFAULT_EVAL_BUDGET, perturb=False):
         self.seed = seed
-        self.max_vertices = max_vertices
+        self.max_bytes = max_bytes
         self.max_evals = max_evals
         self.perturb = perturb
         self._graphs: dict[tuple[int, int, int], Graph] = {}
@@ -140,9 +140,9 @@ class _Runner:
         return FamilySpec.linearized(p, e, m)
 
     def graph(self, case) -> Graph:
-        """Materialized graph for a case; BudgetExceeded over the vertex budget."""
+        """Materialized graph for a case; BudgetExceeded over the byte budget."""
         if case not in self._graphs:
-            g = Graph(self.spec(case), vertex_budget=self.max_vertices).materialize()
+            g = Graph(self.spec(case), byte_budget=self.max_bytes).materialize()
             self._graphs[case] = g
         return self._graphs[case]
 
@@ -152,7 +152,7 @@ class _Runner:
         return self._enum_reports[case]
 
     def graphs(self, cases, skips: list[str]):
-        """(case, graph) for each case within the vertex budget; the rest go to skips."""
+        """(case, graph) for each case within the byte budget; the rest go to skips."""
         return _within_budget(self.graph, cases, skips)
 
     def spectra(self, cases, skips: list[str]):
@@ -459,9 +459,9 @@ CHECKS = (
 )
 
 
-def run_acceptance(seed=0, max_vertices=DEFAULT_VERTEX_BUDGET,
+def run_acceptance(seed=0, max_bytes=DEFAULT_BYTE_BUDGET,
                    max_evals=DEFAULT_EVAL_BUDGET, perturb=False) -> list[CheckResult]:
-    run = _Runner(seed=seed, max_vertices=max_vertices, max_evals=max_evals, perturb=perturb)
+    run = _Runner(seed=seed, max_bytes=max_bytes, max_evals=max_evals, perturb=perturb)
     results = []
     for number, name, fn in CHECKS:
         t0 = time.perf_counter()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from linwenger import verify
+from linwenger.graphs import FamilySpec, graph_bytes
 from linwenger.verify import CHECKS, _Runner
 
 _BY_NUMBER = {number: (name, fn) for number, name, fn in CHECKS}
@@ -23,7 +24,7 @@ _BY_NUMBER = {number: (name, fn) for number, name, fn in CHECKS}
 @pytest.fixture(scope="session")
 def runner():
     # one shared runner so expensive graphs are built once across criteria
-    return _Runner(seed=0, max_vertices=2_000_000, max_evals=10**8, perturb=False)
+    return _Runner(seed=0, max_bytes=2 << 30, max_evals=10**8, perturb=False)
 
 
 def run_criterion(number: int, runner: _Runner, deadline: float | None = None) -> None:
@@ -98,7 +99,8 @@ def _swap_girth(pred):
 def test_wrong_predictions_fail(monkeypatch, name, wrong, failing):
     real = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda spec: wrong(real(spec)))
-    run = _Runner(seed=0, max_vertices=300)
+    # graphs up to L_1(11), 242 vertices; the larger three are skipped
+    run = _Runner(seed=0, max_bytes=graph_bytes(FamilySpec.linearized(11, 1, 1)))
     statuses = {n: _BY_NUMBER[n][1](run)[0] for n in (4, 5, 6, 7)}
     assert {n for n, status in statuses.items() if status == "FAIL"} == set(failing)
 

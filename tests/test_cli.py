@@ -17,6 +17,7 @@ from linwenger import cli
 from linwenger.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 from linwenger.errors import Acyclic, NotBipartite, SolveFailed
 from linwenger.fields import Field
+from linwenger.graphs import FamilySpec, graph_bytes
 
 EDGELIST_L1_2 = "0 4\n0 5\n1 4\n1 7\n2 6\n2 7\n3 5\n3 6\n"
 
@@ -44,9 +45,9 @@ class TestBuild:
         assert meta["vertices"] == 32 and meta["regular"] == 4
 
     def test_json_meta_builds_no_adjacency(self, capsys):
-        # 8192 vertices over a budget of 1000: the summary needs no graph
+        # 8192 vertices over a budget of 1000 bytes: the summary needs no graph
         code = main(["build", "--p", "2", "--e", "6", "--m", "1", "--format", "json",
-                     "--max-vertices", "1000"])
+                     "--max-bytes", "1000"])
         out, _ = capsys.readouterr()
         assert code == EXIT_OK
         assert json.loads(out)["vertices"] == 8192
@@ -63,10 +64,14 @@ class TestBuild:
         assert main(["build", "--p", "4", "--m", "1"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
-    def test_vertex_budget(self, capsys):
-        code = main(["build", "--p", "2", "--m", "2", "--max-vertices", "4"])
-        assert code == EXIT_BUDGET
-        assert "error:" in capsys.readouterr().err
+    def test_byte_budget(self, capsys):
+        # exit 3 one byte under graph_bytes, and the graph at exactly it
+        need = graph_bytes(FamilySpec.linearized(2, 1, 2))
+        base = ["build", "--p", "2", "--m", "2", "--max-bytes"]
+        assert main(base + [str(need - 1)]) == EXIT_BUDGET
+        assert f"needs {need} bytes" in capsys.readouterr().err
+        assert main(base + [str(need)]) == EXIT_OK
+        capsys.readouterr()
 
     def test_custom_family_matches_wenger(self, capsys):
         code = main(["build", "--p", "3", "--m", "2", "--family", "custom",
@@ -184,8 +189,8 @@ class TestMetrics:
         assert d["bfs_sources"] == 2 and d["automorphisms"] == 4
 
     def test_array_over_the_byte_budget_exits_at_once(self, monkeypatch, capsys):
-        # L_1(997) has 1,988,018 vertices, within the vertex budget, but its
-        # (n, q) int32 array would take 7.9 GB: refused before any allocation
+        # L_1(997) has 1,988,018 vertices, but its (n, q) int32 array alone
+        # would take 7.9 GB: refused before any allocation
         def refuse(*_args, **_kw):
             raise AssertionError("nothing may be allocated for an over-budget graph")
 
@@ -193,7 +198,7 @@ class TestMetrics:
         monkeypatch.setattr(Field, "index_tables", refuse)
         assert main(["metrics", "--p", "997", "--e", "1", "--m", "1"]) == EXIT_BUDGET
         _, err = capsys.readouterr()
-        assert "7928215784 bytes" in err and "array budget" in err
+        assert "needs 17906296394 bytes" in err and "byte budget 2147483648" in err
 
     def test_wenger_without_predictions(self, capsys):
         code = main(["metrics", "--p", "3", "--m", "1", "--family", "wenger"])
@@ -202,9 +207,13 @@ class TestMetrics:
         assert "(no prediction)" in out
 
 
+# Every verify graph up to L_1(7), 98 vertices; the larger ones are skipped.
+_SMALL_BYTES = str(graph_bytes(FamilySpec.linearized(7, 1, 1)))
+
+
 class TestVerify:
     def test_small_budget_skips(self, capsys):
-        code = main(["verify", "--max-vertices", "100"])
+        code = main(["verify", "--max-bytes", _SMALL_BYTES])
         out, _ = capsys.readouterr()
         assert code == EXIT_OK
         lines = out.strip().splitlines()
@@ -213,13 +222,13 @@ class TestVerify:
         assert any("SKIP" in ln for ln in lines[:-1])
 
     def test_perturbation_is_caught(self, capsys):
-        code = main(["verify", "--perturb", "--max-vertices", "150"])
+        code = main(["verify", "--perturb", "--max-bytes", _SMALL_BYTES])
         out, _ = capsys.readouterr()
         assert code == EXIT_MISMATCH
         assert "FAIL" in out
 
     def test_json_payload(self, capsys):
-        code = main(["verify", "--max-vertices", "100", "--json"])
+        code = main(["verify", "--max-bytes", _SMALL_BYTES, "--json"])
         out, _ = capsys.readouterr()
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -256,7 +265,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["build", "--p", "2", "--m", "1", "--json"],
         ["build", "--p", "2", "--m", "1", "--max-evals", "10"],
-        ["spectrum", "--p", "2", "--m", "1", "--max-vertices", "10"],
+        ["spectrum", "--p", "2", "--m", "1", "--max-bytes", "10"],
         ["metrics", "--p", "2", "--m", "1", "--seed", "1"],
         ["metrics", "--p", "2", "--m", "1", "--max-evals", "10"],
     ])
@@ -265,6 +274,31 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--p", "2", "--m", "1", "--format", "json", "--max-bytes", "-5"],
+        ["build", "--p", "2", "--m", "1", "--max-bytes", "0"],
+        ["metrics", "--p", "2", "--m", "1", "--max-bytes", "0"],
+        ["verify", "--max-bytes", "-1"],
+        ["verify", "--max-evals", "0"],
+        ["spectrum", "--p", "2", "--m", "1", "--max-evals", "-3"],
+    ])
+    def test_non_positive_budget_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "a budget must be positive" in capsys.readouterr().err
+
+    def test_one_graph_size_flag_per_subcommand(self):
+        parser = cli.make_parser()
+        for argv, budgets in (
+            (["build", "--p", "2", "--m", "1"], {"max_bytes"}),
+            (["metrics", "--p", "2", "--m", "1"], {"max_bytes"}),
+            (["verify"], {"max_bytes", "max_evals"}),
+        ):
+            options = vars(parser.parse_args(argv))
+            assert {key for key in options if key.startswith("max_")} == budgets
 
 
 class TestInternalErrors:

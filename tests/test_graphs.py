@@ -1,7 +1,9 @@
 """Graph construction: adjacency, ids, materialization, exports."""
 
+import gc
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from linwenger import (
     walk_trace,
 )
 from linwenger import graphs
-from linwenger.graphs import structure_faults
+from linwenger.graphs import DEFAULT_BYTE_BUDGET, graph_bytes, structure_faults
+from linwenger.metrics import metrics_report
 
 
 def ids(elts):
@@ -205,6 +208,16 @@ class TestGraph:
                     g.neighbor_ids(bad)
             assert g.decode(np.int64(3)) == g.decode(3)
 
+    def test_bool_ids_rejected(self):
+        # a bool is an int to Python, but not a vertex id, as in the batch routes
+        for g in (Graph(FamilySpec.linearized(3, 1, 1)),
+                  Graph(FamilySpec.linearized(3, 1, 1)).materialize()):
+            for bad in (True, False, np.True_):
+                with pytest.raises(TypeError):
+                    g.decode(bad)
+                with pytest.raises(TypeError):
+                    g.neighbor_ids(bad)
+
     def test_neighbor_ids_out_of_range(self):
         # a materialized graph must not wrap -1 around to row n - 1
         lazy = Graph(FamilySpec.linearized(2, 1, 1))
@@ -284,18 +297,77 @@ class TestGraph:
         assert len(set(es)) == g.n_edges
         assert all(u < g.n // 2 <= v for u, v in es)
 
-    def test_budget(self):
-        spec = FamilySpec.linearized(2, 1, 1)  # 8 vertices
-        with pytest.raises(BudgetExceeded):
-            Graph(spec, vertex_budget=4).materialize()
+    def test_budget(self, monkeypatch):
+        spec = FamilySpec.linearized(2, 2, 2)
+        need = graph_bytes(spec)
+        with monkeypatch.context() as patch:
+            def refuse(*_args, **_kw):
+                raise AssertionError("nothing may be allocated for an over-budget graph")
+
+            patch.setattr(np, "empty", refuse)
+            with pytest.raises(BudgetExceeded, match=f"needs {need} bytes"):
+                Graph(spec, byte_budget=need - 1).materialize()
+        assert Graph(spec, byte_budget=need).materialize().adjacency.shape == (128, 4)
 
     def test_array_byte_budget(self, monkeypatch):
-        # L_1(2): an (8, 2) int32 array of 64 bytes
-        monkeypatch.setattr(graphs, "_ARRAY_BYTES", 63)
-        with pytest.raises(BudgetExceeded, match="64 bytes"):
-            Graph(FamilySpec.linearized(2, 1, 1)).materialize()
-        monkeypatch.setattr(graphs, "_ARRAY_BYTES", 64)
-        assert Graph(FamilySpec.linearized(2, 1, 1)).materialize().adjacency.nbytes == 64
+        # arithmetic only: L_4(16) and L_3(32), 2,097,152 vertices each, fit
+        # the default; L_3(64) (an 8.6 GB array) does not
+        assert graph_bytes(FamilySpec.linearized(2, 4, 4)) <= DEFAULT_BYTE_BUDGET
+        assert graph_bytes(FamilySpec.linearized(2, 5, 3)) <= DEFAULT_BYTE_BUDGET
+        assert DEFAULT_BYTE_BUDGET < graph_bytes(FamilySpec.linearized(2, 6, 3))
+        # past any budget, 2^31 entries would overflow the int32 ids
+        monkeypatch.setattr(np, "empty", None)  # any allocation fails the test
+        with pytest.raises(BudgetExceeded, match="2\\^31 entries"):
+            Graph(FamilySpec.linearized(2, 6, 3), byte_budget=1 << 40).materialize()
+
+    # Every family, q = 2 with many digits up to q = 16 with few.  Each peak
+    # is tracemalloc's, with the graph's own array counted.
+    PEAK_SPECS = (
+        FamilySpec.linearized(2, 1, 14),
+        FamilySpec.linearized(3, 1, 9),
+        FamilySpec.linearized(7, 1, 4),
+        FamilySpec.linearized(2, 3, 3),
+        FamilySpec.linearized(2, 4, 2),
+        FamilySpec.wenger(5, 1, 3),
+        FamilySpec.custom(5, 1, 3, f_indices=((1, 2, 1), (0, 0, 1), (3, 0, 0, 1))),
+    )
+
+    @pytest.mark.parametrize("spec", PEAK_SPECS, ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}")
+    def test_graph_bytes_bounds_the_peak(self, spec):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = Graph(spec, byte_budget=graph_bytes(spec)).materialize()
+            peaks = {"materialize": tracemalloc.get_traced_memory()[1]}
+            for name, step in (
+                ("structure_faults", lambda: structure_faults(spec, graph.adjacency)),
+                ("metrics_report", lambda: metrics_report(graph)),
+            ):
+                tracemalloc.reset_peak()
+                step()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = graph_bytes(spec)
+        assert max(peaks.values()) <= need, (peaks, need)
+        if spec.n_vertices > 30_000:  # past the fixed 4 MiB, the count stays close
+            assert max(peaks.values()) > need // 2, (peaks, need)
+
+    def test_materialize_temporaries_stay_within_gather_bytes(self, monkeypatch):
+        # q = 2 and m = 13: the 14 coordinate digits of a block outweigh its
+        # (rows, 2) gathers, so the block must be sized by m + 1 as well
+        spec = FamilySpec.linearized(2, 1, 13)
+        spec.field.index_tables()
+        monkeypatch.setattr(graphs, "_GATHER_BYTES", 64 << 10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = Graph(spec).materialize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the digits, their quotient or two gathers, and small tables
+        assert peak - graph.adjacency.nbytes <= 4 * graphs._GATHER_BYTES
 
     def test_lazy_graph_leaves_theta_unevaluated(self):
         # theta_injective sweeps the field; only meta_dict and the spectrum need it
@@ -358,6 +430,12 @@ class TestExport:
             export(g, "gml", io.StringIO())
 
     def test_export_budget(self):
-        g = Graph(FamilySpec.linearized(2, 1, 2), vertex_budget=4)
-        with pytest.raises(BudgetExceeded):
-            export(g, "edgelist", io.StringIO())
+        # the edge formats stream graph.adjacency, so materialize's check
+        # refuses them; the JSON summary builds no array
+        spec = FamilySpec.linearized(2, 1, 2)
+        g = Graph(spec, byte_budget=graph_bytes(spec) - 1)
+        for fmt in ("edgelist", "dimacs"):
+            with pytest.raises(BudgetExceeded):
+                export(g, fmt, io.StringIO())
+        export(g, "json", io.StringIO())
+        assert not g.materialized

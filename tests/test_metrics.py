@@ -349,6 +349,9 @@ def test_rewired_edge_pair_certifies_no_automorphism(
         (FamilySpec.linearized(7, 1, 3), 2),
         (FamilySpec.linearized(3, 1, 2), 2),
         (FamilySpec.wenger(3, 1, 2), 4),  # q + 1: A(a) fails, f_3 = x^2 is not additive
+        (FamilySpec.wenger(3, 1, 1), 2),  # f_2 = x is additive, so A(a) holds
+        (FamilySpec.wenger(2, 2, 2), 2),  # f_3 = x^2 is additive in characteristic 2
+        (FamilySpec.wenger(2, 2, 3), 5),  # q + 1: f_4 = x^3 is not additive
     ],
     ids=lambda x: f"{x.family}-{x.p}-{x.e}-{x.m}" if isinstance(x, FamilySpec) else str(x),
 )
