@@ -24,12 +24,17 @@ from linwenger import (
     walk_trace,
 )
 from linwenger import graphs
+from linwenger import metrics as metrics_mod
 from linwenger.graphs import DEFAULT_BYTE_BUDGET, graph_bytes, structure_faults
 from linwenger.metrics import metrics_report
 
 
 def ids(elts):
     return tuple(x.index for x in elts)
+
+
+def _refuse(*_args, **_kw):
+    raise AssertionError("nothing may be allocated for an over-budget graph")
 
 
 class TestFamilySpec:
@@ -300,13 +305,10 @@ class TestGraph:
     def test_budget(self, monkeypatch):
         spec = FamilySpec.linearized(2, 2, 2)
         need = graph_bytes(spec)
-        with monkeypatch.context() as patch:
-            def refuse(*_args, **_kw):
-                raise AssertionError("nothing may be allocated for an over-budget graph")
-
-            patch.setattr(np, "empty", refuse)
-            with pytest.raises(BudgetExceeded, match=f"needs {need} bytes"):
-                Graph(spec, byte_budget=need - 1).materialize()
+        monkeypatch.setattr(np, "empty", _refuse)
+        with pytest.raises(BudgetExceeded, match=f"needs {need} bytes"):
+            Graph(spec, byte_budget=need - 1).materialize()
+        monkeypatch.undo()
         assert Graph(spec, byte_budget=need).materialize().adjacency.shape == (128, 4)
 
     def test_array_byte_budget(self, monkeypatch):
@@ -316,7 +318,7 @@ class TestGraph:
         assert graph_bytes(FamilySpec.linearized(2, 5, 3)) <= DEFAULT_BYTE_BUDGET
         assert DEFAULT_BYTE_BUDGET < graph_bytes(FamilySpec.linearized(2, 6, 3))
         # past any budget, 2^31 entries would overflow the int32 ids
-        monkeypatch.setattr(np, "empty", None)  # any allocation fails the test
+        monkeypatch.setattr(np, "empty", _refuse)
         with pytest.raises(BudgetExceeded, match="2\\^31 entries"):
             Graph(FamilySpec.linearized(2, 6, 3), byte_budget=1 << 40).materialize()
 
@@ -350,8 +352,29 @@ class TestGraph:
             tracemalloc.stop()
         need = graph_bytes(spec)
         assert max(peaks.values()) <= need, (peaks, need)
+        # neither makes the sweep's certificate blocks, which most of the
+        # fixed 4 MiB is for: their per-vertex terms alone bound them
+        for name in ("materialize", "structure_faults"):
+            assert peaks[name] <= need - (4 << 20) + (128 << 10), (name, peaks, need)
         if spec.n_vertices > 30_000:  # past the fixed 4 MiB, the count stays close
             assert max(peaks.values()) > need // 2, (peaks, need)
+
+    def test_sweep_bytes_per_vertex(self, monkeypatch):
+        # with the certificate blocks shrunk, the sweep's per-vertex term,
+        # 2(m + 1) + 40, bounds metrics_report on a graph where it dominates
+        spec = FamilySpec.linearized(3, 1, 9)
+        graph = Graph(spec).materialize()
+        monkeypatch.setattr(metrics_mod, "_CERTIFY_BYTES", 16 << 10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            metrics_report(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, q, m = spec.n_vertices, spec.q, spec.m
+        assert 2 * (m + 1) + 40 > max(5 * q + 16, 4 * (q + m + 1))
+        assert peak <= graph_bytes(spec) - (4 << 20) - 4 * n * q + (128 << 10)
 
     def test_materialize_temporaries_stay_within_gather_bytes(self, monkeypatch):
         # q = 2 and m = 13: the 14 coordinate digits of a block outweigh its
