@@ -6,8 +6,11 @@ most TABLE_LIMIT elements do their arithmetic by lookups in log/antilog and
 Zech tables over canonical indices, built on first use; larger fields
 compute on coordinate vectors with the F_p polynomial helpers modulo the
 modulus, and that coefficient arithmetic is the oracle the tables are tested
-against.  Linear algebra is one Gaussian elimination over GF(p^e), with F_p
-entry points that run it over GF(p).  Everything here is integer-exact;
+against.  Field.ops() gives the same arithmetic on bare canonical indices
+(IndexOps: add, sub, mul, inv, frob) for the per-pair hot paths, in O(q)
+memory.  Linear algebra is one Gaussian elimination over GF(p^e), on element
+indices with those operations, with F_p entry points that run it over GF(p).
+Everything here is integer-exact;
 fields and elements are immutable and safe to share between threads once
 constructed.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -252,9 +256,11 @@ CONWAY_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
     """The Conway polynomial when tabulated, else the lexicographically
-    smallest monic irreducible of degree e (coefficients low-degree-first)."""
+    smallest monic irreducible of degree e (coefficients low-degree-first),
+    searched once per (p, e): GF() looks it up on every call."""
     hit = CONWAY_TABLE.get((p, e))
     if hit is not None:
         return hit
@@ -478,7 +484,7 @@ class Field:
     Fields with q <= TABLE_LIMIT build index tables (_Tables) on first use.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "basis", "zero", "one", "_tab")
+    __slots__ = ("p", "e", "q", "modulus", "basis", "zero", "one", "_tab", "_ops")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         _check_field_params(p, e)
@@ -496,7 +502,7 @@ class Field:
         self.e = e
         self.q = p**e
         self.modulus = tuple(modulus)
-        self._tab = None
+        self._tab = self._ops = None
         self.zero = FieldElement(self, (0,) * e)
         self.one = FieldElement(self, (1,) + (0,) * (e - 1))
         self.basis = tuple(
@@ -543,6 +549,13 @@ class Field:
             return None
         self._tab = _Tables(self)
         return self._tab
+
+    def ops(self) -> "IndexOps":
+        """The field's scalar operations on canonical indices, built on first
+        use."""
+        if self._ops is None:
+            self._ops = IndexOps(self)
+        return self._ops
 
     def index_tables(self):
         """(mul, sub): q x q numpy arrays of canonical indices, mul[a, b] the
@@ -642,6 +655,69 @@ class _Tables:
         self.frob = tuple(pow(p, k, order) for k in range(e))
 
 
+class IndexOps:
+    """Scalar arithmetic of one field on canonical element indices, for the
+    per-pair routes that would otherwise make a FieldElement per step:
+    add(a, b), sub(a, b), mul(a, b), inv(a) and frob(a, k) = a^(p^k), each
+    taking and returning ints in [0, q).
+
+    With q <= TABLE_LIMIT they read the field's log, antilog and Zech lists,
+    the same O(q) lists FieldElement's operators read (see there); above it
+    they run the coefficient arithmetic of FieldElement.  In characteristic
+    2 an index is the coordinate vector as a bit mask, so add and sub are
+    XOR in any field."""
+
+    __slots__ = ("add", "sub", "mul", "inv", "frob")
+
+    def __init__(self, F: Field):
+        T = F._tab or F._tables()
+        if T is None:
+            elt = F._elt_at
+            self.add = lambda a, b: (elt(a) + elt(b)).index
+            self.sub = lambda a, b: (elt(a) - elt(b)).index
+            self.mul = lambda a, b: (elt(a) * elt(b)).index
+            self.inv = lambda a: elt(a).inverse().index
+            self.frob = lambda a, k: elt(a).frob(k).index
+        else:
+            self._tabled(F, T)
+        if F.p == 2:
+            self.add = self.sub = operator.xor
+
+    def _tabled(self, F: Field, T: _Tables) -> None:
+        exp = [x.index for x in T.exp]  # two periods, as T.exp
+        log, zech, neg, order, frob, e = T.log, T.zech, T.neg, T.order, T.frob, F.e
+
+        def add(a, b):
+            if not (a and b):
+                return a or b
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else exp[la + z]
+
+        def sub(a, b):
+            if not b:
+                return a
+            lb = log[b] + neg
+            if not a:
+                return exp[lb]
+            la = log[a]
+            z = zech[lb - la]
+            return 0 if z is None else exp[la + z]
+
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("division by zero in " + repr(F))
+            return exp[order - log[a]]
+
+        def frob_k(a, k):
+            return exp[log[a] * frob[k % e] % order] if a else 0
+
+        self.add, self.sub, self.mul, self.inv, self.frob = add, sub, mul, inv, frob_k
+
+
 @functools.lru_cache(maxsize=None)
 def _cached_field(p: int, e: int, modulus: tuple[int, ...]) -> Field:
     return Field(p, e, modulus)
@@ -690,16 +766,10 @@ class FpMatrix:
         return len(self.rows[0])
 
 
-def _over_gf(M: FpMatrix) -> tuple[Field, list[list[FieldElement]]]:
-    """GF(p) and the rows of M as its elements; an element's index is its value."""
-    F = GF(M.p)
-    return F, [[F.from_index(c) for c in r] for r in M.rows]
-
-
 def fp_rank_kernel(M: FpMatrix) -> tuple[int, list[tuple[int, ...]]]:
     """Rank and a deterministic kernel basis of the linear map v -> M v."""
-    _, rows = _over_gf(M)
-    pivots = _fq_rref(rows, M.n_cols)
+    rows = [list(r) for r in M.rows]  # an entry of [0, p) is its own GF(p) index
+    pivots = _fq_rref(GF(M.p).ops(), rows, M.n_cols)
     kernel = []
     for free in range(M.n_cols):
         if free in pivots:
@@ -707,7 +777,7 @@ def fp_rank_kernel(M: FpMatrix) -> tuple[int, list[tuple[int, ...]]]:
         v = [0] * M.n_cols
         v[free] = 1
         for row, pc in zip(rows, pivots):
-            v[pc] = -row[free].index % M.p
+            v[pc] = -row[free] % M.p
         kernel.append(tuple(v))
     return len(pivots), kernel
 
@@ -719,18 +789,20 @@ def fp_solve(M: FpMatrix, b) -> tuple[int, ...] | None:
     """
     if len(b) != M.n_rows:
         raise ValueError("right-hand side length mismatch")
-    F, rows = _over_gf(M)
-    x = fq_solve(F, rows, [F.from_int(int(v)) for v in b])
-    return None if x is None else tuple(v.index for v in x)
+    x = _solve(GF(M.p).ops(), M.rows, [int(v) % M.p for v in b])
+    return None if x is None else tuple(x)
 
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian elimination over an arbitrary GF(p^e) (used for Moore-type
-# systems, for function-rank computations and, over GF(p), for F_p matrices).
+# systems, for function-rank computations and, over GF(p), for F_p matrices),
+# on canonical element indices with the field's IndexOps.
 
-def _fq_rref(rows: list[list[FieldElement]], nc: int) -> list[int]:
-    """In-place reduced row echelon form on the first nc columns; row
-    operations span whole rows.  Returns the pivot column list."""
+def _fq_rref(ops: IndexOps, rows: list[list[int]], nc: int) -> list[int]:
+    """In-place reduced row echelon form, on the first nc columns, of rows of
+    element indices; row operations span whole rows.  Returns the pivot
+    column list."""
+    mul, sub = ops.mul, ops.sub
     nr = len(rows)
     pivots = []
     r = 0
@@ -739,12 +811,12 @@ def _fq_rref(rows: list[list[FieldElement]], nc: int) -> list[int]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
+        inv = ops.inv(rows[r][c])
+        rows[r] = [mul(v, inv) for v in rows[r]]
         for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [sub(vi, mul(f, vr)) for vi, vr in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -752,21 +824,27 @@ def _fq_rref(rows: list[list[FieldElement]], nc: int) -> list[int]:
     return pivots
 
 
-def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
-    """One solution of A x = rhs over the field, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+def _solve(ops: IndexOps, rows, rhs) -> list[int] | None:
+    """One solution of A x = rhs on element indices, free variables zero, or
+    None if inconsistent."""
+    aug = [[*r, b] for r, b in zip(rows, rhs)]
     nc = len(rows[0]) if aug else 0
-    pivots = _fq_rref(aug, nc)
-    for row in aug[len(pivots):]:
-        if row[nc]:
-            return None
-    x = [field.zero] * nc
+    pivots = _fq_rref(ops, aug, nc)
+    if any(row[nc] for row in aug[len(pivots):]):
+        return None
+    x = [0] * nc
     for ri, pc in enumerate(pivots):
         x[pc] = aug[ri][nc]
     return x
 
 
+def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
+    """One solution of A x = rhs over the field, or None if inconsistent."""
+    x = _solve(field.ops(), [[v.index for v in r] for r in rows], [v.index for v in rhs])
+    return None if x is None else [field.from_index(i) for i in x]
+
+
 def fq_rank(field: Field, rows) -> int:
     """Rank of a matrix with entries in the field."""
-    work = [list(r) for r in rows]
-    return len(_fq_rref(work, len(work[0]) if work else 0))
+    work = [[v.index for v in r] for r in rows]
+    return len(_fq_rref(field.ops(), work, len(work[0]) if work else 0))

@@ -16,20 +16,21 @@ form, and every witness is re-validated edge by edge before it is returned.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
-into a walk.  diameter_witness steps on Point and Line objects, one pair at a
-time, so it serves lazy graphs of any q, including q > 2^16 where no index
-tables exist.  path_witnesses takes whole arrays of vertex-id pairs on a
-materialized graph, steps by gathers from graph.adjacency, and checks every
-step against it.
+into a walk.  diameter_witness takes one pair of Point and Line objects and
+steps on their coordinates as element indices with the field's IndexOps
+(O(q) log lists up to TABLE_LIMIT, coefficient arithmetic above it), so it
+serves lazy graphs of any q.  path_witnesses takes whole arrays of vertex-id
+pairs on a materialized graph, steps by gathers from graph.adjacency, and
+checks every step against it.
 
 Common neighbours have two routes with one rule: two distinct points share a
 line exactly when their difference is (u, l u, l f_3(u), ..., l f_(m+1)(u))
 with u nonzero, and the line is then forced.  common_neighbor solves one pair
-of Point objects, so it serves lazy graphs of any q.  common_neighbors takes
-whole arrays of point-id pairs on a materialized graph, runs the rule as
-gathers from the field's index tables, and checks every line it returns
-against graph.adjacency.  On one pair the batch is slower, so neither route
-is built on the other.
+of Point objects on indices with IndexOps, so it serves lazy graphs of any
+q.  common_neighbors takes whole arrays of point-id pairs on a materialized
+graph, runs the rule as gathers from the field's q x q index tables, and
+checks every line it returns against graph.adjacency.  On one pair the batch
+is slower, so neither route is built on the other.
 """
 
 from __future__ import annotations
@@ -337,7 +338,9 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
 
     Two distinct points share a neighbor exactly when their difference has
     the shape (u, l u, l u^p, ..., l u^(p^(m-1))) with u nonzero; the line is
-    then forced: l_1 = l and l_k = l_1 p_1^(p^(k-2)) - p_k."""
+    then forced: l_1 = l and l_k = l_1 p_1^(p^(k-2)) - p_k.  The rule and the
+    check of both incidences of the line run on element indices with the
+    field's IndexOps, which need no index tables above TABLE_LIMIT."""
     spec = graph.spec
     if spec.family != "linearized":
         raise UnsupportedRegime("common-neighbor solving needs the Frobenius family")
@@ -345,19 +348,22 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
         raise TypeError("common_neighbor takes two Points")
     _check_vertex(spec, P)
     _check_vertex(spec, P2)
-    if P == P2:
+    a, b = _indices(P), _indices(P2)
+    if a == b:
         raise SamePoint("common_neighbor needs two distinct points")
-    u = P.coords[0] - P2.coords[0]
+    ops = spec.field.ops()
+    mul, sub, frob = ops.mul, ops.sub, ops.frob
+    u = sub(a[0], b[0])
     if not u:
         return None
-    l = (P.coords[1] - P2.coords[1]) / u
-    for k in range(2, spec.m + 2):
-        if P.coords[k - 1] - P2.coords[k - 1] != l * u.frob(k - 2):
+    l = mul(sub(a[1], b[1]), ops.inv(u))
+    for j in range(2, spec.m + 1):
+        if sub(a[j], b[j]) != mul(l, frob(u, j - 1)):
             return None
-    line = line_through(spec, P, l)
-    if not (adjacent(spec, P, line) and adjacent(spec, P2, line)):
+    line = _neighbour(ops, a, l, True)
+    if not (_incident(ops, a, line) and _incident(ops, b, line)):
         raise SolveFailed("constructed line fails adjacency; internal error")
-    return line
+    return _vertex(spec.field, line, False)
 
 
 def _id_pairs(graph: Graph, first, second, route: str):
@@ -459,30 +465,56 @@ class PathWitness:
         return len(self.vertices) - 1
 
 
-def _validated_walk(spec, verts, start, end) -> PathWitness:
-    if verts[0] != start or verts[-1] != end:
-        raise SolveFailed("walk endpoints do not match the request")
-    for a, b in zip(verts, verts[1:]):
-        if isinstance(a, Point) == isinstance(b, Point):
-            raise SolveFailed("walk sides fail to alternate")
-        pt, ln = (a, b) if isinstance(a, Point) else (b, a)
-        if not adjacent(spec, pt, ln):
-            raise SolveFailed("walk contains a non-edge")
-    return PathWitness(tuple(verts))
+# The per-pair routes (diameter_witness, common_neighbor) work on vertices as
+# tuples of canonical element indices with the field's IndexOps, and make
+# Point and Line objects only for what they return.
+
+def _indices(v) -> tuple[int, ...]:
+    return tuple([c.index for c in v.coords])  # from a list: no tuple resize
 
 
-def _moore_solve(spec: FamilySpec, rhs) -> list[FieldElement]:
-    """Solve B x = rhs for the Moore matrix B[k][i] = f_k(t^i),
-    2 <= k <= m+1, 0 <= i < m.
+def _vertex(F, coords, point: bool):
+    """The Point or Line with these index coordinates, of cached elements."""
+    return (Point if point else Line)(tuple([F.from_index(c) for c in coords]))
+
+
+def _neighbour(ops, own, x: int, point: bool) -> tuple[int, ...]:
+    """The neighbour whose first coordinate is x of the vertex with index
+    coordinates own, a point if point.  Its coordinate k is
+    f_k(p_1) l_1 - own_k, where (p_1, l_1) is (own_1, x) for a point and
+    (x, own_1) for a line, and f_k is the Frobenius power k - 2."""
+    mul, sub, frob = ops.mul, ops.sub, ops.frob
+    p1, l1 = (own[0], x) if point else (x, own[0])
+    return (x, *[sub(mul(frob(p1, k - 1), l1), own[k]) for k in range(1, len(own))])
+
+
+def _incident(ops, P, L) -> bool:
+    """l_k + p_k = f_k(p_1) l_1 for every k, on index coordinates."""
+    add, mul, frob = ops.add, ops.mul, ops.frob
+    p1, l1 = P[0], L[0]
+    for k in range(1, len(P)):
+        if add(L[k], P[k]) != mul(frob(p1, k - 1), l1):
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=64)
+def _moore_matrix(spec: FamilySpec) -> list[list[FieldElement]]:
+    """The Moore matrix B[k][i] = f_k(t^i), 2 <= k <= m+1, 0 <= i < m."""
+    F = spec.field
+    return [[spec.f_eval(k, F.basis[i]) for i in range(spec.m)] for k in range(2, spec.m + 2)]
+
+
+def _moore_solve(spec: FamilySpec, rhs) -> list[int]:
+    """Solve B x = rhs for the Moore matrix B, on element indices.
 
     Every witness system reduces to B, because the Frobenius maps f_k are
     additive; the basis powers t^i are F_p-independent, so B is invertible."""
     F = spec.field
-    B = [[spec.f_eval(k, F.basis[i]) for i in range(spec.m)] for k in range(2, spec.m + 2)]
-    x = fq_solve(F, B, rhs)
+    x = fq_solve(F, _moore_matrix(spec), [F.from_index(r) for r in rhs])
     if x is None:
         raise SolveFailed("Moore system unsolvable; basis powers not independent?")
-    return x
+    return [v.index for v in x]
 
 
 def _compress_backtracks(walk):
@@ -503,47 +535,61 @@ def _require_witness_regime(spec: FamilySpec) -> None:
         raise UnsupportedRegime(f"witness anchors need m <= e; m={spec.m}, e={spec.e}")
 
 
-def _through(spec: FamilySpec, v, x: FieldElement):
-    """The neighbour of v whose first coordinate is x."""
-    return line_through(spec, v, x) if isinstance(v, Point) else point_through(spec, v, x)
-
-
 def diameter_witness(graph: Graph, a, b) -> PathWitness:
     """A walk from a to b of length at most 2(m+1), built in closed form
     (see the construction above) and validated edge by edge.
 
     Works for the Frobenius family with m <= e, on Point and Line objects,
-    so it needs no neighbour array and no index tables."""
+    so it needs no neighbour array.  Coordinates are element indices and
+    every step, f_k(x) being a Frobenius power, runs on the field's
+    IndexOps, which need no index tables above TABLE_LIMIT; the Moore
+    matrix is built once per spec and solved once per walk (fq_solve).
+    Before the walk is returned its ends must be a and b, and each edge must
+    satisfy l_k + p_k = f_k(p_1) l_1 on indices; any miss raises
+    SolveFailed."""
     spec = graph.spec
     _require_witness_regime(spec)
     _check_vertex(spec, a)
     _check_vertex(spec, b)
-    if a == b:
-        return _validated_walk(spec, [a], a, b)
     F, m = spec.field, spec.m
-    basis = list(F.basis[:m])
-    start, end, x1 = a, b, F.zero
-    mixed = isinstance(a, Point) != isinstance(b, Point)
-    if mixed:
-        pt, end = (a, b) if isinstance(a, Point) else (b, a)
-        start, x1 = line_through(spec, pt, F.zero), pt.coords[0]
-    d = [y - x for x, y in zip(start.coords, end.coords)]
-    if isinstance(start, Point):  # point kind
-        xs = _moore_solve(spec, d[1:]) + [F.zero]
-        ys = basis + [d[0] - sum(basis, F.zero)]
-    else:  # line kind
-        tail = _moore_solve(spec, [d[k - 1] - spec.f_eval(k, x1) * d[0] for k in range(2, m + 2)])
-        xs = [x1] + [x1 + t for t in basis]
-        ys = [d[0] - sum(tail, F.zero)] + tail
-    walk, cur = [start], start
-    for x, y in zip(xs, ys):
-        mid = _through(spec, cur, x)
-        cur = _through(spec, mid, cur.coords[0] + y)
-        walk += [mid, cur]
-    walk = _compress_backtracks(walk[1:] if mixed else walk)
-    if isinstance(a, Line) and isinstance(b, Point):
-        walk.reverse()
-    return _validated_walk(spec, walk, a, b)
+    ops = F.ops()
+    add, sub, mul, frob = ops.add, ops.sub, ops.mul, ops.frob
+    a_point, b_point = isinstance(a, Point), isinstance(b, Point)
+    ai, bi = _indices(a), _indices(b)
+    if a_point == b_point and ai == bi:
+        walk = [ai]
+    else:
+        basis = [F.p**i for i in range(m)]  # the index of t^i
+        start, end, x1, on_point = ai, bi, 0, a_point
+        mixed = a_point != b_point
+        if mixed:
+            pt, end = (ai, bi) if a_point else (bi, ai)
+            start, x1, on_point = _neighbour(ops, pt, 0, True), pt[0], False
+        d = [sub(y, x) for x, y in zip(start, end)]
+        if on_point:  # point kind
+            xs = _moore_solve(spec, d[1:]) + [0]
+            ys = basis + [sub(d[0], functools.reduce(add, basis))]
+        else:  # line kind
+            rhs = [sub(d[k], mul(frob(x1, k - 1), d[0])) for k in range(1, m + 1)]
+            tail = _moore_solve(spec, rhs)
+            xs = [x1] + [add(x1, t) for t in basis]
+            ys = [sub(d[0], functools.reduce(add, tail))] + tail
+        walk, cur = [start], start
+        for x, y in zip(xs, ys):
+            mid = _neighbour(ops, cur, x, on_point)
+            cur = _neighbour(ops, mid, add(cur[0], y), not on_point)
+            walk += [mid, cur]
+        walk = _compress_backtracks(walk[1:] if mixed else walk)
+        if not a_point and b_point:
+            walk.reverse()
+    # sides alternate from a's: vertex i is a point when i is even and a is one
+    if walk[0] != ai or walk[-1] != bi or len(walk) % 2 != (a_point == b_point):
+        raise SolveFailed("walk endpoints do not match the request")
+    for i in range(len(walk) - 1):
+        u, v = walk[i], walk[i + 1]
+        if not (_incident(ops, u, v) if a_point == (i % 2 == 0) else _incident(ops, v, u)):
+            raise SolveFailed("walk contains a non-edge")
+    return PathWitness(tuple([_vertex(F, v, a_point == (i % 2 == 0)) for i, v in enumerate(walk)]))
 
 
 def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
@@ -573,9 +619,8 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     mul, sub = F.index_tables()
     neg = sub[0]
     f = _f_table(spec)
-    units = [[F.one if i == j else F.zero for i in range(m)] for j in range(m)]
-    cols = [_moore_solve(spec, u) for u in units]
-    inv = np.array([[cols[j][i].index for j in range(m)] for i in range(m)])
+    cols = [_moore_solve(spec, [int(i == j) for i in range(m)]) for j in range(m)]
+    inv = np.array(cols).T
     basis = [b.index for b in F.basis[:m]]
     basis_sum = sum(F.basis[:m], F.zero).index
     powers = q ** np.arange(m + 1)

@@ -1,6 +1,7 @@
 """Field construction, arithmetic, Frobenius and traces."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from linwenger.fields import (
     default_modulus,
     fp_rank_kernel,
     fp_solve,
+    fq_rank,
+    fq_solve,
     is_irreducible,
     is_prime,
 )
@@ -308,6 +311,71 @@ class TestIndexTables:
         assert counted(lambda: x**0) == (F.one, 0)
 
 
+def _coeff_frob(F, coeffs, k):
+    """x^(p^k) as k p-th powers, each by repeated coefficient multiplication."""
+    for _ in range(k % F.e):
+        coeffs = _coeff_pow(F, coeffs, F.p)
+    return coeffs
+
+
+# Beyond TABLE_FIELDS: log tables but q x q index tables over their byte cap
+# (q = 4096 and 2187), then no tables at all (q = 2^17 and 3^11).
+CAPPED_FIELDS = [(2, 12), (3, 7)]
+UNTABLED_FIELDS = [(2, 17), (3, 11)]
+
+
+class TestIndexOps:
+    """Field.ops(), the scalar operations on canonical indices, against the
+    coefficient routines, with no FieldElement operator in the oracle."""
+
+    @staticmethod
+    def agree(F, a, b, ks):
+        ops, p = F.ops(), F.p
+        x, y = F._elt_at(a).coeffs, F._elt_at(b).coeffs
+
+        def index(coeffs):
+            return F.from_coeffs(coeffs).index
+
+        assert ops.add(a, b) == index([(u + v) % p for u, v in zip(x, y)])
+        assert ops.sub(a, b) == index([(u - v) % p for u, v in zip(x, y)])
+        assert ops.mul(a, b) == index(F._mul(x, y))
+        if a:
+            assert ops.inv(a) == index(_pinvmod(list(x), list(F.modulus), p))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ops.inv(a)
+        for k in ks:
+            assert ops.frob(a, k) == index(_coeff_frob(F, x, k))
+
+    @pytest.mark.parametrize("p,e,modulus", TABLE_FIELDS)
+    def test_every_pair_of_table_fields(self, p, e, modulus):
+        F = GF(p, e, modulus)
+        for a, b in itertools.product(range(F.q), repeat=2):
+            self.agree(F, a, b, range(-e, 2 * e + 1) if b == 0 else ())
+
+    @pytest.mark.parametrize("p,e", CAPPED_FIELDS + UNTABLED_FIELDS)
+    def test_sampled_pairs_of_large_fields(self, p, e):
+        F = GF(p, e)
+        if (p, e) in CAPPED_FIELDS:
+            assert F._tables() is not None
+            with pytest.raises(BudgetExceeded):
+                F.index_tables()
+        else:
+            assert F._tables() is None
+        rng = random.Random(f"ops:{p}:{e}")
+        picks = [0, 1, p - 1, p, F.q - 1] + [rng.randrange(F.q) for _ in range(40)]
+        for a in picks:
+            for b in rng.sample(picks, 6):
+                self.agree(F, a, b, ())
+            self.agree(F, a, a, (-1, 1, 2, e - 1, e + 1))
+
+    def test_built_on_first_use_and_shared(self):
+        F = Field(7)
+        assert F._ops is None and F._tab is None
+        assert F.ops() is F.ops()
+        assert F.ops().frob(5, 1) == 5  # the Frobenius fixes the prime field
+
+
 class TestConwayTable:
     def test_frozen_spot_values(self):
         assert CONWAY_TABLE[(2, 2)] == (1, 1, 1)
@@ -393,3 +461,42 @@ class TestFpLinearAlgebra:
     def test_entries_normalized(self):
         M = FpMatrix(3, ((-1, 4), (7, -6)))
         assert M.rows == ((2, 1), (1, 0))
+
+
+@st.composite
+def _fq_systems(draw):
+    """A field among GF(4), GF(27) and GF(2^17), a matrix A of at most 4 x 4
+    over it with many small entries (so that ranks vary), and x0."""
+    F = GF(*draw(st.sampled_from([(2, 2), (3, 3), (2, 17)])))
+    entry = st.one_of(st.sampled_from([0, 0, 1, F.p - 1]), st.integers(0, F.q - 1))
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[F.from_index(draw(entry)) for _ in range(n_cols)] for _ in range(n_rows)]
+    x0 = [F.from_index(draw(entry)) for _ in range(n_cols)]
+    return F, rows, x0
+
+
+def _times(F, rows, x):
+    """A x with FieldElement arithmetic."""
+    return [sum((a * v for a, v in zip(row, x)), F.zero) for row in rows]
+
+
+class TestFqLinearAlgebra:
+    @settings(max_examples=150, deadline=None)
+    @given(_fq_systems(), st.data())
+    def test_solve_and_rank(self, system, data):
+        F, rows, x0 = system
+        b = _times(F, rows, x0)
+        x = fq_solve(F, rows, b)
+        assert x is not None and _times(F, rows, x) == b
+
+        # a row combining the others, with a right-hand side that breaks it
+        cs = [F.from_index(data.draw(st.integers(0, F.q - 1))) for _ in rows]
+        combo = [sum((c * row[j] for c, row in zip(cs, rows)), F.zero) for j in range(len(x0))]
+        delta = F.from_index(data.draw(st.integers(1, F.q - 1)))
+        broken = sum((c * v for c, v in zip(cs, b)), F.zero) + delta
+        assert fq_solve(F, rows + [combo], b + [broken]) is None
+
+        rank = fq_rank(F, rows)
+        assert rank <= min(len(rows), len(x0))
+        assert fq_rank(F, [list(col) for col in zip(*rows)]) == rank
+        assert fq_rank(F, rows + [combo]) == rank

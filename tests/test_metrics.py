@@ -659,6 +659,116 @@ def test_lazy_witnesses_above_the_table_limit():
     assert common_neighbor(g, P, g.decode(rng.randrange(g.half))) is None
 
 
+def _incident_by_coefficients(spec, P, L):
+    """l_k + p_k = p_1^(p^(k-1)) l_1 by coordinate sums and plain powering
+    with the coefficient product, which reads no table."""
+    F, p = spec.field, spec.p
+
+    def power(coeffs, n):
+        acc = F.one.coeffs
+        for bit in bin(n)[2:]:
+            acc = F._mul(acc, acc)
+            if bit == "1":
+                acc = F._mul(acc, coeffs)
+        return acc
+
+    p1, l1 = P.coords[0].coeffs, L.coords[0].coeffs
+    return all(
+        tuple((x + y) % p for x, y in zip(L.coords[k].coeffs, P.coords[k].coeffs))
+        == F._mul(power(p1, p**(k - 1)), l1)
+        for k in range(1, spec.m + 1)
+    )
+
+
+@pytest.mark.parametrize("p,e", [(2, 12), (3, 7)])
+def test_lazy_witnesses_between_the_table_limits(p, e):
+    """Fields past the byte cap of the q x q index tables but within
+    TABLE_LIMIT, where the per-pair routes read the log tables: every pair
+    kind on L_2(q), and common neighbours, checked edge by edge against the
+    coefficient arithmetic."""
+    spec = FamilySpec.linearized(p, e, 2)
+    g, F = Graph(spec), spec.field
+    assert 2048 < F.q <= fields.TABLE_LIMIT and F._tables() is not None
+    with pytest.raises(fields.BudgetExceeded):
+        F.index_tables()
+
+    rng = random.Random(f"L_2({p}^{e})")
+    for a_side, b_side in product((0, 1), repeat=2):
+        for _ in range(3):
+            a = g.decode(a_side * g.half + rng.randrange(g.half))
+            b = g.decode(b_side * g.half + rng.randrange(g.half))
+            verts = diameter_witness(g, a, b).vertices
+            assert verts[0] == a and verts[-1] == b
+            assert len(verts) - 1 <= 2 * (spec.m + 1)
+            for u, v in zip(verts, verts[1:]):
+                assert isinstance(u, Point) != isinstance(v, Point)
+                pt, ln = (u, v) if isinstance(u, Point) else (v, u)
+                assert _incident_by_coefficients(spec, pt, ln)
+
+    for _ in range(5):
+        P = g.decode(rng.randrange(g.half))
+        L = line_through(spec, P, F.from_index(rng.randrange(F.q)))
+        other = (P.coords[0].index + 1 + rng.randrange(F.q - 1)) % F.q
+        P2 = point_through(spec, L, F.from_index(other))
+        assert common_neighbor(g, P, P2) == L
+        assert _incident_by_coefficients(spec, P, L) and _incident_by_coefficients(spec, P2, L)
+        assert common_neighbor(g, P, g.decode(rng.randrange(g.half))) is None
+
+
+class TestPerPairChecks:
+    """The checks diameter_witness and common_neighbor run before returning
+    are live: a corrupted step or line raises SolveFailed."""
+
+    def test_corrupted_operation_is_caught(self, monkeypatch):
+        g = Graph(FamilySpec.linearized(3, 2, 2))
+        ops, q = g.spec.field.ops(), g.spec.q
+        a, b = g.decode(5), g.decode(g.half + 17)
+        diameter_witness(g, a, b)
+        sub = ops.sub
+        monkeypatch.setattr(ops, "sub", lambda x, y: (sub(x, y) + 1) % q)
+        with pytest.raises(SolveFailed):
+            diameter_witness(g, a, b)
+
+    # point-point, point-line, line-point and line-line on L_2(9): 729 points
+    @pytest.mark.parametrize("a,b", [(5, 700), (3, 769), (730, 11), (731, 738)])
+    def test_corrupted_interior_vertex_is_caught(self, a, b, monkeypatch):
+        """The ends stay right, so only the edge-by-edge check can see it."""
+        g = Graph(FamilySpec.linearized(3, 2, 2))
+        walk = diameter_witness(g, g.decode(a), g.decode(b)).vertices
+        assert len(walk) >= 3
+        compress = metrics_mod._compress_backtracks
+
+        def corrupt(steps):
+            out = compress(steps)
+            out[1] = out[1][:-1] + ((out[1][-1] + 1) % g.spec.q,)
+            return out
+
+        monkeypatch.setattr(metrics_mod, "_compress_backtracks", corrupt)
+        with pytest.raises(SolveFailed, match="non-edge"):
+            diameter_witness(g, g.decode(a), g.decode(b))
+        # cut short by two vertices: every edge holds, the far end is wrong
+        monkeypatch.setattr(metrics_mod, "_compress_backtracks", lambda steps: compress(steps)[:-2])
+        with pytest.raises(SolveFailed, match="endpoints"):
+            diameter_witness(g, g.decode(a), g.decode(b))
+
+    def test_corrupted_line_is_caught(self, monkeypatch):
+        g = Graph(FamilySpec.linearized(3, 2, 2))
+        spec, F = g.spec, g.spec.field
+        P = g.decode(7)
+        L = line_through(spec, P, F.from_index(4))
+        P2 = point_through(spec, L, F.from_index(2))
+        assert common_neighbor(g, P, P2) == L
+        neighbour = metrics_mod._neighbour
+
+        def corrupt(ops, own, x, point):
+            out = neighbour(ops, own, x, point)
+            return out[:-1] + ((out[-1] + 1) % spec.q,)
+
+        monkeypatch.setattr(metrics_mod, "_neighbour", corrupt)
+        with pytest.raises(SolveFailed):
+            common_neighbor(g, P, P2)
+
+
 def _walk_ids(g, a, b):
     return [g.encode(v) for v in diameter_witness(g, g.decode(a), g.decode(b)).vertices]
 
