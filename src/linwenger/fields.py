@@ -838,13 +838,23 @@ def _solve(ops: IndexOps, rows, rhs) -> list[int] | None:
     return x
 
 
+def _indices_of(field: Field, values) -> list[int]:
+    """The canonical indices of elements of field; FieldMismatch for any
+    other entry."""
+    if not all(
+        isinstance(v, FieldElement) and (v.field is field or v.field == field) for v in values
+    ):
+        raise FieldMismatch(f"entries must be elements of {field!r}")
+    return [v.index for v in values]
+
+
 def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
     """One solution of A x = rhs over the field, or None if inconsistent."""
-    x = _solve(field.ops(), [[v.index for v in r] for r in rows], [v.index for v in rhs])
+    x = _solve(field.ops(), [_indices_of(field, r) for r in rows], _indices_of(field, rhs))
     return None if x is None else [field.from_index(i) for i in x]
 
 
 def fq_rank(field: Field, rows) -> int:
     """Rank of a matrix with entries in the field."""
-    work = [[v.index for v in r] for r in rows]
+    work = [_indices_of(field, r) for r in rows]
     return len(_fq_rref(field.ops(), work, len(work[0]) if work else 0))

@@ -499,10 +499,13 @@ def _incident(ops, P, L) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _moore_matrix(spec: FamilySpec) -> list[list[FieldElement]]:
-    """The Moore matrix B[k][i] = f_k(t^i), 2 <= k <= m+1, 0 <= i < m."""
+def _moore_matrix(spec: FamilySpec) -> tuple[tuple[FieldElement, ...], ...]:
+    """The Moore matrix B[k][i] = f_k(t^i), 2 <= k <= m+1, 0 <= i < m,
+    built once per spec."""
     F = spec.field
-    return [[spec.f_eval(k, F.basis[i]) for i in range(spec.m)] for k in range(2, spec.m + 2)]
+    return tuple(
+        tuple(spec.f_eval(k, F.basis[i]) for i in range(spec.m)) for k in range(2, spec.m + 2)
+    )
 
 
 def _moore_solve(spec: FamilySpec, rhs) -> list[int]:

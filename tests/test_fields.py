@@ -500,3 +500,15 @@ class TestFqLinearAlgebra:
         assert rank <= min(len(rows), len(x0))
         assert fq_rank(F, [list(col) for col in zip(*rows)]) == rank
         assert fq_rank(F, rows + [combo]) == rank
+
+    def test_entries_of_another_field_rejected(self):
+        F, other = GF(3, 2), GF(3, 2, modulus=(1, 0, 1))
+        rows = [[F.one, F.zero], [F.zero, F.one]]
+        assert fq_rank(F, rows) == 2
+        for bad in ([[other.one, F.zero], rows[1]], [[1, 0], [0, 1]]):
+            with pytest.raises(FieldMismatch):
+                fq_rank(F, bad)
+            with pytest.raises(FieldMismatch):
+                fq_solve(F, bad, [F.one, F.one])
+        with pytest.raises(FieldMismatch):
+            fq_solve(F, rows, [F.one, GF(3).one])
