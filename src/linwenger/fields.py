@@ -1,18 +1,17 @@
 """Exact arithmetic in GF(p^e) and the small exact linear algebra built on it.
 
 Elements are coordinate vectors over F_p in the polynomial basis
-(1, t, ..., t^(e-1)) for a fixed monic irreducible modulus.  Fields with at
-most TABLE_LIMIT elements do their arithmetic by lookups in log/antilog and
-Zech tables over canonical indices, built on first use; larger fields
-compute on coordinate vectors with the F_p polynomial helpers modulo the
-modulus, and that coefficient arithmetic is the oracle the tables are tested
-against.  Field.ops() gives the same arithmetic on bare canonical indices
-(IndexOps: add, sub, mul, inv, frob) for the per-pair hot paths, in O(q)
-memory.  Linear algebra is one Gaussian elimination over GF(p^e), on element
-indices with those operations, with F_p entry points that run it over GF(p).
-Everything here is integer-exact;
-fields and elements are immutable and safe to share between threads once
-constructed.
+(1, t, ..., t^(e-1)) for a fixed monic irreducible modulus, each numbered by
+a canonical index.  The field's one scalar arithmetic is IndexOps
+(Field.ops()): add, sub, mul, inv, pow and frob on indices.  Fields with at
+most TABLE_LIMIT elements do it by lookups in log/antilog and Zech tables,
+built on first use in O(q) memory; larger fields compute on coordinate
+vectors with the F_p polynomial helpers modulo the modulus, and that
+coefficient arithmetic is the oracle the tables are tested against.
+FieldElement's operators are shells over IndexOps.  Linear algebra is one
+Gaussian elimination over GF(p^e), on element indices, with F_p entry points
+that run it over GF(p).  Everything here is integer-exact; fields and
+elements are immutable and safe to share between threads once constructed.
 """
 
 from __future__ import annotations
@@ -271,35 +270,32 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found; unreachable")
 
 
+def _coords(i: int, p: int, e: int) -> list[int]:
+    """The coordinate vector of the element of index i: its base-p digits."""
+    return [i // p**j % p for j in range(e)]
+
+
+def _index(coeffs, p: int) -> int:
+    """The canonical index of a coordinate vector, trailing zeros optional."""
+    return sum(c * p**j for j, c in enumerate(coeffs))
+
+
 class FieldElement:
     """An element of GF(p^e): its coordinate tuple over F_p and its canonical
     index, the coordinate vector read as a base-p integer with the low basis
     coordinate least significant.
 
-    In a field with q <= TABLE_LIMIT every operation below is a few lookups in
-    the field's index tables and returns one of the field's cached elements,
-    which carry their index; larger fields compute on the coordinates and
-    work out the index only when it is read.
+    The operators are shells over the field's IndexOps: each coerces its
+    operand to an index, computes on the two indices and returns the element
+    at the result, one of the field's cached elements when q <= TABLE_LIMIT.
     """
 
     __slots__ = ("field", "coeffs", "index")
 
-    def __init__(self, field: "Field", coeffs: tuple[int, ...], index: int | None = None):
+    def __init__(self, field: "Field", coeffs: tuple[int, ...], index: int):
         self.field = field
         self.coeffs = coeffs
-        if index is not None:
-            self.index = index
-
-    def __getattr__(self, name):
-        # reached only while a slot is unset, i.e. for the index of an
-        # element made on the coefficient path
-        if name != "index":
-            raise AttributeError(name)
-        index = 0
-        for c in reversed(self.coeffs):
-            index = index * self.field.p + c
         self.index = index
-        return index
 
     # -- basic protocol ----------------------------------------------------
 
@@ -309,7 +305,7 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.coeffs == other.coeffs and (
+        return self.index == other.index and (
             self.field is other.field or self.field == other.field
         )
 
@@ -320,148 +316,96 @@ class FieldElement:
         return _fmt_poly(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
-    #
-    # With tables T: T.exp[i] = g^i over two periods, T.log[a] = log_g of the
-    # element of index a != 0, T.zech[d] = log_g(1 + g^d) (None where that is
-    # zero) over two periods, and T.neg = log_g(-1).  So a * b = g^(la + lb),
-    # a + b = g^la (1 + g^(lb - la)) and -b = g^(lb + T.neg); every sum or
-    # difference of logs below indexes a table directly, negative or not.
 
-    def _coerce(self, other):
+    def _coerce(self, other) -> int | None:
+        """The index of other in this element's field: an element of the
+        field, or an integer through the prime subfield; None otherwise."""
         if isinstance(other, FieldElement):
             if other.field is self.field or other.field == self.field:
-                return other
+                return other.index
             raise FieldMismatch(
                 f"cannot mix elements of {self.field!r} and {other.field!r}"
             )
         if isinstance(other, int):
-            return self.field.from_int(other)
+            return other % self.field.p  # n * 1 has index n mod p
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
         F = self.field
-        T = F._tab or F._tables()
-        if T is None:
-            return FieldElement(
-                F, tuple((x + y) % F.p for x, y in zip(self.coeffs, o.coeffs))
-            )
-        a, b = self.index, o.index
-        if not (a and b):
-            return T.elts[a or b]
-        la = T.log[a]
-        z = T.zech[T.log[b] - la]
-        return T.elts[0] if z is None else T.exp[la + z]
+        return F._elt_at((F._ops or F.ops()).add(self.index, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
         F = self.field
-        T = F._tab or F._tables()
-        if T is None:
-            return FieldElement(
-                F, tuple((x - y) % F.p for x, y in zip(self.coeffs, o.coeffs))
-            )
-        a, b = self.index, o.index
-        if not b:
-            return T.elts[a]
-        lb = T.log[b] + T.neg
-        if not a:
-            return T.exp[lb]
-        la = T.log[a]
-        z = T.zech[lb - la]
-        return T.elts[0] if z is None else T.exp[la + z]
+        return F._elt_at((F._ops or F.ops()).sub(self.index, b))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return o - self
+        F = self.field
+        return F._elt_at((F._ops or F.ops()).sub(b, self.index))
 
     def __neg__(self):
         F = self.field
-        T = F._tab or F._tables()
-        if T is None:
-            return FieldElement(F, tuple((-x) % F.p for x in self.coeffs))
-        a = self.index
-        return T.exp[T.log[a] + T.neg] if a else T.elts[0]
+        return F._elt_at((F._ops or F.ops()).sub(0, self.index))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
         F = self.field
-        T = F._tab or F._tables()
-        if T is None:
-            return FieldElement(F, F._mul(self.coeffs, o.coeffs))
-        a, b = self.index, o.index
-        return T.exp[T.log[a] + T.log[b]] if a and b else T.elts[0]
+        return F._elt_at((F._ops or F.ops()).mul(self.index, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return self * o.inverse()
+        F = self.field
+        ops = F._ops or F.ops()
+        return F._elt_at(ops.mul(self.index, ops.inv(b)))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return o * self.inverse()
+        F = self.field
+        ops = F._ops or F.ops()
+        return F._elt_at(ops.mul(b, ops.inv(self.index)))
 
     def __pow__(self, k: int):
         F = self.field
-        T = F._tab or F._tables()
-        if T is not None and self.index:
-            return T.exp[T.log[self.index] * k % T.order]
-        if k < 0:
-            return self.inverse() ** (-k)
-        if not k:
-            return F.one
-        # left to right from the top bit: one squaring per lower bit
-        result = self
-        for bit in bin(k)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return F._elt_at((F._ops or F.ops()).pow(self.index, k))
 
     def inverse(self) -> "FieldElement":
         F = self.field
-        if not self:
-            raise ZeroDivisionError("division by zero in " + repr(F))
-        T = F._tab or F._tables()
-        if T is not None:
-            return T.exp[T.order - T.log[self.index]]
-        inv = _pinvmod(list(self.coeffs), list(F.modulus), F.p)
-        return F.from_coeffs(inv)
+        return F._elt_at((F._ops or F.ops()).inv(self.index))
 
     def frob(self, k: int = 1) -> "FieldElement":
-        """k-fold Frobenius x -> x^(p^k): a log multiple with tables, else
-        powering."""
+        """k-fold Frobenius x -> x^(p^k)."""
         F = self.field
-        T = F._tab or F._tables()
-        if T is None:
-            return self ** F.p ** (k % F.e)
-        a = self.index
-        return T.exp[T.log[a] * T.frob[k % F.e] % T.order] if a else T.elts[0]
+        return F._elt_at((F._ops or F.ops()).frob(self.index, k))
 
     def trace(self) -> int:
         """Absolute trace x + x^p + ... + x^(p^(e-1)) down to F_p, returned as
         an integer in [0, p).  The sum lies in the prime subfield, so the
-        trace is its coordinate 0."""
-        acc = conj = self
-        for _ in range(self.field.e - 1):
-            conj = conj.frob(1)
-            acc = acc + conj
-        return acc.coeffs[0]
+        trace is its coordinate 0, the low digit of its index."""
+        F = self.field
+        ops = F._ops or F.ops()
+        acc = conj = self.index
+        for _ in range(F.e - 1):
+            conj = ops.frob(conj, 1)
+            acc = ops.add(acc, conj)
+        return acc % F.p
 
 
 def _fmt_poly(coeffs) -> str:
@@ -503,10 +447,10 @@ class Field:
         self.q = p**e
         self.modulus = tuple(modulus)
         self._tab = self._ops = None
-        self.zero = FieldElement(self, (0,) * e)
-        self.one = FieldElement(self, (1,) + (0,) * (e - 1))
+        self.zero = FieldElement(self, (0,) * e, 0)
+        self.one = FieldElement(self, (1,) + (0,) * (e - 1), 1)
         self.basis = tuple(
-            FieldElement(self, tuple(1 if j == i else 0 for j in range(e)))
+            FieldElement(self, tuple(1 if j == i else 0 for j in range(e)), p**i)
             for i in range(e)
         )
 
@@ -524,7 +468,7 @@ class Field:
                 f"coordinate vector of length {len(coeffs)} in GF({self.p}^{self.e})"
             )
         coeffs += [0] * (self.e - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, tuple(coeffs), _index(coeffs, self.p))
 
     def from_int(self, n: int) -> FieldElement:
         """Embed an integer through the prime subfield: n -> (n mod p) * 1."""
@@ -533,15 +477,15 @@ class Field:
     def from_index(self, i: int) -> FieldElement:
         if not 0 <= i < self.q:
             raise ValueError(f"element index {i} outside [0, {self.q})")
-        T = self._tab or self._tables()
-        return self._elt_at(i) if T is None else T.elts[i]
+        return self._elt_at(i)
 
     def _elt_at(self, i: int) -> FieldElement:
-        coeffs = []
-        for _ in range(self.e):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(coeffs))
+        """The element of index i in [0, q): the cached one when q <=
+        TABLE_LIMIT, else a new one."""
+        T = self._tab or self._tables()
+        if T is None:
+            return FieldElement(self, tuple(_coords(i, self.p, self.e)), i)
+        return T.elts[i]
 
     def _tables(self) -> "_Tables | None":
         """The index tables, built on first use; None when q > TABLE_LIMIT."""
@@ -569,7 +513,7 @@ class Field:
             raise BudgetExceeded(f"a {self.q} x {self.q} index table exceeds {_TABLE_BYTES} bytes")
         T = self._tab or self._tables()
         log = np.array(T.log)
-        mul = np.array([x.index for x in T.exp])[log[:, None] + log]
+        mul = np.array(T.exp)[log[:, None] + log]
         mul[0] = mul[:, 0] = 0
         digits = np.arange(self.q) // self.p ** np.arange(self.e)[:, None] % self.p
         sub = sum(
@@ -646,7 +590,7 @@ class _Tables:
         # the index of 1 + x is x's index with the low digit stepped mod p
         zech = log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)].tolist()
 
-        self.exp = list(map(self.elts.__getitem__, exp.tolist())) * 2
+        self.exp = exp.tolist() * 2
         self.log = log.tolist()
         self.neg = self.log[p - 1]  # index p - 1 is the element -1
         zech[self.neg] = None  # 1 + g^d = 0 exactly when g^d = -1
@@ -656,36 +600,38 @@ class _Tables:
 
 
 class IndexOps:
-    """Scalar arithmetic of one field on canonical element indices, for the
-    per-pair routes that would otherwise make a FieldElement per step:
-    add(a, b), sub(a, b), mul(a, b), inv(a) and frob(a, k) = a^(p^k), each
-    taking and returning ints in [0, q).
+    """The scalar arithmetic of one field, on canonical element indices:
+    add(a, b), sub(a, b), mul(a, b), inv(a), pow(a, k) and frob(a, k) =
+    a^(p^k), each taking and returning ints in [0, q).  It is the field's one
+    arithmetic: FieldElement's operators, the elimination and the per-pair
+    routes all run on it.
 
-    With q <= TABLE_LIMIT they read the field's log, antilog and Zech lists,
-    the same O(q) lists FieldElement's operators read (see there); above it
-    they run the coefficient arithmetic of FieldElement.  In characteristic
-    2 an index is the coordinate vector as a bit mask, so add and sub are
-    XOR in any field."""
+    With q <= TABLE_LIMIT the operations read the log, antilog and Zech lists
+    of _Tables, O(q) memory.  Above it they decode the indices to coordinate
+    vectors, run the coefficient arithmetic (Field._mul, _pinvmod) and encode
+    the result.  That coefficient arithmetic is the oracle the tables are
+    tested against.  In characteristic 2 an index is the coordinate vector
+    as a bit mask, so add and sub are XOR in any field."""
 
-    __slots__ = ("add", "sub", "mul", "inv", "frob")
+    __slots__ = ("add", "sub", "mul", "inv", "pow", "frob")
 
     def __init__(self, F: Field):
         T = F._tab or F._tables()
         if T is None:
-            elt = F._elt_at
-            self.add = lambda a, b: (elt(a) + elt(b)).index
-            self.sub = lambda a, b: (elt(a) - elt(b)).index
-            self.mul = lambda a, b: (elt(a) * elt(b)).index
-            self.inv = lambda a: elt(a).inverse().index
-            self.frob = lambda a, k: elt(a).frob(k).index
+            self._coefficient(F)
         else:
             self._tabled(F, T)
         if F.p == 2:
             self.add = self.sub = operator.xor
 
+    # With tables: exp[i] = g^i over two periods, log[a] = log_g of the
+    # element of index a != 0, zech[d] = log_g(1 + g^d) (None where that is
+    # zero) over two periods, and neg = log_g(-1).  So a * b = g^(la + lb),
+    # a + b = g^la (1 + g^(lb - la)) and -b = g^(lb + neg); every sum or
+    # difference of logs below indexes a list directly, negative or not.
+
     def _tabled(self, F: Field, T: _Tables) -> None:
-        exp = [x.index for x in T.exp]  # two periods, as T.exp
-        log, zech, neg, order, frob, e = T.log, T.zech, T.neg, T.order, T.frob, F.e
+        exp, log, zech, neg, order, frob, e = T.exp, T.log, T.zech, T.neg, T.order, T.frob, F.e
 
         def add(a, b):
             if not (a and b):
@@ -712,10 +658,56 @@ class IndexOps:
                 raise ZeroDivisionError("division by zero in " + repr(F))
             return exp[order - log[a]]
 
+        def power(a, k):
+            if a:
+                return exp[log[a] * k % order]
+            if k < 0:
+                raise ZeroDivisionError("division by zero in " + repr(F))
+            return 0 if k else 1
+
         def frob_k(a, k):
             return exp[log[a] * frob[k % e] % order] if a else 0
 
-        self.add, self.sub, self.mul, self.inv, self.frob = add, sub, mul, inv, frob_k
+        self.add, self.sub, self.mul, self.inv, self.pow, self.frob = (
+            add, sub, mul, inv, power, frob_k
+        )
+
+    def _coefficient(self, F: Field) -> None:
+        p, e, modulus = F.p, F.e, list(F.modulus)
+
+        def add(a, b):
+            return _index([(x + y) % p for x, y in zip(_coords(a, p, e), _coords(b, p, e))], p)
+
+        def sub(a, b):
+            return _index([(x - y) % p for x, y in zip(_coords(a, p, e), _coords(b, p, e))], p)
+
+        def mul(a, b):
+            return _index(F._mul(_coords(a, p, e), _coords(b, p, e)), p)
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("division by zero in " + repr(F))
+            return _index(_pinvmod(_coords(a, p, e), modulus, p), p)
+
+        def power(a, k):
+            if k < 0:
+                a, k = inv(a), -k
+            if not k:
+                return 1
+            # left to right from the top bit: one squaring per lower bit
+            x = a
+            for bit in bin(k)[3:]:
+                x = mul(x, x)
+                if bit == "1":
+                    x = mul(x, a)
+            return x
+
+        def frob_k(a, k):
+            return power(a, p ** (k % e))
+
+        self.add, self.sub, self.mul, self.inv, self.pow, self.frob = (
+            add, sub, mul, inv, power, frob_k
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -787,8 +779,6 @@ def fp_solve(M: FpMatrix, b) -> tuple[int, ...] | None:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    if len(b) != M.n_rows:
-        raise ValueError("right-hand side length mismatch")
     x = _solve(GF(M.p).ops(), M.rows, [int(v) % M.p for v in b])
     return None if x is None else tuple(x)
 
@@ -826,7 +816,9 @@ def _fq_rref(ops: IndexOps, rows: list[list[int]], nc: int) -> list[int]:
 
 def _solve(ops: IndexOps, rows, rhs) -> list[int] | None:
     """One solution of A x = rhs on element indices, free variables zero, or
-    None if inconsistent."""
+    None if inconsistent; ValueError unless rhs has one entry per row."""
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side length mismatch")
     aug = [[*r, b] for r, b in zip(rows, rhs)]
     nc = len(rows[0]) if aug else 0
     pivots = _fq_rref(ops, aug, nc)
@@ -838,23 +830,26 @@ def _solve(ops: IndexOps, rows, rhs) -> list[int] | None:
     return x
 
 
-def _indices_of(field: Field, values) -> list[int]:
-    """The canonical indices of elements of field; FieldMismatch for any
-    other entry."""
+def _index_rows(field: Field, rows) -> list[list[int]]:
+    """A matrix over field as rows of element indices; FieldMismatch for an
+    entry of another field, ValueError for rows of different lengths."""
     if not all(
-        isinstance(v, FieldElement) and (v.field is field or v.field == field) for v in values
+        isinstance(v, FieldElement) and (v.field is field or v.field == field)
+        for r in rows for v in r
     ):
         raise FieldMismatch(f"entries must be elements of {field!r}")
-    return [v.index for v in values]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    return [[v.index for v in r] for r in rows]
 
 
 def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
     """One solution of A x = rhs over the field, or None if inconsistent."""
-    x = _solve(field.ops(), [_indices_of(field, r) for r in rows], _indices_of(field, rhs))
+    x = _solve(field.ops(), _index_rows(field, rows), _index_rows(field, [rhs])[0])
     return None if x is None else [field.from_index(i) for i in x]
 
 
 def fq_rank(field: Field, rows) -> int:
     """Rank of a matrix with entries in the field."""
-    work = [_indices_of(field, r) for r in rows]
+    work = _index_rows(field, rows)
     return len(_fq_rref(field.ops(), work, len(work[0]) if work else 0))

@@ -107,13 +107,7 @@ class FamilySpec:
 
     @functools.cached_property
     def theta_injective(self) -> bool:
-        seen = set()
-        for u in self.field.elements():
-            img = tuple(x.index for x in self.f_values(u))
-            if img in seen:
-                return False
-            seen.add(img)
-        return True
+        return len(set(zip(*_f_table(self).tolist()))) == self.q
 
     # -- construction helpers -------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ThetaNotInjective
 from .fields import _check_field_params, fq_rank
-from .graphs import FamilySpec, Graph
+from .graphs import FamilySpec, Graph, _f_table
 # count_roots is not called here; it stays bound because perfbench/spans.py
 # wraps linwenger.spectrum.count_roots (its linearized.count_roots_* metrics
 # then read 0).
@@ -129,9 +129,10 @@ def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -
     exactly as many roots as v has hits, and each of the q - (#values hit)
     other constants gives no root.  That is q^m * q evaluations; max_evals
     is still checked against q^(m+1) * q, one field sweep per weight vector,
-    so the budgets callers pass keep their meaning.  Nothing here uses the
-    rank structure of the linearized family, so the sweep is an independent
-    oracle for closed_form_linearized.
+    so the budgets callers pass keep their meaning.  The sums run on element
+    indices with the field's IndexOps.  Nothing here uses the rank structure
+    of the linearized family, so the sweep is an independent oracle for
+    closed_form_linearized.
     """
     if not spec.theta_injective:
         raise ThetaNotInjective(
@@ -144,16 +145,17 @@ def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -
         raise BudgetExceeded(
             f"{total_w * q} evaluations exceed the budget {max_evals}"
         )
-    F = spec.field
-    f_rows = [spec.f_values(x) for x in F.elements()]
+    ops = spec.field.ops()
+    add, mul = ops.add, ops.mul
+    f_rows = _f_table(spec).T.tolist()  # row x: the indices of f_2(x), ..., f_(m+1)(x)
     hist: Counter[int] = Counter()
-    for linear in itertools.product(F.elements(), repeat=spec.m):
+    for linear in itertools.product(range(q), repeat=spec.m):
         hits: Counter[int] = Counter()
         for fx in f_rows:
-            acc = F.zero
+            acc = 0
             for w, f in zip(linear, fx):
-                acc = acc + w * f
-            hits[acc.index] += 1
+                acc = add(acc, mul(w, f))
+            hits[acc] += 1
         hist.update(hits.values())
         hist[0] += q - len(hits)
     return _report_from_histogram(spec, hist, "enumerated")

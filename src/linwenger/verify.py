@@ -382,15 +382,17 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
         p, e, m = case
         spec = run.spec(case)
         F, Fp = spec.field, GF(p)
-        f_basis = [spec.f_values(b) for b in F.basis]
+        add, mul = F.ops().add, F.ops().mul
+        f_basis = [[f.index for f in spec.f_values(b)] for b in F.basis]
         tally: Counter[int] = Counter()
-        for linear in itertools.product(F.elements(), repeat=m):
+        for linear in itertools.product(range(spec.q), repeat=m):
             images = []  # the images of the basis: the matrix's columns as rows
             for fb in f_basis:
-                acc = F.zero
+                acc = 0
                 for w, f in zip(linear, fb):
-                    acc = acc + w * f
-                images.append([Fp.from_index(c) for c in acc.coeffs])
+                    acc = add(acc, mul(w, f))
+                # the F_p coordinates of the image are the base-p digits of its index
+                images.append([Fp.from_index(acc // p**j % p) for j in range(e)])
             tally[fq_rank(Fp, images)] += 1
         scale = spec.q ** (m - min(m, e))
         predicted = {r: a * scale for r, a in rank_distribution(p, e, m).items()}

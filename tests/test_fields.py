@@ -21,8 +21,10 @@ from linwenger.fields import (
     GF,
     TABLE_LIMIT,
     Field,
+    FieldElement,
     FpMatrix,
     _pinvmod,
+    _ppowmod,
     default_modulus,
     fp_rank_kernel,
     fp_solve,
@@ -229,7 +231,7 @@ class TestIndexTables:
     def test_non_primitive_root(self, p, e, modulus, order):
         F = GF(p, e, modulus)
         assert _order(F, F.basis[1]) == order < F.q - 1
-        assert _order(F, F._tables().exp[1]) == F.q - 1
+        assert _order(F, F.from_index(F._tables().exp[1])) == F.q - 1
 
     def test_index_tables_for_materialize(self):
         import numpy as np
@@ -329,7 +331,7 @@ class TestIndexOps:
     coefficient routines, with no FieldElement operator in the oracle."""
 
     @staticmethod
-    def agree(F, a, b, ks):
+    def agree(F, a, b, ks, powers=()):
         ops, p = F.ops(), F.p
         x, y = F._elt_at(a).coeffs, F._elt_at(b).coeffs
 
@@ -346,12 +348,27 @@ class TestIndexOps:
                 ops.inv(a)
         for k in ks:
             assert ops.frob(a, k) == index(_coeff_frob(F, x, k))
+        for k in powers:
+            if k < 0 and not a:
+                with pytest.raises(ZeroDivisionError):
+                    ops.pow(a, k)
+                continue
+            base = _pinvmod(list(x), list(F.modulus), p) if k < 0 else list(x)
+            assert ops.pow(a, k) == index(_ppowmod(base, abs(k), list(F.modulus), p))
+
+    @staticmethod
+    def powers(F):
+        """Exponents below 0, 0, and at and past the group order q - 1."""
+        return (-F.q, -2, -1, 0, 1, 2, F.p, F.q - 2, F.q - 1, F.q, 3 * F.q + 5)
 
     @pytest.mark.parametrize("p,e,modulus", TABLE_FIELDS)
     def test_every_pair_of_table_fields(self, p, e, modulus):
         F = GF(p, e, modulus)
         for a, b in itertools.product(range(F.q), repeat=2):
-            self.agree(F, a, b, range(-e, 2 * e + 1) if b == 0 else ())
+            if b:
+                self.agree(F, a, b, ())
+            else:
+                self.agree(F, a, b, range(-e, 2 * e + 1), self.powers(F))
 
     @pytest.mark.parametrize("p,e", CAPPED_FIELDS + UNTABLED_FIELDS)
     def test_sampled_pairs_of_large_fields(self, p, e):
@@ -367,7 +384,27 @@ class TestIndexOps:
         for a in picks:
             for b in rng.sample(picks, 6):
                 self.agree(F, a, b, ())
-            self.agree(F, a, a, (-1, 1, 2, e - 1, e + 1))
+            self.agree(F, a, a, (-1, 1, 2, e - 1, e + 1), self.powers(F))
+
+    def test_zero_powers(self):
+        for F in (GF(5, 2), GF(3, 11)):
+            assert F.ops().pow(0, 0) == 1 and F.ops().pow(0, 3) == 0
+            assert F.zero**0 == F.one
+            with pytest.raises(ZeroDivisionError):
+                F.ops().pow(0, -1)
+            with pytest.raises(ZeroDivisionError):
+                F.zero**-1
+
+    def test_no_field_element_operator_above_the_limit(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("IndexOps called a FieldElement operator")
+
+        for name in ("__add__", "__sub__", "__mul__", "__pow__", "inverse", "frob"):
+            monkeypatch.setattr(FieldElement, name, refuse)
+        for p, e in UNTABLED_FIELDS:
+            F = Field(p, e)
+            for a, b in ((0, 1), (1, F.q - 1), (p + 3, 12345), (F.q - 1, F.q - 1)):
+                self.agree(F, a, b, (1, e - 1), (-1, 0, 5))
 
     def test_built_on_first_use_and_shared(self):
         F = Field(7)
@@ -512,3 +549,18 @@ class TestFqLinearAlgebra:
                 fq_solve(F, bad, [F.one, F.one])
         with pytest.raises(FieldMismatch):
             fq_solve(F, rows, [F.one, GF(3).one])
+
+    def test_mismatched_shapes_rejected(self):
+        F = GF(5)
+        one, two = F.one, F.from_int(2)
+        rows3x2 = [[one, F.zero], [F.zero, one], [one, one]]
+        for rhs in ([one, two], [one, two, F.zero, one]):
+            with pytest.raises(ValueError, match="right-hand side length mismatch"):
+                fq_solve(F, rows3x2, rhs)
+        ragged = [[one, two], [one], [two, one]]
+        with pytest.raises(ValueError, match="ragged rows"):
+            fq_rank(F, ragged)
+        with pytest.raises(ValueError, match="ragged rows"):
+            fq_solve(F, ragged, [one, two, one])
+        # the third equation x + y = 0 contradicts x = 1, y = 2
+        assert fq_solve(F, rows3x2, [one, two, F.zero]) is None
