@@ -272,12 +272,19 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 
 def _coords(i: int, p: int, e: int) -> list[int]:
     """The coordinate vector of the element of index i: its base-p digits."""
-    return [i // p**j % p for j in range(e)]
+    out = []
+    for _ in range(e):
+        i, c = divmod(i, p)
+        out.append(c)
+    return out
 
 
 def _index(coeffs, p: int) -> int:
     """The canonical index of a coordinate vector, trailing zeros optional."""
-    return sum(c * p**j for j, c in enumerate(coeffs))
+    i = 0
+    for c in reversed(coeffs):
+        i = i * p + c
+    return i
 
 
 class FieldElement:
@@ -371,16 +378,14 @@ class FieldElement:
         if b is None:
             return NotImplemented
         F = self.field
-        ops = F._ops or F.ops()
-        return F._elt_at(ops.mul(self.index, ops.inv(b)))
+        return F._elt_at(F.ops().mul(self.index, F.ops().inv(b)))
 
     def __rtruediv__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
         F = self.field
-        ops = F._ops or F.ops()
-        return F._elt_at(ops.mul(b, ops.inv(self.index)))
+        return F._elt_at(F.ops().mul(b, F.ops().inv(self.index)))
 
     def __pow__(self, k: int):
         F = self.field
@@ -399,8 +404,7 @@ class FieldElement:
         """Absolute trace x + x^p + ... + x^(p^(e-1)) down to F_p, returned as
         an integer in [0, p).  The sum lies in the prime subfield, so the
         trace is its coordinate 0, the low digit of its index."""
-        F = self.field
-        ops = F._ops or F.ops()
+        F, ops = self.field, self.field.ops()
         acc = conj = self.index
         for _ in range(F.e - 1):
             conj = ops.frob(conj, 1)

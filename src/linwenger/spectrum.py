@@ -145,8 +145,7 @@ def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -
         raise BudgetExceeded(
             f"{total_w * q} evaluations exceed the budget {max_evals}"
         )
-    ops = spec.field.ops()
-    add, mul = ops.add, ops.mul
+    add, mul = spec.field.ops().add, spec.field.ops().mul
     f_rows = _f_table(spec).T.tolist()  # row x: the indices of f_2(x), ..., f_(m+1)(x)
     hist: Counter[int] = Counter()
     for linear in itertools.product(range(q), repeat=spec.m):
