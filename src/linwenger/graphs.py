@@ -412,11 +412,18 @@ def structure_faults(spec: FamilySpec, nbrs) -> list[str]:
     first coordinate (entry j = j mod q) holds q distinct ids, and the
     array has 2 q^(m+2) nonzeros.  Row u then lists v at column v mod q,
     so the symmetry test is one gather, as in path_witnesses."""
-    import numpy as np
-
     n, q = spec.n_vertices, spec.q
     if nbrs.shape != (n, q) or nbrs.min() < 0 or nbrs.max() >= n:
         return [f"array of shape {nbrs.shape} is not {n} rows of {q} ids in [0, {n})"]
+    return _layout_faults(nbrs)
+
+
+def _layout_faults(nbrs) -> list[str]:
+    """The layout tests of structure_faults on an (n, q) array of ids in
+    [0, n), of any n and q; [] when they all hold."""
+    import numpy as np
+
+    n, q = nbrs.shape
     ids = np.arange(n)[:, None]
     counts = {
         "rows are not listed by first coordinate": (nbrs % q != np.arange(q)).any(axis=1).sum(),

@@ -36,7 +36,6 @@ is slower, so neither route is built on the other.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -605,6 +604,8 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     fq_solve calls, one per unit vector).  Every step is a gather
     adjacency[v, x], because row v lists v's neighbours by first coordinate
     and a vertex id's first coordinate is id mod q.  A pair a == b gives [a].
+    The walks stay in one (pairs, 2m+3) array: backtracks are dropped column
+    by column (_compress_columns) and line-to-point walks reversed in place.
 
     Every walk is checked before it is returned: its ends must be its pair,
     and each step (u, v) must have adjacency[u, v mod q] == v, an entry equal
@@ -651,7 +652,11 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     start = np.where(mixed, adj[pt, 0], src)  # its neighbour with first coordinate 0
     end = np.where(flip, src, dst)
     anchor = np.where(mixed, pt % q, 0)
-    walks: list = [[a] for a in src.tolist()]
+    # walk i is out[i, :size[i]]; a pair a == b keeps the walk [a]
+    width = 2 * m + 3
+    out = np.zeros((src.size, width), dtype=np.int64)
+    out[:, 0] = src
+    size = np.ones(src.size, dtype=np.int64)
     for mask, point_kind in ((points, True), (~points, False)):
         mask = mask & (src != dst)
         if not mask.any():
@@ -670,22 +675,41 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
             mid = adj[cur, x]
             cur = adj[mid, add(cur % q, y)]
             walk += [mid, cur]
-        rows = zip(np.column_stack(walk).tolist(), mixed[mask].tolist(), flip[mask].tolist())
-        for i, (row, drop, rev) in zip(np.flatnonzero(mask).tolist(), rows):
-            row = _compress_backtracks(row[1:] if drop else row)
-            walks[i] = row[::-1] if rev else row
+        out[mask], size[mask] = _compress_columns(np.column_stack(walk), mixed[mask])
+    cols = np.arange(width)  # entries past a walk's end are never read
+    reverse = np.where(flip[:, None], size[:, None] - 1 - cols, cols) % width
+    out = np.take_along_axis(out, reverse, axis=1)
 
-    lengths = np.array([len(w) for w in walks], dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(walks), np.int64, int(lengths.sum()))
-    ends = np.cumsum(lengths)
-    step = np.ones(max(flat.size - 1, 0), dtype=bool)
-    step[ends[:-1] - 1] = False  # from the end of one walk to the start of the next
-    u, v = flat[:-1][step], flat[1:][step]
-    if not ((flat[ends - lengths] == src).all() and (flat[ends - 1] == dst).all()):
+    if not ((out[:, 0] == src).all() and (out[np.arange(src.size), size - 1] == dst).all()):
         raise SolveFailed("batched walk endpoints do not match the request")
+    step = cols[:-1] < size[:, None] - 1
+    u, v = out[:, :-1][step], out[:, 1:][step]
     if not (adj[u, v % q] == v).all():
         raise SolveFailed("batched walk contains a non-edge")
-    return walks
+    return [row[:s] for row, s in zip(out.tolist(), size.tolist())]
+
+
+def _compress_columns(walks, drop):
+    """_compress_backtracks on every row of a (pairs, length) id array, the
+    first id of row i dropped where drop[i]: one exact stack per row, pushed
+    or popped a column at a time.  Returns the compressed rows, left-aligned
+    in an array of the same shape, and their lengths."""
+    import numpy as np
+
+    rows = np.arange(len(walks))
+    first = drop.astype(np.int64)
+    out = np.zeros_like(walks)
+    out[:, 0] = walks[rows, first]
+    size = np.ones(len(walks), dtype=np.int64)
+    for c in range(1, walks.shape[1]):
+        v = walks[:, c]
+        live = c > first
+        pop = live & (size >= 2) & (out[rows, size - 2] == v)
+        push = live & ~pop
+        out[rows[push], size[push]] = v[push]
+        size += push
+        size -= pop
+    return out, size
 
 
 # ---------------------------------------------------------------------------

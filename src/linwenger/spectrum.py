@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ThetaNotInjective
 from .fields import _check_field_params, fq_rank
-from .graphs import FamilySpec, Graph, _f_table
+from .graphs import FamilySpec, Graph, _f_table, _layout_faults
 # count_roots is not called here; it stays bound because perfbench/spans.py
 # wraps linwenger.spectrum.count_roots (its linearized.count_roots_* metrics
 # then read 0).
@@ -27,7 +27,8 @@ from .linearized import count_roots, rank_distribution  # noqa: F401
 
 DEFAULT_EVAL_BUDGET = 10**8
 # walk_trace gathers this many bytes of walk ends at a time, which bounds
-# each of its temporaries at any n.
+# each temporary of its sweep at any n (its layout test takes those of
+# structure_faults).
 _WALK_BYTES = 1 << 19
 
 
@@ -222,6 +223,11 @@ def walk_trace(graph: Graph, k: int) -> int:
     sum of squared entries of A^k: trace(A^(2k)) when A is symmetric.  Row
     v of A^k is the multiset of the ends of the q^k walks that follow the
     rows from v.
+    An array that passes the layout tests of structure_faults (rows listed
+    by first coordinate, points next to lines only, symmetric) is
+    A = [[0, B], [B^T, 0]], and tr((B B^T)^k) = tr((B^T B)^k), so only its
+    n/2 point rows are swept and the sum is doubled; any other array gets
+    every row.
     For a block of rows the ends come from k - 1 gathers through the array;
     each row is sorted, and the length of each run of equal ends is one
     nonzero entry of A^k.  A block holds at most E = _WALK_BYTES / itemsize
@@ -242,9 +248,11 @@ def walk_trace(graph: Graph, k: int) -> int:
             f"the {q**k} walk ends of one vertex need {q**k * adj.itemsize} bytes, "
             f"over the {_WALK_BYTES}-byte walk budget"
         )
+    certified = adj.min() >= 0 and adj.max() < n and not _layout_faults(adj)
+    stop = n // 2 if certified else n
     total = 0
-    for start in range(0, n, rows):
-        ends = adj[start : start + rows]
+    for start in range(0, stop, rows):
+        ends = adj[start : min(start + rows, stop)]
         for _ in range(k - 1):
             ends = np.take(adj, ends, axis=0).reshape(len(ends), -1)
         ends = np.sort(ends, axis=1)
@@ -253,7 +261,7 @@ def walk_trace(graph: Graph, k: int) -> int:
         np.not_equal(ends[:, 1:], ends[:, :-1], out=new[:, 1:])
         runs = np.diff(np.flatnonzero(new), append=ends.size)
         total += int(np.dot(runs, runs))
-    return total
+    return 2 * total if certified else total
 
 
 @dataclass(frozen=True)

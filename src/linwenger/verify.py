@@ -25,6 +25,9 @@ intersection of the two neighbour rows, sorted and searched for an id listed
 twice, so it shares nothing with the solver; the first CROSS_CHECK answers
 of each graph are compared id for id with common_neighbor, and the published
 L_1(11) pair is solved by common_neighbor alone.
+
+The seeded samples of criteria 7 and 8 come in bulk from _draws: the same
+ids, from the same stream, that one randrange call per id would give.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .fields import GF, fq_rank
+from .fields import GF, _fq_rref
 from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, Line, Point, structure_faults
 from .linearized import rank_distribution
 from .metrics import (
@@ -164,6 +167,26 @@ class _Runner:
         return random.Random(f"{self.seed}:{tag}")
 
 
+def _draws(rng: random.Random, n: int, count: int):
+    """[rng.randrange(n) for _ in range(count)] as an int64 array, drawn
+    from the same stream.  randrange(n) takes 32-bit words, shifts each right
+    by 32 - n.bit_length() and rejects values >= n; getrandbits(32 * w)
+    returns w such words, the first in the lowest bits.  Each round asks for
+    one word per draw still missing, so no word past the last draw is taken.
+    ValueError unless 1 <= n < 2^32."""
+    import numpy as np
+
+    if not 1 <= n < 1 << 32:
+        raise ValueError(f"bulk draws need 1 <= n < 2^32, got {n}")
+    shift, kept, need = 32 - n.bit_length(), [np.zeros(0, dtype=np.int64)], count
+    while need > 0:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        words = words >> shift
+        kept.append(words[words < n].astype(np.int64))
+        need -= kept[-1].size
+    return np.concatenate(kept)
+
+
 def _finish(results: list[str], skips: list[str], ok_detail: str) -> tuple[str, str]:
     if results:
         return "FAIL", "; ".join(results[:4])
@@ -263,15 +286,14 @@ def check_witnesses(run: _Runner) -> tuple[str, str]:
         if bound is None:
             fails.append(f"{label}: no predicted diameter to bound the witnesses")
             continue
-        rng = run.rng(f"witness:{p}:{e}:{m}")
-        ends = [rng.randrange(g.n) for _ in range(2 * WITNESS_PAIRS_PER_GRAPH)]
+        ends = _draws(run.rng(f"witness:{p}:{e}:{m}"), g.n, 2 * WITNESS_PAIRS_PER_GRAPH)
         sources, targets = ends[0::2], ends[1::2]
         try:
             walks = path_witnesses(g, sources, targets)
         except Exception as exc:  # noqa: BLE001 - any failure is a criterion failure
             fails.append(f"{label}: batched path witnesses raised {exc!r}")
             walks = []
-        for a, b, walk in zip(sources, targets, walks[:CROSS_CHECK]):
+        for a, b, walk in zip(sources.tolist(), targets.tolist(), walks[:CROSS_CHECK]):
             try:
                 w = diameter_witness(g, g.decode(a), g.decode(b))
             except Exception as exc:  # noqa: BLE001
@@ -361,9 +383,8 @@ def check_common_neighbor(run: _Runner) -> tuple[str, str]:
     for _, g in run.graphs(NEIGHBOR_CASES, skips):
         n_checked += _check_point_pairs(g, np.column_stack(np.triu_indices(g.half, 1)), fails)
     for _, g in run.graphs((SAMPLED_NEIGHBOR_CASE,), skips):
-        rng, half = run.rng("common-neighbor"), g.half
-        draws = [(rng.randrange(half), rng.randrange(half)) for _ in range(SAMPLED_NEIGHBOR_PAIRS)]
-        n_checked += _check_point_pairs(g, np.array([(i, j) for i, j in draws if i != j]), fails)
+        ij = _draws(run.rng("common-neighbor"), g.half, 2 * SAMPLED_NEIGHBOR_PAIRS).reshape(-1, 2)
+        n_checked += _check_point_pairs(g, ij[ij[:, 0] != ij[:, 1]], fails)
         F = g.spec.field
         P = Point((F.zero, F.zero))
         P2 = Point((F.from_int(-1), F.from_int(-1)))
@@ -381,7 +402,7 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
     for case in RANK_CASES:
         p, e, m = case
         spec = run.spec(case)
-        F, Fp = spec.field, GF(p)
+        F, ops_p = spec.field, GF(p).ops()
         add, mul = F.ops().add, F.ops().mul
         f_basis = [[f.index for f in spec.f_values(b)] for b in F.basis]
         tally: Counter[int] = Counter()
@@ -392,8 +413,8 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
                 for w, f in zip(linear, fb):
                     acc = add(acc, mul(w, f))
                 # the F_p coordinates of the image are the base-p digits of its index
-                images.append([Fp.from_index(acc // p**j % p) for j in range(e)])
-            tally[fq_rank(Fp, images)] += 1
+                images.append([acc // p**j % p for j in range(e)])
+            tally[len(_fq_rref(ops_p, images, e))] += 1
         scale = spec.q ** (m - min(m, e))
         predicted = {r: a * scale for r, a in rank_distribution(p, e, m).items()}
         if dict(tally) != predicted:

@@ -169,3 +169,29 @@ def test_criterion_08_fails_a_pair_sharing_two_lines(graph_cache):
     fails = []
     assert verify._check_point_pairs(fake, np.array([[i, j]]), fails) == 0
     assert fails == [f"L_1(5): mismatch at {g.decode(i)}, {g.decode(j)}"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 121, 8192, 8193, 2**31, 2**32 - 1])
+def test_bulk_draws_match_randrange(n):
+    """_draws takes the words randrange would, in the same order, and no
+    more: if the generator's word order ever changes, this fails rather
+    than the seeded samples of criteria 7 and 8 changing silently."""
+    for seed in ("0:common-neighbor", 1717, "7:witness:2:3:3"):
+        for count in (0, 1, 7, 2000):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            got = verify._draws(rng, n, count)
+            assert got.dtype == np.int64
+            assert got.tolist() == [oracle.randrange(n) for _ in range(count)]
+            assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32])
+def test_bulk_draws_refuse_a_range_outside_one_word(n):
+    with pytest.raises(ValueError):
+        verify._draws(random.Random(0), n, 5)
+
+
+def test_check_point_pairs_takes_an_empty_batch(graph_cache):
+    fails = []
+    assert verify._check_point_pairs(graph_cache(3, 1, 1), np.zeros((0, 2), dtype=np.int64), fails) == 0
+    assert fails == []

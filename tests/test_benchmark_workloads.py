@@ -1,4 +1,4 @@
-"""One untraced pass of the benchmark's bfs and spectrum workloads.
+"""One untraced pass of each of the benchmark's workloads.
 
 No other test runs them, so a change to the package API they call would
 otherwise show only when the benchmark itself runs."""
@@ -22,7 +22,7 @@ def perfbench(monkeypatch):
             sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("name", ["bfs", "spectrum"])
+@pytest.mark.parametrize("name", ["bfs", "spectrum", "acceptance", "witness"])
 def test_untraced_pass_fails_nothing(perfbench, name):
     workloads, spans = perfbench
     res = workloads.WORKLOADS[name](0).run_pass(spans.NullTracer())

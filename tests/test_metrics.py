@@ -781,6 +781,15 @@ class TestPathWitnesses:
         walks = path_witnesses(g, [a for a, _ in pairs], [b for _, b in pairs])
         assert walks == [_walk_ids(g, a, b) for a, b in pairs]
 
+    def test_every_pair_of_l2_4_matches_diameter_witness(self, graph_cache):
+        # m = 2: walks of up to seven vertices, where dropping one backtrack
+        # can bring the next one together
+        g = graph_cache(2, 2, 2)
+        sources, targets = np.divmod(np.arange(g.n * g.n), g.n)
+        walks = path_witnesses(g, sources, targets)
+        assert walks == [_walk_ids(g, a, b) for a, b in zip(sources.tolist(), targets.tolist())]
+        assert max(len(w) for w in walks) - 1 == 6
+
     @pytest.mark.parametrize("p,e,m", [(3, 2, 2), (2, 3, 3), (5, 2, 1)])
     def test_sampled_pairs_match_diameter_witness(self, p, e, m, graph_cache):
         g = graph_cache(p, e, m)

@@ -25,6 +25,7 @@ from linwenger import (
     walk_trace,
 )
 from linwenger import spectrum as spectrum_mod
+from linwenger.graphs import _layout_faults
 from linwenger.linearized import count_roots
 from linwenger.verify import SPECTRUM_CASES
 
@@ -192,17 +193,17 @@ class TestEnumerate:
         assert trace_from_report(rep, 1) == 2 * spec.n_edges
 
 
-def csr_squared_entries(adj, k: int) -> int:
-    """The sum of squared entries of A^k by scipy sparse products, where A
-    is the CSR matrix of the (n, q) array adj; a repeated id in a row adds
-    up to an entry of 2."""
+def csr_squared_entries(adj, k: int, rows: int | None = None) -> int:
+    """The sum of squared entries of A^k (of its first rows rows, if given)
+    by scipy sparse products, where A is the CSR matrix of the (n, q) array
+    adj; a repeated id in a row adds up to an entry of 2."""
     n, q = adj.shape
     ones = np.ones(adj.size, dtype=np.int64)
     A = sparse.csr_matrix((ones, (np.repeat(np.arange(n), q), adj.ravel())), shape=(n, n))
     M = A
     for _ in range(k - 1):
         M = M @ A
-    return sum(int(v) ** 2 for v in M.data)
+    return sum(int(v) ** 2 for v in M[:rows].data)
 
 
 def rewired(adj, v, j, u):
@@ -246,6 +247,20 @@ class TestWalkTrace:
             monkeypatch.setattr(spectrum_mod, "_WALK_BYTES", q**4 * adj.itemsize)
             assert [walk_trace(g, k) for k in (1, 2, 3, 4)] == expected
             monkeypatch.undo()
+
+    def test_asymmetric_array_in_layout_gets_every_row(self, graph_cache):
+        # rows stay listed by first coordinate and points next to lines only,
+        # so only the symmetry test refuses the half-row sweep
+        adj = graph_cache(3, 1, 1).adjacency
+        n, q = adj.shape
+        half, j = n // 2, 1
+        other = next(u for u in range(half, n) if u % q == j and u != adj[0, j])
+        g = rewired(adj, 0, j, other)
+        assert _layout_faults(g.adjacency) == ["2 entries are not listed back by their neighbour"]
+        full = [csr_squared_entries(g.adjacency, k) for k in (1, 2, 3, 4)]
+        halved = [2 * csr_squared_entries(g.adjacency, k, rows=half) for k in (1, 2, 3, 4)]
+        assert halved != full
+        assert [walk_trace(g, k) for k in (1, 2, 3, 4)] == full
 
     def test_one_vertex_over_the_walk_budget_is_refused(self, graph_cache, monkeypatch):
         g = graph_cache(3, 1, 1)
