@@ -4,8 +4,11 @@
 For every prime power q = p^e and exponent count m within the byte budget
 (graph_bytes), build the Frobenius-family graph, enumerate its spectrum, and
 put the BFS ground truth (components, diameter, girth) next to the
-closed-form predictions.  Rows where any available prediction disagrees are
-marked and the script exits nonzero, so it doubles as a quick smoke sweep.
+closed-form predictions, with the graph's layout certificate (rows listed by
+first coordinate, points next to lines only, symmetric) as the `regular`
+column.  Rows where any available prediction disagrees or the certificate
+counts a fault are marked and the script exits 4, so it doubles as a quick
+smoke sweep.
 
     python3 scripts/spectrum_survey.py --max-q 9 --max-m 3
 """
@@ -25,7 +28,7 @@ from linwenger import (
     spectrum_enumerate,
 )
 from linwenger.fields import is_prime
-from linwenger.graphs import graph_bytes
+from linwenger.graphs import graph_bytes, layout_certificate
 
 
 def spectrum_str(report, max_entries=6):
@@ -51,11 +54,12 @@ def survey(max_q, max_m, max_bytes):
                 t0 = time.perf_counter()
                 graph = Graph(spec, byte_budget=max_bytes).materialize()
                 rep = metrics_report(graph)
+                regular = "NO" if any(layout_certificate(graph)) else "yes"
                 enum = spectrum_enumerate(spec)
                 closed = closed_form_linearized(p, e, m).to_report(spec)
                 closed_ok = "yes" if closed.same_spectrum(enum) else "NO"
                 elapsed = time.perf_counter() - t0
-                row_ok = rep.all_match and closed_ok != "NO"
+                row_ok = rep.all_match and closed_ok != "NO" and regular != "NO"
                 ok &= row_ok
                 rows.append(
                     (
@@ -67,6 +71,7 @@ def survey(max_q, max_m, max_bytes):
                         rep.components,
                         rep.diameter,
                         rep.girth,
+                        regular,
                         closed_ok,
                         "ok" if row_ok else "MISMATCH",
                         elapsed,
@@ -86,13 +91,13 @@ def main():
 
     rows, ok = survey(args.max_q, args.max_m, args.max_bytes)
     head = f"{'p':>3} {'e':>2} {'m':>2} {'q':>3} {'|V|':>7} {'comp':>4} {'diam':>4} " \
-           f"{'girth':>5} {'closed':>6} {'check':>8} {'sec':>6}  spectrum"
+           f"{'girth':>5} {'regular':>7} {'closed':>6} {'check':>8} {'sec':>6}  spectrum"
     print(head)
     print("-" * len(head))
     for r in rows:
         print(
             f"{r[0]:>3} {r[1]:>2} {r[2]:>2} {r[3]:>3} {r[4]:>7} {r[5]:>4} {r[6]:>4} "
-            f"{r[7]:>5} {r[8]:>6} {r[9]:>8} {r[10]:>6.2f}  {r[11]}"
+            f"{r[7]:>5} {r[8]:>7} {r[9]:>6} {r[10]:>8} {r[11]:>6.2f}  {r[12]}"
         )
     print(f"{len(rows)} graphs, {'all consistent' if ok else 'MISMATCH found'}")
     return 0 if ok else 4

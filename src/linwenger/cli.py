@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import Acyclic, BudgetExceeded, ConfigError, NotBipartite, SolveFailed
-from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, export, structure_faults
+from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, export, layout_certificate
 from .metrics import metrics_report
 from .spectrum import (
     DEFAULT_EVAL_BUDGET,
@@ -94,7 +94,7 @@ def cmd_build(args) -> int:
     summary = f"{spec.family} p={spec.p} e={spec.e} m={spec.m} |V|={graph.n} |E|={graph.n_edges}"
     faults = []
     if args.format != "json":  # the JSON summary needs no adjacency
-        faults = structure_faults(spec, graph.adjacency)
+        faults = layout_certificate(graph).faults()
         summary += f" regular={'NO' if faults else 'yes'}"
     export(graph, args.format, args.out if args.out else sys.stdout)
     # keep the data stream clean: summary goes to stderr when data is on stdout

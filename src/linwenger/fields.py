@@ -34,7 +34,7 @@ P_LIMIT = 1 << 15  # characteristic stays comfortably inside machine words
 Q_LIMIT = 1 << 24  # enumeration-scale ceiling on the field size
 TABLE_LIMIT = 1 << 16  # fields this small cache every element and use index tables
 # Bytes of one q x q int64 table of Field.index_tables: q = 2048 is the
-# largest within it, well above the q <= 487 of any graph that
+# largest within it, well above the q <= 509 of any graph that
 # graphs.graph_bytes fits in the default 2 GiB budget.
 _TABLE_BYTES = 1 << 25
 
@@ -287,22 +287,42 @@ def _index(coeffs, p: int) -> int:
     return i
 
 
+def _binary(name: str, swap: bool = False):
+    """A FieldElement operator: IndexOps.<name> on the two indices, swapped
+    for a reflected operator; NotImplemented for an operand _coerce refuses."""
+    get = operator.attrgetter(name)
+
+    def apply(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        F = self.field
+        op = get(F._ops or F.ops())
+        return F._elt_at(op(b, self.index) if swap else op(self.index, b))
+
+    return apply
+
+
 class FieldElement:
-    """An element of GF(p^e): its coordinate tuple over F_p and its canonical
-    index, the coordinate vector read as a base-p integer with the low basis
-    coordinate least significant.
+    """An element of GF(p^e), held as its canonical index: the coordinate
+    vector over F_p read as a base-p integer with the low basis coordinate
+    least significant.  coeffs derives the coordinate tuple on read.
 
     The operators are shells over the field's IndexOps: each coerces its
     operand to an index, computes on the two indices and returns the element
     at the result, one of the field's cached elements when q <= TABLE_LIMIT.
     """
 
-    __slots__ = ("field", "coeffs", "index")
+    __slots__ = ("field", "index")
 
-    def __init__(self, field: "Field", coeffs: tuple[int, ...], index: int):
+    def __init__(self, field: "Field", index: int):
         self.field = field
-        self.coeffs = coeffs
         self.index = index
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        F = self.field
+        return tuple(_coords(self.index, F.p, F.e))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -317,7 +337,7 @@ class FieldElement:
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.modulus))
+        return hash(self.index)
 
     def __repr__(self) -> str:
         return _fmt_poly(self.coeffs)
@@ -337,55 +357,16 @@ class FieldElement:
             return other % self.field.p  # n * 1 has index n mod p
         return None
 
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        F = self.field
-        return F._elt_at((F._ops or F.ops()).add(self.index, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        F = self.field
-        return F._elt_at((F._ops or F.ops()).sub(self.index, b))
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        F = self.field
-        return F._elt_at((F._ops or F.ops()).sub(b, self.index))
+    __add__ = __radd__ = _binary("add")
+    __sub__ = _binary("sub")
+    __rsub__ = _binary("sub", swap=True)
+    __mul__ = __rmul__ = _binary("mul")
+    __truediv__ = _binary("div")
+    __rtruediv__ = _binary("div", swap=True)
 
     def __neg__(self):
         F = self.field
         return F._elt_at((F._ops or F.ops()).sub(0, self.index))
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        F = self.field
-        return F._elt_at((F._ops or F.ops()).mul(self.index, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        F = self.field
-        return F._elt_at(F.ops().mul(self.index, F.ops().inv(b)))
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        F = self.field
-        return F._elt_at(F.ops().mul(b, F.ops().inv(self.index)))
 
     def __pow__(self, k: int):
         F = self.field
@@ -451,12 +432,9 @@ class Field:
         self.q = p**e
         self.modulus = tuple(modulus)
         self._tab = self._ops = None
-        self.zero = FieldElement(self, (0,) * e, 0)
-        self.one = FieldElement(self, (1,) + (0,) * (e - 1), 1)
-        self.basis = tuple(
-            FieldElement(self, tuple(1 if j == i else 0 for j in range(e)), p**i)
-            for i in range(e)
-        )
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
+        self.basis = tuple(FieldElement(self, p**i) for i in range(e))
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of a * b: the polynomial product modulo the modulus."""
@@ -471,8 +449,7 @@ class Field:
             raise DegreeMismatch(
                 f"coordinate vector of length {len(coeffs)} in GF({self.p}^{self.e})"
             )
-        coeffs += [0] * (self.e - len(coeffs))
-        return FieldElement(self, tuple(coeffs), _index(coeffs, self.p))
+        return FieldElement(self, _index(coeffs, self.p))
 
     def from_int(self, n: int) -> FieldElement:
         """Embed an integer through the prime subfield: n -> (n mod p) * 1."""
@@ -488,7 +465,7 @@ class Field:
         TABLE_LIMIT, else a new one."""
         T = self._tab or self._tables()
         if T is None:
-            return FieldElement(self, tuple(_coords(i, self.p, self.e)), i)
+            return FieldElement(self, i)
         return T.elts[i]
 
     def _tables(self) -> "_Tables | None":
@@ -567,9 +544,7 @@ class _Tables:
 
         p, e, q = F.p, F.e, F.q
         order = q - 1
-        # product() varies its last place fastest, an index its first
-        coords = [c[::-1] for c in itertools.product(range(p), repeat=e)]
-        self.elts = list(map(FieldElement, itertools.repeat(F), coords, range(q)))
+        self.elts = list(map(FieldElement, itertools.repeat(F), range(q)))
 
         g = next(
             c for c in ([F.basis[1]] if e > 1 else []) + self.elts[1:]
@@ -605,10 +580,10 @@ class _Tables:
 
 class IndexOps:
     """The scalar arithmetic of one field, on canonical element indices:
-    add(a, b), sub(a, b), mul(a, b), inv(a), pow(a, k) and frob(a, k) =
-    a^(p^k), each taking and returning ints in [0, q).  It is the field's one
-    arithmetic: FieldElement's operators, the elimination and the per-pair
-    routes all run on it.
+    add(a, b), sub(a, b), mul(a, b), div(a, b), inv(a), pow(a, k) and
+    frob(a, k) = a^(p^k), each taking and returning ints in [0, q).  It is
+    the field's one arithmetic: FieldElement's operators, the elimination
+    and the per-pair routes all run on it.
 
     With q <= TABLE_LIMIT the operations read the log, antilog and Zech lists
     of _Tables, O(q) memory.  Above it they decode the indices to coordinate
@@ -617,7 +592,7 @@ class IndexOps:
     tested against.  In characteristic 2 an index is the coordinate vector
     as a bit mask, so add and sub are XOR in any field."""
 
-    __slots__ = ("add", "sub", "mul", "inv", "pow", "frob")
+    __slots__ = ("add", "sub", "mul", "div", "inv", "pow", "frob")
 
     def __init__(self, F: Field):
         T = F._tab or F._tables()
@@ -627,6 +602,8 @@ class IndexOps:
             self._tabled(F, T)
         if F.p == 2:
             self.add = self.sub = operator.xor
+        mul, inv = self.mul, self.inv
+        self.div = lambda a, b: mul(a, inv(b))
 
     # With tables: exp[i] = g^i over two periods, log[a] = log_g of the
     # element of index a != 0, zech[d] = log_g(1 + g^d) (None where that is

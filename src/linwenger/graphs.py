@@ -18,6 +18,7 @@ import json
 import operator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, OutOfRange
 from .fields import GF, Field, FieldElement
@@ -27,6 +28,9 @@ DEFAULT_BYTE_BUDGET = 2 << 30  # the graph_bytes(spec) a Graph may reach by defa
 # Graph.materialize gathers this many bytes of rows at a time, which bounds
 # each of its temporaries at any n.
 _GATHER_BYTES = 32 << 20
+# The layout and automorphism certificates read rows in blocks whose gather
+# indices take this many bytes: cache-sized, within graph_bytes' fixed 4 MiB.
+_CERTIFY_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -197,10 +201,10 @@ def line_through(spec: FamilySpec, P: Point, l1: FieldElement) -> Line:
 
 def graph_bytes(spec: FamilySpec) -> int:
     """Peak bytes (tracemalloc, pinned by the tests) held for spec's graph:
-    its (n, q) int32 array, the most per vertex that structure_faults,
-    materialize or the BFS sweep adds, index tables and 4 MiB of blocks."""
+    its (n, q) int32 array, the most per vertex that materialize or the BFS
+    sweep adds, index tables and 4 MiB of certificate blocks."""
     n, q, m = spec.n_vertices, spec.q, spec.m
-    extra = max(5 * q + 16, 4 * (q + m + 1), 2 * (m + 1) + 40)
+    extra = max(4 * (q + m + 1), 2 * (m + 1) + 40)
     return n * (4 * q + extra) + 32 * q * q + (4 << 20)
 
 
@@ -224,7 +228,7 @@ class Graph:
     Lazy graphs answer neighbor queries by solving the adjacency equations.
     materialize() stores the one materialized form, an (n, q) array of
     neighbour ids whose row v is neighbor_ids(v).  Every reader in the
-    package, the walk trace, the structure check and the BFS metrics
+    package, the walk trace, the layout certificate and the BFS metrics
     included, reads that array and nothing else.
     """
 
@@ -232,6 +236,7 @@ class Graph:
         self.spec = spec
         self.byte_budget = byte_budget
         self._nbrs = None
+        self._layout = None  # the array's layout certificate (layout_certificate)
         self._bfs = None  # the metrics' BFS record (metrics._sweep)
 
     # -- size ---------------------------------------------------------------
@@ -388,49 +393,81 @@ class Graph:
         return f"Graph({s.family} p={s.p} e={s.e} m={s.m}, {self.n} vertices)"
 
 
-def _own_side_rows(nbrs):
-    """Boolean per row of an (n, q) neighbour array: does the vertex list a
-    neighbour on its own side?  Points are ids [0, n/2) and lines [n/2, n).
-
-    A point row is sound when its least entry is a line, a line row when its
-    greatest is a point, so the test is one row reduction per side and makes
-    no (n, q) temporary."""
-    import numpy as np
-
-    half = len(nbrs) // 2
-    return np.concatenate(
-        [nbrs[:half].min(axis=1, initial=half) < half, nbrs[half:].max(axis=1, initial=-1) >= half]
-    )
+_FAULTS = (
+    "entries are not vertex ids",
+    "rows are not listed by first coordinate",
+    "vertices have a neighbour on their own side",
+    "entries are not listed back by their neighbour",
+)
 
 
-def structure_faults(spec: FamilySpec, nbrs) -> list[str]:
-    """What is wrong with an (n, q) neighbour array for spec; [] when sound:
-    a row not listed by first coordinate, a neighbour on the vertex's own
-    side, or an entry u of row v whose own row does not list v.
+class Layout(NamedTuple):
+    """The counts of _certify_layout, all 0 on the arrays materialize builds."""
 
-    Ids are congruent to their first coordinate mod q, so a row listed by
-    first coordinate (entry j = j mod q) holds q distinct ids, and the
-    array has 2 q^(m+2) nonzeros.  Row u then lists v at column v mod q,
-    so the symmetry test is one gather, as in path_witnesses."""
-    n, q = spec.n_vertices, spec.q
-    if nbrs.shape != (n, q) or nbrs.min() < 0 or nbrs.max() >= n:
-        return [f"array of shape {nbrs.shape} is not {n} rows of {q} ids in [0, {n})"]
-    return _layout_faults(nbrs)
+    stray: int  # entries outside [0, n)
+    unordered: int  # rows not listed by first coordinate
+    own_side: int  # vertices with a neighbour on their own side
+    unlisted: int  # entries u of a row v whose own row does not list v
+
+    def faults(self) -> list[str]:
+        return [f"{count} {what}" for what, count in zip(_FAULTS, self) if count]
 
 
-def _layout_faults(nbrs) -> list[str]:
-    """The layout tests of structure_faults on an (n, q) array of ids in
-    [0, n), of any n and q; [] when they all hold."""
+def _certify_rows(nbrs) -> int:
+    """Rows per certificate block: their 8-byte gather indices fill _CERTIFY_BYTES."""
+    return max(1, _CERTIFY_BYTES // (8 * nbrs.shape[1]))
+
+
+def _certify_layout(nbrs) -> Layout:
+    """The package's one layout test, on an (n, q) array of any n and q:
+    ids in [0, n), then rows listed by first coordinate, no neighbour on the
+    vertex's own side (points are ids [0, n/2)), and every entry listed
+    back.  An id is congruent to its first coordinate mod q, so a row listed
+    by first coordinate holds q distinct ids, and row u then lists v at
+    column v mod q: one flat gather per block of _certify_rows, so no
+    temporary outgrows a block.  The gathers need every id in range."""
     import numpy as np
 
     n, q = nbrs.shape
-    ids = np.arange(n)[:, None]
-    counts = {
-        "rows are not listed by first coordinate": (nbrs % q != np.arange(q)).any(axis=1).sum(),
-        "vertices have a neighbour on their own side": _own_side_rows(nbrs).sum(),
-        "entries are not listed back by their neighbour": (nbrs[nbrs, ids % q] != ids).sum(),
-    }
-    return [f"{count} {what}" for what, count in counts.items() if count]
+    counts = np.zeros(4, dtype=np.int64)
+    ranged = nbrs.min() >= 0 and nbrs.max() < n
+    flat, columns, rows = nbrs.reshape(-1), np.arange(q, dtype=nbrs.dtype), _certify_rows(nbrs)
+    for lo in range(0, n, rows):
+        block = nbrs[lo : lo + rows]
+        if not ranged:
+            counts[0] += np.count_nonzero((block < 0) | (block >= n))
+            continue
+        ids = np.arange(lo, lo + len(block), dtype=nbrs.dtype)[:, None]
+        at = block.astype(np.intp)
+        at *= q
+        at += ids % q  # flat index of (u, v mod q) for each entry u of row v
+        counts[1:] += (
+            np.count_nonzero((block % q != columns).any(axis=1)),
+            np.count_nonzero(((block >= n // 2) == (ids >= n // 2)).any(axis=1)),
+            np.count_nonzero(np.take(flat, at) != ids),
+        )
+    return Layout(*counts.tolist())
+
+
+def layout_certificate(graph) -> Layout:
+    """_certify_layout of graph.adjacency, run once per graph and cached as
+    graph._layout when the array is read-only, as a materialized one is."""
+    cert = getattr(graph, "_layout", None)
+    if cert is None:
+        cert = _certify_layout(graph.adjacency)
+        if not graph.adjacency.flags.writeable:
+            graph._layout = cert
+    return cert
+
+
+def structure_faults(spec: FamilySpec, nbrs) -> list[str]:
+    """What is wrong with any (n, q) neighbour array for spec, a perturbed
+    copy included; [] when sound: its shape and id range, then Layout.faults."""
+    n, q = spec.n_vertices, spec.q
+    cert = _certify_layout(nbrs) if nbrs.shape == (n, q) else None
+    if cert is None or cert.stray:
+        return [f"array of shape {nbrs.shape} is not {n} rows of {q} ids in [0, {n})"]
+    return cert.faults()
 
 
 def export(graph: Graph, fmt: str, sink) -> None:

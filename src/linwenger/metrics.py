@@ -4,10 +4,10 @@ BFS results are exact and read only the (n, q) neighbour array
 graph.adjacency: components by min-label propagation, and eccentricities and
 girth from one batched level-synchronous sweep per graph (_sweep), cached on
 the graph and capped at _SWEEP_BYTES of working set whatever the vertex
-count.  The sweep certifies, on the array of every graph it runs on, the two
-properties it relies on: the bipartite layout the package builds (points
-[0, n/2), lines [n/2, n), every edge across; NotBipartite otherwise), and
-the shift automorphisms whose orbits it takes one source from (_orbits): 2
+count.  The sweep relies on two properties certified on every graph's array:
+the bipartite layout (points [0, n/2), lines [n/2, n), every edge across;
+read from graphs.layout_certificate, NotBipartite otherwise), and the
+shift automorphisms whose orbits it takes one source from (_orbits): 2
 sources when every f_k is additive (every linearized graph, and a Wenger
 graph with m = 1 or with p = 2 and m = 2), q + 1 on other Wenger graphs,
 every vertex when none is certified.  The witness builders do the opposite: they exploit the
@@ -53,10 +53,11 @@ from .graphs import (
     Graph,
     Line,
     Point,
+    _certify_rows,
     _check_vertex,
     _f_table,
-    _own_side_rows,
     adjacent,
+    layout_certificate,
     line_through,
     point_through,
 )
@@ -69,9 +70,6 @@ from .spectrum import component_count_formula
 # and one bit per source, so a batch runs _SWEEP_BYTES // (n/2) sources at
 # any n.
 _SWEEP_BYTES = 1 << 25
-# Bytes of neighbour ids _is_automorphism checks at a time: a block of rows,
-# read in memory order, small enough for its gathers to stay in cache.
-_CERTIFY_BYTES = 1 << 20
 
 
 def _min_labels(n: int, relation):
@@ -166,7 +164,7 @@ def _is_automorphism(table, perm) -> bool:
     the row order, because a vertex id's first coordinate is id mod q.  A
     bijection that maps the relation into itself maps it onto itself.
 
-    The rows are checked a block of _CERTIFY_BYTES at a time, as flat
+    The rows are checked a block of graphs._certify_rows at a time, as flat
     gathers (no (n, q) temporary), and the first failing block ends the
     test."""
     import numpy as np
@@ -176,7 +174,7 @@ def _is_automorphism(table, perm) -> bool:
         return False
     flat = table.reshape(-1)
     row_start, first = perm * q, perm % q
-    rows = max(1, _CERTIFY_BYTES // (q * table.itemsize))
+    rows = _certify_rows(table)
     for lo in range(0, n, rows):
         block = table[lo : lo + rows]
         at = np.take(first, block)
@@ -245,8 +243,9 @@ def _sweep(graph: Graph) -> _BfsRecord:
     automorphism every vertex is a representative: the all-source sweep.
 
     The array must be laid out as the package builds it: points are ids
-    [0, n/2), lines [n/2, n), and every row lists only the other side
-    (certified on entry; NotBipartite otherwise).  So a batch takes its
+    [0, n/2), lines [n/2, n), and every row lists only the other side: the
+    graph's layout certificate must count no stray id and no own-side
+    neighbour, in any row order, or NotBipartite.  So a batch takes its
     sources from one side, and each frontier lies on one side: a level
     gathers only the n/2 rows of the other side, through that side's half of
     the table.
@@ -267,7 +266,8 @@ def _sweep(graph: Graph) -> _BfsRecord:
     table = graph.adjacency
     n, d = table.shape
     half = n // 2
-    if n % 2 or _own_side_rows(table).any():
+    layout = layout_certificate(graph)
+    if n % 2 or layout.stray or layout.own_side:
         raise NotBipartite("BFS needs points [0, n/2) and lines [n/2, n), adjacent across only")
     rep_of, automorphisms = _orbits(graph)
     reps = np.flatnonzero(rep_of == np.arange(n))
@@ -807,27 +807,15 @@ def _girth_regime(spec: FamilySpec) -> int | None:
     return 6 if spec.p % 2 or (spec.e >= 2 and spec.m == 1) else 8
 
 
-def _first_zero_trace_pair(F):
-    """Smallest (by canonical order) beta != 0 with tr(beta) = 0 and alpha != 0
-    solving alpha^2 + alpha = beta."""
-    for bi in range(1, F.q):
-        beta = F.from_index(bi)
-        if beta.trace():
-            continue
-        for ai in range(1, F.q):
-            alpha = F.from_index(ai)
-            if alpha * alpha + alpha == beta:
-                return alpha, beta
-    return None
-
-
 def cycle_witness_6(spec: FamilySpec) -> CycleWitness:
     """An explicit 6-cycle for the Frobenius family.
 
     Odd characteristic admits the integer witness u = (1, 1, -2),
     c = (1, -1, 0) from the all-zero point.  For p = 2 a 6-cycle needs
     e >= 2 and m = 1; it comes from any beta != 0 of trace zero and an
-    alpha with alpha^2 + alpha = beta."""
+    alpha with alpha^2 + alpha = beta, in closed form alpha = t and
+    beta = t^2 + t: t is neither 0 nor 1, so beta != 0, and
+    tr(beta) = tr(t^2) + tr(t) = 2 tr(t) = 0."""
     if spec.family != "linearized":
         raise UnsupportedRegime("cycle construction needs the Frobenius family")
     if _girth_regime(spec) != 6:
@@ -838,10 +826,8 @@ def cycle_witness_6(spec: FamilySpec) -> CycleWitness:
     if spec.p % 2:
         w = cycle_from_coefficients(spec, (1, 1, -2), (1, -1, 0))
     else:
-        pair = _first_zero_trace_pair(F)
-        if pair is None:
-            raise SolveFailed("no trace-zero beta admits alpha^2 + alpha = beta")
-        alpha, beta = pair
+        alpha = F.basis[1]
+        beta = alpha * alpha + alpha
         us = (alpha * alpha, alpha, beta)
         cs = (F.zero, beta / alpha, F.one)
         w = cycle_from_coefficients(spec, us, cs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ThetaNotInjective
 from .fields import _check_field_params, fq_rank
-from .graphs import FamilySpec, Graph, _f_table, _layout_faults
+from .graphs import FamilySpec, Graph, _f_table, layout_certificate
 # count_roots is not called here; it stays bound because perfbench/spans.py
 # wraps linwenger.spectrum.count_roots (its linearized.count_roots_* metrics
 # then read 0).
@@ -27,8 +27,7 @@ from .linearized import count_roots, rank_distribution  # noqa: F401
 
 DEFAULT_EVAL_BUDGET = 10**8
 # walk_trace gathers this many bytes of walk ends at a time, which bounds
-# each temporary of its sweep at any n (its layout test takes those of
-# structure_faults).
+# each temporary of its sweep at any n.
 _WALK_BYTES = 1 << 19
 
 
@@ -218,13 +217,14 @@ def component_count_formula(spec: FamilySpec) -> int:
 def walk_trace(graph: Graph, k: int) -> int:
     """trace(A^(2k)) as an exact integer, 1 <= k <= 4.
 
-    It reads graph.adjacency and nothing else, so any (n, q) neighbour
-    array serves, a rewired one with no spec included, and it returns the
+    It reads graph.adjacency and its layout certificate, so any (n, q)
+    neighbour array serves, a rewired one with no spec included; it returns the
     sum of squared entries of A^k: trace(A^(2k)) when A is symmetric.  Row
     v of A^k is the multiset of the ends of the q^k walks that follow the
     rows from v.
-    An array that passes the layout tests of structure_faults (rows listed
-    by first coordinate, points next to lines only, symmetric) is
+    An array whose certificate (graphs.layout_certificate, cached on the
+    graph, so not tested per call) counts no fault (rows listed by first
+    coordinate, points next to lines only, symmetric) is
     A = [[0, B], [B^T, 0]], and tr((B B^T)^k) = tr((B^T B)^k), so only its
     n/2 point rows are swept and the sum is doubled; any other array gets
     every row.
@@ -248,7 +248,7 @@ def walk_trace(graph: Graph, k: int) -> int:
             f"the {q**k} walk ends of one vertex need {q**k * adj.itemsize} bytes, "
             f"over the {_WALK_BYTES}-byte walk budget"
         )
-    certified = adj.min() >= 0 and adj.max() < n and not _layout_faults(adj)
+    certified = not any(layout_certificate(graph))
     stop = n // 2 if certified else n
     total = 0
     for start in range(0, stop, rows):

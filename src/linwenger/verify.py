@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .fields import GF, _fq_rref
-from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, Line, Point, structure_faults
+from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, Line, Point
+from .graphs import layout_certificate, structure_faults
 from .linearized import rank_distribution
 from .metrics import (
     common_neighbor,
@@ -227,11 +228,12 @@ def check_regularity_and_counts(run: _Runner) -> tuple[str, str]:
     fails, skips = [], []
     checked = 0
     for case, g in run.graphs(ALL_CASES, skips):
-        nbrs = g.adjacency
+        faults = layout_certificate(g).faults()
         if run.perturb and checked == 0:
-            nbrs = nbrs.copy()
+            nbrs = g.adjacency.copy()
             nbrs[0, -1] = nbrs[0, 0]  # injected fault: one neighbour listed twice
-        fails += [f"{_label(case)}: {fault}" for fault in structure_faults(g.spec, nbrs)]
+            faults = structure_faults(g.spec, nbrs)
+        fails += [f"{_label(case)}: {fault}" for fault in faults]
         checked += 1
     return _finish(
         fails, skips,
@@ -419,12 +421,8 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
         predicted = {r: a * scale for r, a in rank_distribution(p, e, m).items()}
         if dict(tally) != predicted:
             fails.append(f"L_{m}({spec.q}): rank tally {dict(tally)} != A_r {predicted}")
-    if fails:
-        return "FAIL", "; ".join(fails[:4])
-    return "PASS", (
-        "F_p rank tallies of every linear part match the rank distribution "
-        f"on {len(RANK_CASES)} graphs"
-    )
+    return _finish(fails, [], "F_p rank tallies of every linear part match the rank "
+                   f"distribution on {len(RANK_CASES)} graphs")
 
 
 def check_expander_radicand(run: _Runner) -> tuple[str, str]:

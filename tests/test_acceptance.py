@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from linwenger import verify
+from linwenger import graphs, verify
 from linwenger.graphs import FamilySpec, graph_bytes
 from linwenger.verify import CHECKS, _Runner
 
@@ -103,6 +103,23 @@ def test_wrong_predictions_fail(monkeypatch, name, wrong, failing):
     run = _Runner(seed=0, max_bytes=graph_bytes(FamilySpec.linearized(11, 1, 1)))
     statuses = {n: _BY_NUMBER[n][1](run)[0] for n in (4, 5, 6, 7)}
     assert {n for n, status in statuses.items() if status == "FAIL"} == set(failing)
+
+
+def test_one_run_certifies_each_layout_once(monkeypatch):
+    """Criteria 2 to 6 all read the layout certificate (walk traces, the
+    regularity check, the BFS sweep), but each of the 14 graphs of one run
+    is certified once."""
+    real, certified = graphs._certify_layout, []
+
+    def counted(nbrs):
+        certified.append(nbrs)
+        return real(nbrs)
+
+    monkeypatch.setattr(graphs, "_certify_layout", counted)
+    results = verify.run_acceptance(seed=0)
+    assert all(r.status == "PASS" for r in results)
+    assert len(certified) == len(verify.ALL_CASES) == 14
+    assert len({id(nbrs) for nbrs in certified}) == 14
 
 
 def test_criterion_08_checks_the_same_pairs():

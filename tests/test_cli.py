@@ -198,7 +198,7 @@ class TestMetrics:
         monkeypatch.setattr(Field, "index_tables", refuse)
         assert main(["metrics", "--p", "997", "--e", "1", "--m", "1"]) == EXIT_BUDGET
         _, err = capsys.readouterr()
-        assert "needs 17906296394 bytes" in err and "byte budget 2147483648" in err
+        assert "needs 15908338304 bytes" in err and "byte budget 2147483648" in err
 
     def test_wenger_without_predictions(self, capsys):
         code = main(["metrics", "--p", "3", "--m", "1", "--family", "wenger"])

@@ -24,7 +24,6 @@ from linwenger import (
     walk_trace,
 )
 from linwenger import graphs
-from linwenger import metrics as metrics_mod
 from linwenger.graphs import DEFAULT_BYTE_BUDGET, graph_bytes, structure_faults
 from linwenger.metrics import metrics_report
 
@@ -175,6 +174,50 @@ class TestGraph:
         assert faults_after(0, [0, 1], g.adjacency[0, [1, 0]]) == [f"1 {order}", f"2 {back}"]
         assert structure_faults(g.spec, g.adjacency[:-1]) != []  # a row short
 
+    @pytest.mark.parametrize(
+        "fault,expected",
+        [
+            pytest.param("unordered", (0, 1, 0, 2), id="unordered"),
+            pytest.param("own-side", (0, 0, 1, 2), id="own-side"),
+            pytest.param("unlisted", (0, 0, 0, 2), id="unlisted"),
+            pytest.param("stray", (1, 0, 0, 0), id="stray"),
+        ],
+    )
+    def test_fault_in_a_later_block_is_counted(self, fault, expected, graph_cache, monkeypatch):
+        # the fault sits in the last row of L_2(3), a line: with blocks of 8
+        # rows, in the seventh block of seven
+        nbrs = graph_cache(3, 1, 2).adjacency.copy()
+        n, q = nbrs.shape
+        last = nbrs[n - 1]
+        if fault == "unordered":  # two entries swapped
+            last[[0, 1]] = last[[1, 0]]
+        elif fault == "own-side":  # another line, of first coordinate 0
+            last[0] = n // 2 + q
+        elif fault == "unlisted":  # a point of first coordinate 0 not next to it
+            last[0] = next(u for u in range(0, n // 2, q) if u not in last)
+        else:
+            last[0] = n
+        whole = graphs._certify_layout(nbrs)
+        monkeypatch.setattr(graphs, "_CERTIFY_BYTES", 8 * 8 * q)
+        assert graphs._certify_rows(nbrs) == 8
+        assert graphs._certify_layout(nbrs) == whole == graphs.Layout(*expected)
+
+    def test_certificate_temporaries_stay_within_a_few_blocks(self, monkeypatch):
+        # L_9(3): 118,098 rows of 3 ids in 44 blocks of 2730 rows, whose
+        # gather indices take 64 KiB; the whole array takes 1.4 MB
+        graph = Graph(FamilySpec.linearized(3, 1, 9)).materialize()
+        monkeypatch.setattr(graphs, "_CERTIFY_BYTES", 64 << 10)
+        assert graphs._certify_rows(graph.adjacency) == 2730
+        gc.collect()
+        tracemalloc.start()
+        try:
+            certificate = graphs._certify_layout(graph.adjacency)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certificate == graphs.Layout(0, 0, 0, 0)
+        assert peak <= 4 * graphs._CERTIFY_BYTES, peak
+
     def test_encode_layout(self):
         g = Graph(FamilySpec.linearized(2, 1, 1))
         F = g.spec.field
@@ -317,8 +360,15 @@ class TestGraph:
         assert graph_bytes(FamilySpec.linearized(2, 4, 4)) <= DEFAULT_BYTE_BUDGET
         assert graph_bytes(FamilySpec.linearized(2, 5, 3)) <= DEFAULT_BYTE_BUDGET
         assert DEFAULT_BYTE_BUDGET < graph_bytes(FamilySpec.linearized(2, 6, 3))
-        # past any budget, 2^31 entries would overflow the int32 ids
+        # L_1(q): 509 is the largest prime power that fits, 512 and 521 do not
+        assert graph_bytes(FamilySpec.linearized(491, 1, 1)) <= DEFAULT_BYTE_BUDGET
+        assert graph_bytes(FamilySpec.linearized(509, 1, 1)) <= DEFAULT_BYTE_BUDGET
+        assert DEFAULT_BYTE_BUDGET < graph_bytes(FamilySpec.linearized(2, 9, 1))
+        assert DEFAULT_BYTE_BUDGET < graph_bytes(FamilySpec.linearized(521, 1, 1))
         monkeypatch.setattr(np, "empty", _refuse)
+        with pytest.raises(BudgetExceeded, match="over the byte budget"):
+            Graph(FamilySpec.linearized(521, 1, 1)).materialize()
+        # past any budget, 2^31 entries would overflow the int32 ids
         with pytest.raises(BudgetExceeded, match="2\\^31 entries"):
             Graph(FamilySpec.linearized(2, 6, 3), byte_budget=1 << 40).materialize()
 
@@ -352,10 +402,13 @@ class TestGraph:
             tracemalloc.stop()
         need = graph_bytes(spec)
         assert max(peaks.values()) <= need, (peaks, need)
-        # neither makes the sweep's certificate blocks, which most of the
-        # fixed 4 MiB is for: their per-vertex terms alone bound them
-        for name in ("materialize", "structure_faults"):
-            assert peaks[name] <= need - (4 << 20) + (128 << 10), (name, peaks, need)
+        # materialize makes no certificate blocks, which the fixed 4 MiB is
+        # for: its per-vertex term alone bounds it
+        assert peaks["materialize"] <= need - (4 << 20) + (128 << 10), (peaks, need)
+        # the layout certificate needs no per-vertex term: the array, the
+        # index tables and its blocks within the fixed 4 MiB
+        q = spec.q
+        assert peaks["structure_faults"] <= graph.adjacency.nbytes + 32 * q * q + (4 << 20)
         if spec.n_vertices > 30_000:  # past the fixed 4 MiB, the count stays close
             assert max(peaks.values()) > need // 2, (peaks, need)
 
@@ -364,7 +417,7 @@ class TestGraph:
         # 2(m + 1) + 40, bounds metrics_report on a graph where it dominates
         spec = FamilySpec.linearized(3, 1, 9)
         graph = Graph(spec).materialize()
-        monkeypatch.setattr(metrics_mod, "_CERTIFY_BYTES", 16 << 10)
+        monkeypatch.setattr(graphs, "_CERTIFY_BYTES", 16 << 10)
         gc.collect()
         tracemalloc.start()
         try:
@@ -373,7 +426,7 @@ class TestGraph:
         finally:
             tracemalloc.stop()
         n, q, m = spec.n_vertices, spec.q, spec.m
-        assert 2 * (m + 1) + 40 > max(5 * q + 16, 4 * (q + m + 1))
+        assert 2 * (m + 1) + 40 > 4 * (q + m + 1)
         assert peak <= graph_bytes(spec) - (4 << 20) - 4 * n * q + (128 << 10)
 
     def test_materialize_temporaries_stay_within_gather_bytes(self, monkeypatch):

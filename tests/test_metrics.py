@@ -11,6 +11,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from linwenger import fields
+from linwenger import graphs as graphs_mod
 from linwenger import metrics as metrics_mod
 from linwenger import (
     Acyclic,
@@ -249,20 +250,20 @@ def test_report_checks_certifies_and_sweeps_once(monkeypatch):
     BFS per graph: diameter and girth read one cached record."""
     calls = []
 
-    def counted(name):
-        real = getattr(metrics_mod, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def call(*args):
             calls.append(name)
             return real(*args)
 
-        return call
+        monkeypatch.setattr(module, name, call)
 
-    for name in ("_own_side_rows", "_orbits"):
-        monkeypatch.setattr(metrics_mod, name, counted(name))
+    counted(graphs_mod, "_certify_layout")
+    counted(metrics_mod, "_orbits")
     g = Graph(FamilySpec.linearized(3, 1, 2)).materialize()
     report = metrics_report(g)
-    assert sorted(calls) == ["_orbits", "_own_side_rows"]
+    assert sorted(calls) == ["_certify_layout", "_orbits"]
     assert (report.bfs_sources, report.automorphisms) == (g._bfs.sources, g._bfs.automorphisms)
     assert (diameter(g), girth(g)) == (report.diameter, report.girth)
     assert len(calls) == 2
@@ -874,10 +875,13 @@ class TestCycleWitnesses:
         assert w.is_valid_cycle()
         assert verify_cycle_system(w)
 
-    @pytest.mark.parametrize("p,e,m", [(5, 1, 1), (7, 1, 1), (3, 2, 1), (3, 1, 2), (2, 3, 1)])
+    @pytest.mark.parametrize(
+        "p,e,m", [(5, 1, 1), (7, 1, 1), (3, 2, 1), (3, 1, 2)] + [(2, e, 1) for e in range(3, 9)]
+    )
     def test_six_cycle_regimes(self, p, e, m):
         w = cycle_witness_6(FamilySpec.linearized(p, e, m))
         assert w.length == 6 and w.is_valid_cycle()
+        assert verify_cycle_system(w)
 
     @pytest.mark.parametrize("p,e,m", [(2, 1, 1), (2, 1, 2)])
     def test_no_six_cycle(self, p, e, m):
