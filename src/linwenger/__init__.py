@@ -53,6 +53,7 @@ from .metrics import (
     path_witnesses,
     predicted_metrics,
     verify_cycle_system,
+    walk_trace,
 )
 from .spectrum import (
     MultiplicityTable,
@@ -62,7 +63,6 @@ from .spectrum import (
     component_count_formula,
     expansion_bound,
     spectrum_enumerate,
-    walk_trace,
 )
 from .verify import CheckResult, run_acceptance
 

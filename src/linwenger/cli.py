@@ -201,11 +201,10 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH if n_fail else EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, need_graph: bool) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
     sub.add_argument("--e", type=int, default=1, help="extension degree")
-    sub.add_argument("--m", type=int, required=need_graph, default=1,
-                     help="number of maps f_2..f_(m+1)")
+    sub.add_argument("--m", type=int, required=True, help="number of maps f_2..f_(m+1)")
     sub.add_argument("--family", choices=("wenger", "linearized", "custom"),
                      default="linearized")
     sub.add_argument("--f-list", dest="f_list", default=None,
@@ -244,19 +243,19 @@ def make_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     b = subs.add_parser("build", help="construct a graph and export it")
-    _add_common(b, need_graph=True)
+    _add_common(b)
     b.add_argument("--format", choices=("edgelist", "dimacs", "json"), default="edgelist")
     _add_output(b, "max_bytes")
     b.set_defaults(fn=cmd_build)
 
     s = subs.add_parser("spectrum", help="closed-form and/or enumerated spectrum")
-    _add_common(s, need_graph=True)
+    _add_common(s)
     s.add_argument("--method", choices=("closed", "enum", "both"), default="enum")
     _add_output(s, "json", "max_evals")
     s.set_defaults(fn=cmd_spectrum)
 
     mt = subs.add_parser("metrics", help="BFS components, diameter, girth vs predictions")
-    _add_common(mt, need_graph=True)
+    _add_common(mt)
     _add_output(mt, "json", "max_bytes")
     mt.set_defaults(fn=cmd_metrics)
 

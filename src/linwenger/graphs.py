@@ -237,6 +237,7 @@ class Graph:
         self.byte_budget = byte_budget
         self._nbrs = None
         self._layout = None  # the array's layout certificate (layout_certificate)
+        self._orbits = None  # the array's certified orbits (metrics._orbits)
         self._bfs = None  # the metrics' BFS record (metrics._sweep)
 
     # -- size ---------------------------------------------------------------

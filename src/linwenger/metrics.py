@@ -1,4 +1,4 @@
-"""BFS metrics (components, diameter, girth) and constructive witnesses.
+"""BFS metrics (components, diameter, girth), walk traces and witnesses.
 
 BFS results are exact and read only the (n, q) neighbour array
 graph.adjacency: components by min-label propagation, and eccentricities and
@@ -10,9 +10,11 @@ read from graphs.layout_certificate, NotBipartite otherwise), and the
 shift automorphisms whose orbits it takes one source from (_orbits): 2
 sources when every f_k is additive (every linearized graph, and a Wenger
 graph with m = 1 or with p = 2 and m = 2), q + 1 on other Wenger graphs,
-every vertex when none is certified.  The witness builders do the opposite: they exploit the
-Frobenius-family structure to produce short paths and cycles in closed
-form, and every witness is re-validated edge by edge before it is returned.
+every vertex when none is certified.  walk_trace counts walks from the same
+sources, weighted by orbit size.  The witness constructions do the opposite:
+they exploit the Frobenius-family structure to produce short paths and
+cycles in closed form, and every witness is re-validated edge by edge before
+it is returned.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
@@ -186,21 +188,26 @@ def _is_automorphism(table, perm) -> bool:
 
 def _orbits(graph):
     """The certified orbits of graph.adjacency, as (rep_of, automorphisms):
-    rep_of[v] is the least id in v's orbit, and automorphisms the number of
-    generators certified.
+    rep_of[v] (read-only) is the least id in v's orbit, and automorphisms the
+    number of generators certified.  Computed once per graph and cached as
+    graph._orbits on a read-only array; the sweep and walk_trace read it.
 
-    Each candidate of _candidate_shifts is kept only if _is_automorphism
-    certifies it on the array; the orbits are then the min-label propagation
-    of components over the kept maps and their inverses.  An array without a
-    spec, or one no candidate fits, gets no generator, and every vertex is
-    its own orbit."""
+    Candidates of _candidate_shifts are tried only when the layout
+    certificate counts no fault, so rows hold q distinct ids and a map that
+    keeps "v is listed in row u" keeps A, multiplicities included.  Each is
+    kept if _is_automorphism certifies it, and the orbits are the min-label
+    propagation over the kept maps and their inverses.  Otherwise (no spec,
+    a fault, no map kept) every vertex is its own orbit."""
+    record = getattr(graph, "_orbits", None)
+    if record is not None:
+        return record
     import numpy as np
 
     table = graph.adjacency
     n, q = table.shape
     spec = getattr(graph, "spec", None)
     kept = []  # a zero-argument builder per certified map
-    if spec is not None:
+    if spec is not None and not any(layout_certificate(graph)):
         _, sub = spec.field.index_tables()
         add = sub[:, sub[0]].astype(table.dtype)
         local = np.arange(n // 2, dtype=table.dtype)
@@ -218,7 +225,12 @@ def _orbits(graph):
             yield perm
             yield inverse
 
-    return _min_labels(n, maps), len(kept)
+    rep_of = _min_labels(n, maps)
+    rep_of.flags.writeable = False
+    record = (rep_of, len(kept))
+    if not table.flags.writeable:
+        graph._orbits = record
+    return record
 
 
 @dataclass(frozen=True)
@@ -327,6 +339,43 @@ def girth(graph: Graph) -> int:
     if best is None:
         raise Acyclic("graph contains no cycle")
     return best
+
+
+def walk_trace(graph: Graph, k: int) -> int:
+    """trace(A^(2k)) as an exact integer, for k >= 1 with q^(2k) < 2^63.
+
+    A[u, v] counts the entries v of row u of graph.adjacency, so any (n, q)
+    array serves; the result is the sum of squared entries of A^k, the trace
+    when A is symmetric: sum_s |orbit(s)| ||A^k e_s||^2 over the sources s of
+    _orbits (every vertex when no map is certified: O(n^2 q) per k), since a
+    certified automorphism P has P A P^T = A.  A^k e_s is k steps
+    y -> sum_j y[adjacency[:, j]] on one int64 vector per source.  Entries
+    of A^k are at most q^k, so the squares are summed exactly in row blocks
+    below 2^63, then in Python ints.  ValueError for k < 1 or
+    q^(2k) >= 2^63, and, before any gather, for an id outside [0, n)."""
+    import numpy as np
+
+    adj = graph.adjacency
+    n, q = adj.shape
+    if k < 1 or q ** (2 * k) >= 2**63:
+        raise ValueError(f"walk trace needs k >= 1 and q^(2k) < 2^63, got k={k}, q={q}")
+    if layout_certificate(graph).stray:
+        raise ValueError(f"walk trace needs every entry to be a vertex id in [0, {n})")
+    rep_of, _ = _orbits(graph)
+    sources = np.flatnonzero(rep_of == np.arange(n))
+    rows = (2**63 - 1) // q ** (2 * k)  # rows whose squares sum below 2^63
+    total = 0
+    for s, size in zip(sources.tolist(), np.bincount(rep_of)[sources].tolist()):
+        y = np.zeros(n, dtype=np.int64)
+        y[s] = 1
+        for _ in range(k):
+            new = y[adj[:, 0]]
+            for j in range(1, q):
+                new += y[adj[:, j]]
+            y = new
+        squares = (int(np.dot(y[i : i + rows], y[i : i + rows])) for i in range(0, n, rows))
+        total += size * sum(squares)
+    return total
 
 
 # ---------------------------------------------------------------------------

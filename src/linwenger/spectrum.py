@@ -8,7 +8,7 @@ the expander bound is the exact pair (q, radicand) as well.
 Two routes give the spectrum: an exhaustive value sweep over every linear
 part for every family, and for the linearized family one closed form at
 every m, built from the rank distribution of the linear parts.  They share
-no machinery.
+no machinery.  The walk counts on a graph's array are metrics.walk_trace.
 """
 
 from __future__ import annotations
@@ -19,16 +19,13 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ThetaNotInjective
 from .fields import _check_field_params, fq_rank
-from .graphs import FamilySpec, Graph, _f_table, layout_certificate
+from .graphs import FamilySpec, _f_table
 # count_roots is not called here; it stays bound because perfbench/spans.py
 # wraps linwenger.spectrum.count_roots (its linearized.count_roots_* metrics
 # then read 0).
 from .linearized import count_roots, rank_distribution  # noqa: F401
 
 DEFAULT_EVAL_BUDGET = 10**8
-# walk_trace gathers this many bytes of walk ends at a time, which bounds
-# each temporary of its sweep at any n.
-_WALK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -212,56 +209,6 @@ def component_count_formula(spec: FamilySpec) -> int:
         rows.append([spec.f_eval(k, u) for u in F.elements()])
     r = fq_rank(F, rows)
     return F.q ** (spec.m + 1 - r)
-
-
-def walk_trace(graph: Graph, k: int) -> int:
-    """trace(A^(2k)) as an exact integer, 1 <= k <= 4.
-
-    It reads graph.adjacency and its layout certificate, so any (n, q)
-    neighbour array serves, a rewired one with no spec included; it returns the
-    sum of squared entries of A^k: trace(A^(2k)) when A is symmetric.  Row
-    v of A^k is the multiset of the ends of the q^k walks that follow the
-    rows from v.
-    An array whose certificate (graphs.layout_certificate, cached on the
-    graph, so not tested per call) counts no fault (rows listed by first
-    coordinate, points next to lines only, symmetric) is
-    A = [[0, B], [B^T, 0]], and tr((B B^T)^k) = tr((B^T B)^k), so only its
-    n/2 point rows are swept and the sum is doubled; any other array gets
-    every row.
-    For a block of rows the ends come from k - 1 gathers through the array;
-    each row is sorted, and the length of each run of equal ends is one
-    nonzero entry of A^k.  A block holds at most E = _WALK_BYTES / itemsize
-    ends, so the sum of its squared run lengths is at most E^2 and exact in
-    int64; the blocks are summed in Python ints, exact at any size.
-
-    BudgetExceeded, before anything is allocated, when the q^k ends of one
-    vertex alone exceed _WALK_BYTES."""
-    if not 1 <= k <= 4:
-        raise ValueError(f"walk exponent k must be in [1, 4], got {k}")
-    import numpy as np
-
-    adj = graph.adjacency
-    n, q = adj.shape
-    rows = _WALK_BYTES // (q**k * adj.itemsize)
-    if rows == 0:
-        raise BudgetExceeded(
-            f"the {q**k} walk ends of one vertex need {q**k * adj.itemsize} bytes, "
-            f"over the {_WALK_BYTES}-byte walk budget"
-        )
-    certified = not any(layout_certificate(graph))
-    stop = n // 2 if certified else n
-    total = 0
-    for start in range(0, stop, rows):
-        ends = adj[start : min(start + rows, stop)]
-        for _ in range(k - 1):
-            ends = np.take(adj, ends, axis=0).reshape(len(ends), -1)
-        ends = np.sort(ends, axis=1)
-        new = np.empty(ends.shape, dtype=bool)  # where a run starts
-        new[:, 0] = True
-        np.not_equal(ends[:, 1:], ends[:, :-1], out=new[:, 1:])
-        runs = np.diff(np.flatnonzero(new), append=ends.size)
-        total += int(np.dot(runs, runs))
-    return 2 * total if certified else total
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from .metrics import (
     path_witnesses,
     predicted_metrics,
     verify_cycle_system,
+    walk_trace,
 )
 from .spectrum import (
     DEFAULT_EVAL_BUDGET,
@@ -63,7 +64,6 @@ from .spectrum import (
     component_count_formula,
     expansion_bound,
     spectrum_enumerate,
-    walk_trace,
 )
 
 # (p, e, m) matrices for the individual criteria.

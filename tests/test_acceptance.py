@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from linwenger import graphs, verify
+from linwenger import graphs, metrics, verify
 from linwenger.graphs import FamilySpec, graph_bytes
 from linwenger.verify import CHECKS, _Runner
 
@@ -120,6 +120,52 @@ def test_one_run_certifies_each_layout_once(monkeypatch):
     assert all(r.status == "PASS" for r in results)
     assert len(certified) == len(verify.ALL_CASES) == 14
     assert len({id(nbrs) for nbrs in certified}) == 14
+
+
+def test_one_run_computes_each_orbit_record_once(monkeypatch):
+    """Criterion 2's walk traces (three per graph) and the BFS sweeps of
+    criteria 5 and 6 all read the certified orbits, but each of the 14
+    graphs of one run has its candidate maps tried once."""
+    real, tried = metrics._candidate_shifts, []
+
+    def counted(spec):
+        tried.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(metrics, "_candidate_shifts", counted)
+    results = verify.run_acceptance(seed=0)
+    assert all(r.status == "PASS" for r in results)
+    assert sorted((s.p, s.e, s.m) for s in tried) == sorted(verify.ALL_CASES)
+
+
+# run_acceptance(seed=0), criterion by criterion: a change to any check's
+# outcome or wording shows here.
+GOLDEN_SEED_0 = [
+    (1, "spectrum closed form vs enumeration", "PASS", "14 multiplicity tables match"),
+    (2, "walk trace identity trace(A^2k) = 2 sum (qN)^k", "PASS",
+     "trace(A^2k) identity holds for 14 graphs, k=1..3"),
+    (3, "regularity and vertex/edge counts", "PASS",
+     "14 neighbour arrays: rows listed by first coordinate (q distinct ids, 2 q^(m+2) nonzeros), "
+     "points next to lines only, symmetric"),
+    (4, "component count formula", "PASS", "BFS component counts match the rank formula on 14 graphs"),
+    (5, "diameter equals 2(m+1) for m <= e", "PASS", "BFS diameter = 2(m+1) on 9 graphs"),
+    (6, "girth matrix (6 odd/small even, 8 binary regimes)", "PASS",
+     "BFS girth matches the 6/8 matrix on 10 graphs"),
+    (7, "diameter and cycle witnesses", "PASS",
+     "9000 path witnesses within 2(m+1), lower bounds exact, 14 cycle witnesses valid"),
+    (8, "common neighbor vs brute force", "PASS", "10386 point pairs agree with brute-force intersection"),
+    (9, "matrix rank counts", "PASS",
+     "F_p rank tallies of every linear part match the rank distribution on 9 graphs"),
+    (10, "expander second eigenvalue", "PASS",
+     "second-largest radicand equals q*p^(m-1) for all m<=e cases"),
+    (11, "negative control: system necessary, not sufficient", "PASS",
+     "L_1(11) six-tuple satisfies the system yet fails cycle validation (P4 = P1)"),
+]
+
+
+def test_seed_0_results_are_unchanged():
+    results = verify.run_acceptance(seed=0)
+    assert [(r.number, r.name, r.status, r.detail) for r in results] == GOLDEN_SEED_0
 
 
 def test_criterion_08_checks_the_same_pairs():

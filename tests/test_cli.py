@@ -250,6 +250,13 @@ class TestParser:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["build", "spectrum", "metrics"])
+    def test_missing_m_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--p", "2"])
+        assert exc.value.code == 2
+        assert "--m" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

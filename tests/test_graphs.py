@@ -429,6 +429,27 @@ class TestGraph:
         assert 2 * (m + 1) + 40 > 4 * (q + m + 1)
         assert peak <= graph_bytes(spec) - (4 << 20) - 4 * n * q + (128 << 10)
 
+    def test_walk_trace_bytes_per_vertex(self, monkeypatch):
+        # with the certificate blocks shrunk, walk_trace on a fresh graph, its
+        # orbits included, stays within the same per-vertex term; a second
+        # call reads the cached orbits
+        spec = FamilySpec.linearized(3, 1, 9)
+        graph = Graph(spec).materialize()
+        monkeypatch.setattr(graphs, "_CERTIFY_BYTES", 16 << 10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            peaks = []
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                walk_trace(graph, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        n, q = spec.n_vertices, spec.q
+        assert max(peaks) <= graph_bytes(spec) - (4 << 20) - 4 * n * q + (128 << 10)
+        assert peaks[1] < peaks[0]
+
     def test_materialize_temporaries_stay_within_gather_bytes(self, monkeypatch):
         # q = 2 and m = 13: the 14 coordinate digits of a block outweigh its
         # (rows, 2) gathers, so the block must be sized by m + 1 as well

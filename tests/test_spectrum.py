@@ -24,7 +24,7 @@ from linwenger import (
     spectrum_enumerate,
     walk_trace,
 )
-from linwenger import spectrum as spectrum_mod
+from linwenger import metrics as metrics_mod
 from linwenger.graphs import Layout, layout_certificate
 from linwenger.linearized import count_roots
 from linwenger.verify import SPECTRUM_CASES
@@ -206,11 +206,12 @@ def csr_squared_entries(adj, k: int, rows: int | None = None) -> int:
     return sum(int(v) ** 2 for v in M[:rows].data)
 
 
-def rewired(adj, v, j, u):
-    """A copy of adj with entry (v, j) set to u, behind a graph with no spec."""
+def rewired(adj, v, j, u, spec=None):
+    """A copy of adj with entry (v, j) set to u, behind a graph with no spec
+    unless one is given."""
     out = adj.copy()
     out[v, j] = u
-    return SimpleNamespace(adjacency=out)
+    return SimpleNamespace(adjacency=out) if spec is None else SimpleNamespace(spec=spec, adjacency=out)
 
 
 ORACLE_GRAPH_SPECS = [FamilySpec.linearized(*case) for case in SPECTRUM_CASES] + [
@@ -218,24 +219,27 @@ ORACLE_GRAPH_SPECS = [FamilySpec.linearized(*case) for case in SPECTRUM_CASES] +
     FamilySpec.wenger(2, 2, 1),
     FamilySpec.custom(3, 1, 2, f_indices=((1, 2, 1), (0, 0, 1))),
 ]
+# Up to this many vertices the array is also traced without its spec, from
+# every vertex: O(n^2 q) per k.
+SPECLESS_VERTICES = 1500
 
 
 class TestWalkTrace:
     @pytest.mark.parametrize(
         "spec", ORACLE_GRAPH_SPECS, ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}"
     )
-    def test_matches_csr_oracle(self, spec, monkeypatch):
-        adj = Graph(spec).materialize().adjacency
-        graph = SimpleNamespace(adjacency=adj)  # the array alone, no spec
+    def test_matches_csr_oracle(self, spec):
+        graph = Graph(spec).materialize()  # sources: the certified orbits
+        adj = graph.adjacency
         expected = {k: csr_squared_entries(adj, k) for k in (1, 2, 3)}
         assert {k: walk_trace(graph, k) for k in (1, 2, 3)} == expected
-        # blocks of one row each give the same sums
-        monkeypatch.setattr(spectrum_mod, "_WALK_BYTES", adj.shape[1] ** 3 * adj.itemsize)
-        assert walk_trace(graph, 3) == expected[3]
+        if graph.n <= SPECLESS_VERTICES:
+            everyone = SimpleNamespace(adjacency=adj)  # the array alone: every vertex
+            assert {k: walk_trace(everyone, k) for k in (1, 2, 3)} == expected
 
-    def test_rewired_arrays_match_csr_oracle(self, graph_cache, monkeypatch):
+    def test_rewired_arrays_match_csr_oracle(self, graph_cache):
         adj = graph_cache(3, 1, 2).adjacency
-        half, q = len(adj) // 2, adj.shape[1]
+        half = len(adj) // 2
         stranger = next(u for u in range(half, len(adj)) if u not in adj[1])
         graphs = (
             rewired(adj, 0, 1, adj[0, 0]),  # a repeated entry: A holds a 2
@@ -244,31 +248,57 @@ class TestWalkTrace:
         for g in graphs:
             expected = [csr_squared_entries(g.adjacency, k) for k in (1, 2, 3, 4)]
             assert [walk_trace(g, k) for k in (1, 2, 3, 4)] == expected
-            monkeypatch.setattr(spectrum_mod, "_WALK_BYTES", q**4 * adj.itemsize)
-            assert [walk_trace(g, k) for k in (1, 2, 3, 4)] == expected
-            monkeypatch.undo()
+
+    def test_repeated_entry_certifies_no_automorphism(self, graph_cache):
+        # every point row lists its column-2 line again in column 1, and
+        # point 0 its column-0 line: the shifts that keep each line's first
+        # coordinate still keep "v is listed in row u", but not how often,
+        # and their orbits would give 384 at k = 2.  With the spec, the layout
+        # certificate counts the rows, so no map is certified and every
+        # vertex is a source.
+        sound = graph_cache(3, 1, 1)
+        adj = sound.adjacency.copy()
+        half = len(adj) // 2
+        adj[:half, 1] = adj[:half, 2]
+        adj[0, 1] = adj[0, 0]
+        g = SimpleNamespace(spec=sound.spec, adjacency=adj)
+        assert layout_certificate(g).unordered == half
+        assert metrics_mod._orbits(g)[1] == 0 < metrics_mod._orbits(sound)[1]
+        expected = [csr_squared_entries(adj, k) for k in (1, 2, 3, 4)]
+        assert expected[1] == 392
+        assert [walk_trace(g, k) for k in (1, 2, 3, 4)] == expected
 
     def test_asymmetric_array_in_layout_gets_every_row(self, graph_cache):
         # rows stay listed by first coordinate and points next to lines only,
-        # so only the symmetry test refuses the half-row sweep
-        adj = graph_cache(3, 1, 1).adjacency
+        # so only the symmetry test fails: no map is certified even with the
+        # spec, and the trace is the full sum, not twice the point rows'
+        sound = graph_cache(3, 1, 1)
+        adj = sound.adjacency
         n, q = adj.shape
         half, j = n // 2, 1
         other = next(u for u in range(half, n) if u % q == j and u != adj[0, j])
-        g = rewired(adj, 0, j, other)
+        g = rewired(adj, 0, j, other, spec=sound.spec)
         assert layout_certificate(g) == Layout(stray=0, unordered=0, own_side=0, unlisted=2)
+        assert metrics_mod._orbits(g)[1] == 0
         full = [csr_squared_entries(g.adjacency, k) for k in (1, 2, 3, 4)]
         halved = [2 * csr_squared_entries(g.adjacency, k, rows=half) for k in (1, 2, 3, 4)]
         assert halved != full
         assert [walk_trace(g, k) for k in (1, 2, 3, 4)] == full
 
-    def test_one_vertex_over_the_walk_budget_is_refused(self, graph_cache, monkeypatch):
-        g = graph_cache(3, 1, 1)
-        itemsize = g.adjacency.itemsize
-        monkeypatch.setattr(spectrum_mod, "_WALK_BYTES", 3**3 * itemsize - 1)
-        assert walk_trace(g, 2) == csr_squared_entries(g.adjacency, 2)
-        with pytest.raises(BudgetExceeded, match=f"{3**3 * itemsize} bytes"):
-            walk_trace(g, 3)
+    @pytest.mark.parametrize("p,e,m", [(3, 1, 1), (2, 2, 2)])
+    def test_exponents_past_four(self, p, e, m, graph_cache):
+        g = graph_cache(p, e, m)
+        expected = [csr_squared_entries(g.adjacency, k) for k in (5, 6)]
+        assert [walk_trace(g, k) for k in (5, 6)] == expected
+
+    @pytest.mark.parametrize("entry", [-1, 18], ids=["negative", "n"])
+    def test_ids_outside_the_array_are_refused(self, entry, graph_cache, monkeypatch):
+        g = rewired(graph_cache(3, 1, 1).adjacency, 0, 0, entry)
+        reached = []
+        monkeypatch.setattr(metrics_mod, "_orbits", reached.append)
+        with pytest.raises(ValueError, match=r"vertex id in \[0, 18\)"):
+            walk_trace(g, 2)
+        assert reached == []  # refused before the orbits and every gather
 
     @pytest.mark.parametrize("p,e,m", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2)])
     def test_matches_spectrum(self, p, e, m, graph_cache):
@@ -282,11 +312,20 @@ class TestWalkTrace:
         assert walk_trace(g, 1) == 2 * g.n_edges == 54
 
     def test_exponent_range(self, graph_cache):
+        # L_1(2) is an 8-cycle: k = 31 is the last k with q^(2k) < 2^63, and
+        # its trace 2 * 4^31 + 4 * 2^31 is past int64, summed exactly all the same
         g = graph_cache(2, 1, 1)
-        with pytest.raises(ValueError):
-            walk_trace(g, 0)
-        with pytest.raises(ValueError):
-            walk_trace(g, 5)
+        assert walk_trace(g, 31) == trace_from_report(spectrum_enumerate(g.spec), 31)
+        assert walk_trace(g, 31) == 2 * 4**31 + 4 * 2**31
+        for k in (0, 32):
+            with pytest.raises(ValueError):
+                walk_trace(g, k)
+
+    def test_a_column_past_int64_is_summed_exactly(self):
+        # every row lists vertex 0 twice: column 0 of A^31 holds 2^31 in each
+        # of its 4 rows, so its squared norm, 2^64, is past int64
+        g = SimpleNamespace(adjacency=np.zeros((4, 2), dtype=np.int32))
+        assert walk_trace(g, 31) == 4 * 2**62
 
     def test_pure_python_route_agrees(self, graph_cache):
         g = graph_cache(2, 1, 1)
