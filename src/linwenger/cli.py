@@ -171,14 +171,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_acceptance(
-        seed=args.seed,
-        max_bytes=args.max_bytes,
-        max_evals=args.max_evals,
-        perturb=args.perturb,
-    )
+    results = run_acceptance(seed=args.seed, perturb=args.perturb)
     n_fail = sum(1 for r in results if r.status == "FAIL")
-    n_skip = sum(1 for r in results if r.status == "SKIP")
     if args.json:
         payload = [
             {
@@ -193,10 +187,7 @@ def cmd_verify(args) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = [r.line() for r in results]
-        lines.append(
-            f"{len(results)} criteria: {len(results) - n_fail - n_skip} pass, "
-            f"{n_fail} fail, {n_skip} skip"
-        )
+        lines.append(f"{len(results)} criteria: {len(results) - n_fail} pass, {n_fail} fail")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_MISMATCH if n_fail else EXIT_OK
 
@@ -262,7 +253,7 @@ def make_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="run the full acceptance matrix")
     v.add_argument("--perturb", action="store_true",
                    help="inject a single-edge fault to confirm the checks can fail")
-    _add_output(v, "json", "seed", "max_bytes", "max_evals")
+    _add_output(v, "json", "seed")
     v.set_defaults(fn=cmd_verify)
 
     return parser

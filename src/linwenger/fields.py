@@ -381,17 +381,6 @@ class FieldElement:
         F = self.field
         return F._elt_at((F._ops or F.ops()).frob(self.index, k))
 
-    def trace(self) -> int:
-        """Absolute trace x + x^p + ... + x^(p^(e-1)) down to F_p, returned as
-        an integer in [0, p).  The sum lies in the prime subfield, so the
-        trace is its coordinate 0, the low digit of its index."""
-        F, ops = self.field, self.field.ops()
-        acc = conj = self.index
-        for _ in range(F.e - 1):
-            conj = ops.frob(conj, 1)
-            acc = ops.add(acc, conj)
-        return acc % F.p
-
 
 def _fmt_poly(coeffs) -> str:
     terms = []
@@ -442,14 +431,6 @@ class Field:
         return tuple(prod) + (0,) * (self.e - len(prod))
 
     # -- constructors --------------------------------------------------------
-
-    def from_coeffs(self, coeffs) -> FieldElement:
-        coeffs = [int(c) % self.p for c in coeffs]
-        if len(coeffs) > self.e:
-            raise DegreeMismatch(
-                f"coordinate vector of length {len(coeffs)} in GF({self.p}^{self.e})"
-            )
-        return FieldElement(self, _index(coeffs, self.p))
 
     def from_int(self, n: int) -> FieldElement:
         """Embed an integer through the prime subfield: n -> (n mod p) * 1."""
@@ -729,10 +710,6 @@ class FpMatrix:
             raise ValueError("ragged rows")
         norm = tuple(tuple(c % self.p for c in r) for r in self.rows)
         object.__setattr__(self, "rows", norm)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
     @property
     def n_cols(self) -> int:

@@ -461,16 +461,6 @@ def layout_certificate(graph) -> Layout:
     return cert
 
 
-def structure_faults(spec: FamilySpec, nbrs) -> list[str]:
-    """What is wrong with any (n, q) neighbour array for spec, a perturbed
-    copy included; [] when sound: its shape and id range, then Layout.faults."""
-    n, q = spec.n_vertices, spec.q
-    cert = _certify_layout(nbrs) if nbrs.shape == (n, q) else None
-    if cert is None or cert.stray:
-        return [f"array of shape {nbrs.shape} is not {n} rows of {q} ids in [0, {n})"]
-    return cert.faults()
-
-
 def export(graph: Graph, fmt: str, sink) -> None:
     """Write the graph to a path or text file object.
 

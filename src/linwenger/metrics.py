@@ -246,8 +246,9 @@ class _BfsRecord:
 
 def _sweep(graph: Graph) -> _BfsRecord:
     """The BFS record of graph.adjacency, computed once per graph and cached
-    as graph._bfs: a level-synchronous BFS from one source per certified
-    automorphism orbit (_orbits), in batches.
+    as graph._bfs on a read-only array (as _orbits and the layout certificate
+    are): a level-synchronous BFS from one source per certified automorphism
+    orbit (_orbits), in batches.
 
     An automorphism maps every BFS to a BFS, so a vertex has the
     eccentricity of its orbit's representative, and the shortest cycle any
@@ -318,8 +319,10 @@ def _sweep(graph: Graph) -> _BfsRecord:
                 level += 1
     ecc = ecc[rep_of]
     ecc.flags.writeable = False
-    graph._bfs = _BfsRecord(ecc, best, reps.size, automorphisms)
-    return graph._bfs
+    record = _BfsRecord(ecc, best, reps.size, automorphisms)
+    if not table.flags.writeable:
+        graph._bfs = record
+    return record
 
 
 def eccentricities(graph: Graph):
@@ -341,18 +344,20 @@ def girth(graph: Graph) -> int:
     return best
 
 
-def walk_trace(graph: Graph, k: int) -> int:
-    """trace(A^(2k)) as an exact integer, for k >= 1 with q^(2k) < 2^63.
+def walk_trace(graph: Graph, k: int) -> list[int]:
+    """[trace(A^2), ..., trace(A^(2k))] as exact integers, for k >= 1 with
+    q^(2k) < 2^63.
 
     A[u, v] counts the entries v of row u of graph.adjacency, so any (n, q)
-    array serves; the result is the sum of squared entries of A^k, the trace
-    when A is symmetric: sum_s |orbit(s)| ||A^k e_s||^2 over the sources s of
-    _orbits (every vertex when no map is certified: O(n^2 q) per k), since a
-    certified automorphism P has P A P^T = A.  A^k e_s is k steps
-    y -> sum_j y[adjacency[:, j]] on one int64 vector per source.  Entries
-    of A^k are at most q^k, so the squares are summed exactly in row blocks
-    below 2^63, then in Python ints.  ValueError for k < 1 or
-    q^(2k) >= 2^63, and, before any gather, for an id outside [0, n)."""
+    array serves; entry j - 1 is the sum of squared entries of A^j, the trace
+    of A^(2j) when A is symmetric: sum_s |orbit(s)| ||A^j e_s||^2 over the
+    sources s of _orbits (every vertex when no map is certified: O(n^2 q k)),
+    since a certified automorphism P has P A P^T = A.  One walk of k steps
+    y -> sum_j y[adjacency[:, j]] on one int64 vector per source gives every
+    A^j e_s.  Entries of A^j are at most q^j, so the squares are summed
+    exactly in row blocks below 2^63 (sized for q^(2k)), then in Python
+    ints.  ValueError for k < 1 or q^(2k) >= 2^63, and, before any gather,
+    for an id outside [0, n)."""
     import numpy as np
 
     adj = graph.adjacency
@@ -364,18 +369,18 @@ def walk_trace(graph: Graph, k: int) -> int:
     rep_of, _ = _orbits(graph)
     sources = np.flatnonzero(rep_of == np.arange(n))
     rows = (2**63 - 1) // q ** (2 * k)  # rows whose squares sum below 2^63
-    total = 0
+    totals = [0] * k
     for s, size in zip(sources.tolist(), np.bincount(rep_of)[sources].tolist()):
         y = np.zeros(n, dtype=np.int64)
         y[s] = 1
-        for _ in range(k):
+        for step in range(k):
             new = y[adj[:, 0]]
             for j in range(1, q):
                 new += y[adj[:, j]]
             y = new
-        squares = (int(np.dot(y[i : i + rows], y[i : i + rows])) for i in range(0, n, rows))
-        total += size * sum(squares)
-    return total
+            squares = (int(np.dot(y[i : i + rows], y[i : i + rows])) for i in range(0, n, rows))
+            totals[step] += size * sum(squares)
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ against a fixed matrix of small cases with dual-route verification.
 
 Each criterion compares an independent computation (exhaustive enumeration,
 BFS, brute force) against the corresponding closed form or constructive
-witness.  Results carry PASS/FAIL/SKIP per criterion; a case is skipped,
-never silently dropped, when it exceeds the configured budgets.
+witness.  Results carry PASS or FAIL per criterion.  Every case is built at
+the package's default budgets, which the largest, L_3(8), stays far below.
 
 The case tables name graphs only.  The component, diameter and girth values
 they are checked against come from component_count_formula and
@@ -38,10 +38,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
 from .fields import GF, _fq_rref
-from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, Line, Point
-from .graphs import layout_certificate, structure_faults
+from .graphs import FamilySpec, Graph, Line, Point, _certify_layout, layout_certificate
 from .linearized import rank_distribution
 from .metrics import (
     common_neighbor,
@@ -59,7 +57,6 @@ from .metrics import (
     walk_trace,
 )
 from .spectrum import (
-    DEFAULT_EVAL_BUDGET,
     closed_form_linearized,
     component_count_formula,
     expansion_bound,
@@ -107,7 +104,7 @@ def _label(case) -> str:
 class CheckResult:
     number: int
     name: str
-    status: str  # PASS / FAIL / SKIP
+    status: str  # PASS / FAIL
     detail: str
     seconds: float
 
@@ -115,26 +112,11 @@ class CheckResult:
         return f"[{self.number:2d}] {self.status:4s} {self.name} ({self.seconds:.1f}s): {self.detail}"
 
 
-def _within_budget(build, cases, skips):
-    """(case, build(case)) for each case; a case whose build raises
-    BudgetExceeded is appended to skips by label instead."""
-    for case in cases:
-        try:
-            value = build(case)
-        except BudgetExceeded:
-            skips.append(_label(case))
-            continue
-        yield case, value
-
-
 class _Runner:
-    """Shared state for one acceptance run: budgets, seed, graph/report caches."""
+    """Shared state for one acceptance run: seed, graph/report caches."""
 
-    def __init__(self, seed=0, max_bytes=DEFAULT_BYTE_BUDGET,
-                 max_evals=DEFAULT_EVAL_BUDGET, perturb=False):
+    def __init__(self, seed=0, perturb=False):
         self.seed = seed
-        self.max_bytes = max_bytes
-        self.max_evals = max_evals
         self.perturb = perturb
         self._graphs: dict[tuple[int, int, int], Graph] = {}
         self._enum_reports: dict[tuple[int, int, int], object] = {}
@@ -144,25 +126,15 @@ class _Runner:
         return FamilySpec.linearized(p, e, m)
 
     def graph(self, case) -> Graph:
-        """Materialized graph for a case; BudgetExceeded over the byte budget."""
+        """The materialized graph of a case, built once per run."""
         if case not in self._graphs:
-            g = Graph(self.spec(case), byte_budget=self.max_bytes).materialize()
-            self._graphs[case] = g
+            self._graphs[case] = Graph(self.spec(case)).materialize()
         return self._graphs[case]
 
     def enum_report(self, case):
         if case not in self._enum_reports:
-            self._enum_reports[case] = spectrum_enumerate(self.spec(case), self.max_evals)
+            self._enum_reports[case] = spectrum_enumerate(self.spec(case))
         return self._enum_reports[case]
-
-    def graphs(self, cases, skips: list[str]):
-        """(case, graph) for each case within the byte budget; the rest go to skips."""
-        return _within_budget(self.graph, cases, skips)
-
-    def spectra(self, cases, skips: list[str]):
-        """(case, enumerated spectrum) for each case within the evaluation
-        budget; the rest go to skips."""
-        return _within_budget(self.enum_report, cases, skips)
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
@@ -188,100 +160,91 @@ def _draws(rng: random.Random, n: int, count: int):
     return np.concatenate(kept)
 
 
-def _finish(results: list[str], skips: list[str], ok_detail: str) -> tuple[str, str]:
-    if results:
-        return "FAIL", "; ".join(results[:4])
-    if skips:
-        return "SKIP", f"{ok_detail}; skipped: {', '.join(skips)}"
+def _finish(fails: list[str], ok_detail: str) -> tuple[str, str]:
+    if fails:
+        return "FAIL", "; ".join(fails[:4])
     return "PASS", ok_detail
 
 
 def check_spectrum_closed_vs_enum(run: _Runner) -> tuple[str, str]:
-    fails, skips = [], []
-    for case, report in run.spectra(SPECTRUM_CASES, skips):
-        enum_hist = report.histogram()
+    fails = []
+    for case in SPECTRUM_CASES:
+        enum_hist = run.enum_report(case).histogram()
         closed_hist = closed_form_linearized(*case).histogram()
         if closed_hist != enum_hist:
             fails.append(f"{_label(case)}: closed {closed_hist} != enum {enum_hist}")
-    return _finish(fails, skips, f"{len(SPECTRUM_CASES)} multiplicity tables match")
+    return _finish(fails, f"{len(SPECTRUM_CASES)} multiplicity tables match")
 
 
 def check_walk_trace_identity(run: _Runner) -> tuple[str, str]:
-    fails, skips = [], []
-    checked = 0
-    for case, g in run.graphs(SPECTRUM_CASES, skips):
-        for _, report in run.spectra((case,), skips):
-            hist = report.histogram()
-            q = g.spec.q
-            for k in (1, 2, 3):
-                expected = 2 * sum(count * (q * n) ** k for n, count in hist.items())
-                actual = walk_trace(g, k)
-                if actual != expected:
-                    fails.append(
-                        f"{_label(case)} k={k}: trace {actual} != 2*sum (qN)^k = {expected}"
-                    )
-            checked += 1
-    return _finish(fails, skips, f"trace(A^2k) identity holds for {checked} graphs, k=1..3")
+    fails = []
+    for case in SPECTRUM_CASES:
+        g, hist = run.graph(case), run.enum_report(case).histogram()
+        q = g.spec.q
+        for k, actual in enumerate(walk_trace(g, 3), start=1):
+            expected = 2 * sum(count * (q * n) ** k for n, count in hist.items())
+            if actual != expected:
+                fails.append(f"{_label(case)} k={k}: trace {actual} != 2*sum (qN)^k = {expected}")
+    return _finish(
+        fails, f"trace(A^2k) identity holds for {len(SPECTRUM_CASES)} graphs, k=1..3"
+    )
 
 
 def check_regularity_and_counts(run: _Runner) -> tuple[str, str]:
-    fails, skips = [], []
-    checked = 0
-    for case, g in run.graphs(ALL_CASES, skips):
+    fails = []
+    for case in ALL_CASES:
+        g = run.graph(case)
         faults = layout_certificate(g).faults()
-        if run.perturb and checked == 0:
+        if run.perturb and case == ALL_CASES[0]:
             nbrs = g.adjacency.copy()
             nbrs[0, -1] = nbrs[0, 0]  # injected fault: one neighbour listed twice
-            faults = structure_faults(g.spec, nbrs)
+            faults = _certify_layout(nbrs).faults()
         fails += [f"{_label(case)}: {fault}" for fault in faults]
-        checked += 1
     return _finish(
-        fails, skips,
-        f"{checked} neighbour arrays: rows listed by first coordinate (q distinct ids, "
+        fails,
+        f"{len(ALL_CASES)} neighbour arrays: rows listed by first coordinate (q distinct ids, "
         "2 q^(m+2) nonzeros), points next to lines only, symmetric",
     )
 
 
 def check_components(run: _Runner) -> tuple[str, str]:
-    fails, skips = [], []
-    checked = 0
-    for case, g in run.graphs(ALL_CASES, skips):
+    fails = []
+    for case in ALL_CASES:
+        g = run.graph(case)
         count, _sizes = components(g)
         predicted = component_count_formula(g.spec)
         if count != predicted:
             fails.append(f"{_label(case)}: BFS {count} components != formula {predicted}")
-        checked += 1
-    return _finish(fails, skips, f"BFS component counts match the rank formula on {checked} graphs")
+    return _finish(fails, f"BFS component counts match the rank formula on {len(ALL_CASES)} graphs")
 
 
 def check_diameter(run: _Runner) -> tuple[str, str]:
-    fails, skips = [], []
-    checked = 0
-    for case, g in run.graphs(DIAMETER_CASES, skips):
+    fails = []
+    for case in DIAMETER_CASES:
+        g = run.graph(case)
         d = diameter(g)
         predicted = predicted_metrics(g.spec).diameter
         if d != predicted:
             fails.append(f"{_label(case)}: BFS diameter {d} != predicted {predicted}")
-        checked += 1
-    return _finish(fails, skips, f"BFS diameter = 2(m+1) on {checked} graphs")
+    return _finish(fails, f"BFS diameter = 2(m+1) on {len(DIAMETER_CASES)} graphs")
 
 
 def check_girth(run: _Runner) -> tuple[str, str]:
-    fails, skips = [], []
-    checked = 0
-    for case, g in run.graphs(GIRTH_CASES, skips):
+    fails = []
+    for case in GIRTH_CASES:
+        g = run.graph(case)
         got = girth(g)
         predicted = predicted_metrics(g.spec).girth
         if got != predicted:
             fails.append(f"{_label(case)}: BFS girth {got} != predicted {predicted}")
-        checked += 1
-    return _finish(fails, skips, f"BFS girth matches the 6/8 matrix on {checked} graphs")
+    return _finish(fails, f"BFS girth matches the 6/8 matrix on {len(GIRTH_CASES)} graphs")
 
 
 def check_witnesses(run: _Runner) -> tuple[str, str]:
-    fails, skips = [], []
+    fails = []
     n_pairs = 0
-    for case, g in run.graphs(DIAMETER_CASES, skips):
+    for case in DIAMETER_CASES:
+        g = run.graph(case)
         p, e, m = case
         label = _label(case)
         bound = predicted_metrics(g.spec).diameter
@@ -336,7 +299,7 @@ def check_witnesses(run: _Runner) -> tuple[str, str]:
                 fails.append(f"{size}-cycle witness invalid for {_label(case)}")
         n_cycles += 1
     return _finish(
-        fails, skips,
+        fails,
         f"{n_pairs} path witnesses within 2(m+1), lower bounds exact, {n_cycles} cycle witnesses valid",
     )
 
@@ -380,21 +343,22 @@ def _check_point_pairs(g: Graph, ij, fails: list[str]) -> int:
 def check_common_neighbor(run: _Runner) -> tuple[str, str]:
     import numpy as np
 
-    fails, skips = [], []
+    fails = []
     n_checked = 0
-    for _, g in run.graphs(NEIGHBOR_CASES, skips):
+    for case in NEIGHBOR_CASES:
+        g = run.graph(case)
         n_checked += _check_point_pairs(g, np.column_stack(np.triu_indices(g.half, 1)), fails)
-    for _, g in run.graphs((SAMPLED_NEIGHBOR_CASE,), skips):
-        ij = _draws(run.rng("common-neighbor"), g.half, 2 * SAMPLED_NEIGHBOR_PAIRS).reshape(-1, 2)
-        n_checked += _check_point_pairs(g, ij[ij[:, 0] != ij[:, 1]], fails)
-        F = g.spec.field
-        P = Point((F.zero, F.zero))
-        P2 = Point((F.from_int(-1), F.from_int(-1)))
-        expected = Line((F.one, F.zero))
-        got = common_neighbor(g, P, P2)
-        if got != expected:
-            fails.append(f"L_1(11) published pair: got {got}, expected {expected}")
-    return _finish(fails, skips, f"{n_checked} point pairs agree with brute-force intersection")
+    g = run.graph(SAMPLED_NEIGHBOR_CASE)
+    ij = _draws(run.rng("common-neighbor"), g.half, 2 * SAMPLED_NEIGHBOR_PAIRS).reshape(-1, 2)
+    n_checked += _check_point_pairs(g, ij[ij[:, 0] != ij[:, 1]], fails)
+    F = g.spec.field
+    P = Point((F.zero, F.zero))
+    P2 = Point((F.from_int(-1), F.from_int(-1)))
+    expected = Line((F.one, F.zero))
+    got = common_neighbor(g, P, P2)
+    if got != expected:
+        fails.append(f"L_1(11) published pair: got {got}, expected {expected}")
+    return _finish(fails, f"{n_checked} point pairs agree with brute-force intersection")
 
 
 def check_rank_distribution(run: _Runner) -> tuple[str, str]:
@@ -421,20 +385,20 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
         predicted = {r: a * scale for r, a in rank_distribution(p, e, m).items()}
         if dict(tally) != predicted:
             fails.append(f"L_{m}({spec.q}): rank tally {dict(tally)} != A_r {predicted}")
-    return _finish(fails, [], "F_p rank tallies of every linear part match the rank "
+    return _finish(fails, "F_p rank tallies of every linear part match the rank "
                    f"distribution on {len(RANK_CASES)} graphs")
 
 
 def check_expander_radicand(run: _Runner) -> tuple[str, str]:
-    fails, skips = [], []
-    for case, report in run.spectra(EXPANDER_CASES, skips):
+    fails = []
+    for case in EXPANDER_CASES:
         bound = expansion_bound(*case)
-        second = report.second_largest_radicand()
+        second = run.enum_report(case).second_largest_radicand()
         if second != bound.radicand:
             fails.append(
                 f"{_label(case)}: second radicand {second} != q*p^(m-1) = {bound.radicand}"
             )
-    return _finish(fails, skips, "second-largest radicand equals q*p^(m-1) for all m<=e cases")
+    return _finish(fails, "second-largest radicand equals q*p^(m-1) for all m<=e cases")
 
 
 def check_negative_control(run: _Runner) -> tuple[str, str]:
@@ -480,9 +444,8 @@ CHECKS = (
 )
 
 
-def run_acceptance(seed=0, max_bytes=DEFAULT_BYTE_BUDGET,
-                   max_evals=DEFAULT_EVAL_BUDGET, perturb=False) -> list[CheckResult]:
-    run = _Runner(seed=seed, max_bytes=max_bytes, max_evals=max_evals, perturb=perturb)
+def run_acceptance(seed=0, perturb=False) -> list[CheckResult]:
+    run = _Runner(seed=seed, perturb=perturb)
     results = []
     for number, name, fn in CHECKS:
         t0 = time.perf_counter()

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from linwenger import graphs, metrics, verify
-from linwenger.graphs import FamilySpec, graph_bytes
 from linwenger.verify import CHECKS, _Runner
 
 _BY_NUMBER = {number: (name, fn) for number, name, fn in CHECKS}
@@ -24,7 +23,7 @@ _BY_NUMBER = {number: (name, fn) for number, name, fn in CHECKS}
 @pytest.fixture(scope="session")
 def runner():
     # one shared runner so expensive graphs are built once across criteria
-    return _Runner(seed=0, max_bytes=2 << 30, max_evals=10**8, perturb=False)
+    return _Runner(seed=0)
 
 
 def run_criterion(number: int, runner: _Runner, deadline: float | None = None) -> None:
@@ -99,10 +98,17 @@ def _swap_girth(pred):
 def test_wrong_predictions_fail(monkeypatch, name, wrong, failing):
     real = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda spec: wrong(real(spec)))
-    # graphs up to L_1(11), 242 vertices; the larger three are skipped
-    run = _Runner(seed=0, max_bytes=graph_bytes(FamilySpec.linearized(11, 1, 1)))
+    run = _Runner(seed=0)
     statuses = {n: _BY_NUMBER[n][1](run)[0] for n in (4, 5, 6, 7)}
     assert {n for n, status in statuses.items() if status == "FAIL"} == set(failing)
+
+
+def test_criterion_02_walks_each_graph_once(monkeypatch):
+    """One walk_trace(g, 3) per graph gives all three traces."""
+    real, calls = verify.walk_trace, []
+    monkeypatch.setattr(verify, "walk_trace", lambda g, k: calls.append(k) or real(g, k))
+    assert _BY_NUMBER[2][1](_Runner(seed=0))[0] == "PASS"
+    assert calls == [3] * len(verify.SPECTRUM_CASES)
 
 
 def test_one_run_certifies_each_layout_once(monkeypatch):
@@ -123,7 +129,7 @@ def test_one_run_certifies_each_layout_once(monkeypatch):
 
 
 def test_one_run_computes_each_orbit_record_once(monkeypatch):
-    """Criterion 2's walk traces (three per graph) and the BFS sweeps of
+    """Criterion 2's walk traces (one call per graph) and the BFS sweeps of
     criteria 5 and 6 all read the certified orbits, but each of the 14
     graphs of one run has its candidate maps tried once."""
     real, tried = metrics._candidate_shifts, []

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linwenger
-from linwenger import cli
+from linwenger import cli, verify
 from linwenger.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
-from linwenger.errors import Acyclic, NotBipartite, SolveFailed
+from linwenger.errors import Acyclic, BudgetExceeded, NotBipartite, SolveFailed
 from linwenger.fields import Field
 from linwenger.graphs import FamilySpec, graph_bytes
 
@@ -207,34 +207,34 @@ class TestMetrics:
         assert "(no prediction)" in out
 
 
-# Every verify graph up to L_1(7), 98 vertices; the larger ones are skipped.
-_SMALL_BYTES = str(graph_bytes(FamilySpec.linearized(7, 1, 1)))
-
-
 class TestVerify:
-    def test_small_budget_skips(self, capsys):
-        code = main(["verify", "--max-bytes", _SMALL_BYTES])
-        out, _ = capsys.readouterr()
-        assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert len(lines) == 12  # 11 criteria plus the summary
-        assert "0 fail" in lines[-1]
-        assert any("SKIP" in ln for ln in lines[:-1])
-
     def test_perturbation_is_caught(self, capsys):
-        code = main(["verify", "--perturb", "--max-bytes", _SMALL_BYTES])
+        code = main(["verify", "--perturb"])
         out, _ = capsys.readouterr()
         assert code == EXIT_MISMATCH
-        assert "FAIL" in out
+        lines = out.strip().splitlines()
+        assert len(lines) == 12  # 11 criteria plus the summary
+        assert lines[-1] == "11 criteria: 10 pass, 1 fail"
+        assert lines[2].startswith("[ 3] FAIL")
 
     def test_json_payload(self, capsys):
-        code = main(["verify", "--max-bytes", _SMALL_BYTES, "--json"])
+        code = main(["verify", "--json"])
         out, _ = capsys.readouterr()
         assert code == EXIT_OK
         payload = json.loads(out)
         assert len(payload) == 11
         assert {r["number"] for r in payload} == set(range(1, 12))
-        assert all(r["status"] in ("PASS", "SKIP") for r in payload)
+        assert all(r["status"] == "PASS" for r in payload)
+
+    def test_a_budget_refusal_inside_exits_three(self, monkeypatch, capsys):
+        # no SKIP: the fixed matrix stays far below the default budgets, so a
+        # refusal is an error like any other subcommand's
+        def refuse(spec):
+            raise BudgetExceeded("32768 evaluations exceed the budget 1")
+
+        monkeypatch.setattr(verify, "spectrum_enumerate", refuse)
+        assert main(["verify"]) == EXIT_BUDGET
+        assert "exceed the budget" in capsys.readouterr().err
 
 
 class TestParser:
@@ -275,6 +275,8 @@ class TestParser:
         ["spectrum", "--p", "2", "--m", "1", "--max-bytes", "10"],
         ["metrics", "--p", "2", "--m", "1", "--seed", "1"],
         ["metrics", "--p", "2", "--m", "1", "--max-evals", "10"],
+        ["verify", "--max-bytes", "1"],
+        ["verify", "--max-evals", "1"],
     ])
     def test_options_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -287,8 +289,8 @@ class TestParser:
         ["build", "--p", "2", "--m", "1", "--format", "json", "--max-bytes", "-5"],
         ["build", "--p", "2", "--m", "1", "--max-bytes", "0"],
         ["metrics", "--p", "2", "--m", "1", "--max-bytes", "0"],
-        ["verify", "--max-bytes", "-1"],
-        ["verify", "--max-evals", "0"],
+        ["metrics", "--p", "2", "--m", "1", "--json", "--max-bytes", "-1"],
+        ["spectrum", "--p", "2", "--m", "1", "--method", "both", "--max-evals", "0"],
         ["spectrum", "--p", "2", "--m", "1", "--max-evals", "-3"],
     ])
     def test_non_positive_budget_exits_two(self, argv, capsys):
@@ -302,7 +304,7 @@ class TestParser:
         for argv, budgets in (
             (["build", "--p", "2", "--m", "1"], {"max_bytes"}),
             (["metrics", "--p", "2", "--m", "1"], {"max_bytes"}),
-            (["verify"], {"max_bytes", "max_evals"}),
+            (["verify"], set()),
         ):
             options = vars(parser.parse_args(argv))
             assert {key for key in options if key.startswith("max_")} == budgets

@@ -97,10 +97,20 @@ class TestGF4:
 
     def test_traces(self):
         F = GF(2, 2)
-        assert F.one.trace() == 0
-        assert F.basis[1].trace() == 1
-        assert (F.basis[1] + F.one).trace() == 1
-        assert F.zero.trace() == 0
+        assert _trace(F.one) == 0
+        assert _trace(F.basis[1]) == 1
+        assert _trace(F.basis[1] + F.one) == 1
+        assert _trace(F.zero) == 0
+
+
+def _trace(x) -> int:
+    """The absolute trace x + x^p + ... + x^(p^(e-1)) from frob and +, as an
+    integer of [0, p); it must lie in the prime subfield."""
+    acc = x
+    for k in range(1, x.field.e):
+        acc = acc + x.frob(k)
+    assert acc.index < x.field.p, f"trace of {x!r} is outside F_p"
+    return acc.index
 
 
 @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 2)])
@@ -108,7 +118,7 @@ def test_trace_maps_onto_prime_field_evenly(p, e):
     F = GF(p, e)
     hits = {}
     for x in F.elements():
-        hits[x.trace()] = hits.get(x.trace(), 0) + 1
+        hits[_trace(x)] = hits.get(_trace(x), 0) + 1
     assert hits == {c: p ** (e - 1) for c in range(p)}
 
 
@@ -222,7 +232,7 @@ class TestIndexTables:
             for k in range(2 * F.q):
                 assert (a**k).coeffs == _coeff_pow(F, a.coeffs, k)
             if a:
-                inv = F.from_coeffs(_pinvmod(list(a.coeffs), list(F.modulus), p))
+                inv = F.from_index(fields._index(_pinvmod(list(a.coeffs), list(F.modulus), p), p))
                 assert a.inverse().coeffs == inv.coeffs
                 assert (a**-3).coeffs == _coeff_pow(F, inv.coeffs, 3)
 
@@ -281,23 +291,19 @@ class TestIndexTables:
         with pytest.raises(AttributeError):
             x.coords
 
-        assert F.one.trace() == F.e % F.p
+        assert _trace(F.one) == F.e % F.p
         # the trace of the root t is minus the modulus coefficient of t^(e-1)
-        assert F.basis[1].trace() == -F.modulus[-2] % F.p
+        assert _trace(F.basis[1]) == -F.modulus[-2] % F.p
         ys = [x] + [F.from_index(i) for i in (2, 3, 0b1011, 1 << 16, 0x1FFFF)]
-        assert {y.trace() for y in ys} == {0, 1}
-        assert all(y.trace() == y.frob(1).trace() for y in ys)
+        assert {_trace(y) for y in ys} == {0, 1}
+        assert all(_trace(y) == _trace(y.frob(1)) for y in ys)
         for a, b in itertools.combinations(ys, 2):
-            assert (a + b).trace() == (a.trace() + b.trace()) % F.p
+            assert _trace(a + b) == (_trace(a) + _trace(b)) % F.p
 
     def test_coefficient_powers_square_from_the_top_bit(self, monkeypatch):
         F = GF(2, 17, modulus=(1, 0, 0, 1) + (0,) * 13 + (1,))
         x = F.from_index(0b10110011100011101)
         square, fifth = x * x, x * x * x * x * x
-        conj, acc = x, x
-        for _ in range(F.e - 1):
-            conj = conj * conj
-            acc = acc + conj
         calls = []
         mul = Field._mul
         monkeypatch.setattr(Field, "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
@@ -308,7 +314,6 @@ class TestIndexTables:
 
         assert counted(lambda: x.frob(1)) == (square, 1)
         assert counted(lambda: x**5) == (fifth, 3)
-        assert counted(x.trace) == (acc.coeffs[0], 16)
         assert counted(lambda: x**1) == (x, 0)
         assert counted(lambda: x**0) == (F.one, 0)
 
@@ -336,7 +341,7 @@ class TestIndexOps:
         x, y = F._elt_at(a).coeffs, F._elt_at(b).coeffs
 
         def index(coeffs):
-            return F.from_coeffs(coeffs).index
+            return F.from_index(fields._index(coeffs, p)).index
 
         assert ops.add(a, b) == index([(u + v) % p for u, v in zip(x, y)])
         assert ops.sub(a, b) == index([(u - v) % p for u, v in zip(x, y)])
@@ -471,7 +476,7 @@ class TestFpLinearAlgebra:
         images = {image(v) for v in itertools.product(range(p), repeat=M.n_cols)}
         rank, kernel = fp_rank_kernel(M)
         assert p**rank == len(images)
-        assert all(image(v) == (0,) * M.n_rows for v in kernel)
+        assert all(image(v) == (0,) * len(M.rows) for v in kernel)
         assert rank + len(kernel) == M.n_cols
         x = fp_solve(M, b)
         if b in images:

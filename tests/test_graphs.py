@@ -24,7 +24,7 @@ from linwenger import (
     walk_trace,
 )
 from linwenger import graphs
-from linwenger.graphs import DEFAULT_BYTE_BUDGET, graph_bytes, structure_faults
+from linwenger.graphs import DEFAULT_BYTE_BUDGET, _certify_layout, graph_bytes
 from linwenger.metrics import metrics_report
 
 
@@ -139,16 +139,16 @@ class TestGraph:
             assert g.n == 2 * q ** (m + 1)
             assert g.n_edges == q ** (m + 2)
             assert g.adjacency.shape == (g.n, q)
-            assert structure_faults(g.spec, g.adjacency) == []
+            assert _certify_layout(g.adjacency).faults() == []
 
     def test_wenger_counts(self):
         g = Graph(FamilySpec.wenger(3, 1, 1)).materialize()
         assert g.n == 18
         assert g.n_edges == 27
         assert g.adjacency.shape == (18, 3)
-        assert structure_faults(g.spec, g.adjacency) == []
+        assert _certify_layout(g.adjacency).faults() == []
 
-    def test_structure_faults_reports_injected_faults(self, graph_cache):
+    def test_layout_faults_report_injected_faults(self, graph_cache):
         g = graph_cache(3, 1, 1)
         q, half = g.spec.q, g.n // 2
         # a line with first coordinate 0 that vertex 1 is not next to, so
@@ -158,7 +158,7 @@ class TestGraph:
         def faults_after(v, cols, ids):
             nbrs = g.adjacency.copy()
             nbrs[v, cols] = ids
-            return structure_faults(g.spec, nbrs)
+            return _certify_layout(nbrs).faults()
 
         order = "rows are not listed by first coordinate"
         back = "entries are not listed back by their neighbour"
@@ -172,7 +172,8 @@ class TestGraph:
         ]
         # two entries of a row swapped: the same neighbours in the wrong columns
         assert faults_after(0, [0, 1], g.adjacency[0, [1, 0]]) == [f"1 {order}", f"2 {back}"]
-        assert structure_faults(g.spec, g.adjacency[:-1]) != []  # a row short
+        # a row short: the last line's id is no longer a vertex id
+        assert _certify_layout(g.adjacency[:-1]).faults() == [f"{q} entries are not vertex ids"]
 
     @pytest.mark.parametrize(
         "fault,expected",
@@ -300,7 +301,7 @@ class TestGraph:
             A = full.csr()  # wraps the array; must leave its row order alone
             assert np.shares_memory(A.indices, full.adjacency)
             walk_trace(full, 2)
-            assert structure_faults(spec, full.adjacency) == []
+            assert _certify_layout(full.adjacency).faults() == []
             for vid in range(full.n):
                 row = full.adjacency[vid].tolist()
                 assert row == lazy.neighbor_ids(vid)
@@ -392,7 +393,7 @@ class TestGraph:
             graph = Graph(spec, byte_budget=graph_bytes(spec)).materialize()
             peaks = {"materialize": tracemalloc.get_traced_memory()[1]}
             for name, step in (
-                ("structure_faults", lambda: structure_faults(spec, graph.adjacency)),
+                ("layout", lambda: _certify_layout(graph.adjacency)),
                 ("metrics_report", lambda: metrics_report(graph)),
             ):
                 tracemalloc.reset_peak()
@@ -408,7 +409,7 @@ class TestGraph:
         # the layout certificate needs no per-vertex term: the array, the
         # index tables and its blocks within the fixed 4 MiB
         q = spec.q
-        assert peaks["structure_faults"] <= graph.adjacency.nbytes + 32 * q * q + (4 << 20)
+        assert peaks["layout"] <= graph.adjacency.nbytes + 32 * q * q + (4 << 20)
         if spec.n_vertices > 30_000:  # past the fixed 4 MiB, the count stays close
             assert max(peaks.values()) > need // 2, (peaks, need)
 

@@ -314,6 +314,15 @@ def test_orbit_sweep_matches_all_sources_and_networkx(spec):
         assert girth(g) == nx.girth(G)
 
 
+def _swap_lines(nbrs, u1, u2, col):
+    """Swap, in place, the column-col lines of points u1 and u2 (which share a
+    first coordinate) and list each point back in its new line's row."""
+    q = nbrs.shape[1]
+    v1, v2 = nbrs[u1, col], nbrs[u2, col]
+    nbrs[u1, col], nbrs[u2, col] = v2, v1
+    nbrs[v1, u1 % q], nbrs[v2, u2 % q] = u2, u1
+
+
 @pytest.mark.parametrize("p,e,m,point,col", [(7, 1, 1, 18, 1), (2, 1, 3, 7, 1)])
 def test_rewired_edge_pair_certifies_no_automorphism(
     p, e, m, point, col, graph_cache, monkeypatch
@@ -325,12 +334,8 @@ def test_rewired_edge_pair_certifies_no_automorphism(
     and finds the 4-cycle; the sound graph's orbits, used uncertified, miss
     it."""
     g = graph_cache(p, e, m)
-    q = g.spec.q
-    u1, u2 = point, point + q
     nbrs = g.adjacency.copy()
-    v1, v2 = nbrs[u1, col], nbrs[u2, col]
-    nbrs[u1, col], nbrs[u2, col] = v2, v1
-    nbrs[v1, u1 % q], nbrs[v2, u2 % q] = u2, u1
+    _swap_lines(nbrs, point, point + g.spec.q, col)
     G = _nx_graph(nbrs)
     assert nx.girth(G) == 4
 
@@ -341,6 +346,20 @@ def test_rewired_edge_pair_certifies_no_automorphism(
     sound = metrics_mod._orbits(g)
     monkeypatch.setattr(metrics_mod, "_orbits", lambda graph: sound)
     assert girth(SimpleNamespace(adjacency=nbrs)) in (6, 8)
+
+
+def test_sweep_keeps_no_record_of_a_writeable_array(graph_cache):
+    """The BFS record, like the orbits and the layout certificate, is cached
+    only on a read-only array: a graph over a writeable array that is then
+    rewired in place is swept again and finds the 4-cycle."""
+    g = graph_cache(7, 1, 1)
+    nbrs = g.adjacency.copy()
+    writeable = SimpleNamespace(spec=g.spec, adjacency=nbrs)
+    assert girth(writeable) == 6
+    _swap_lines(nbrs, 18, 18 + g.spec.q, 1)
+    assert girth(SimpleNamespace(spec=g.spec, adjacency=nbrs)) == 4
+    assert girth(writeable) == 4
+    assert not hasattr(writeable, "_bfs")
 
 
 @pytest.mark.parametrize(
