@@ -10,8 +10,10 @@ vectors with the F_p polynomial helpers modulo the modulus, and that
 coefficient arithmetic is the oracle the tables are tested against.
 FieldElement's operators are shells over IndexOps.  Linear algebra is one
 Gaussian elimination over GF(p^e), on element indices, with F_p entry points
-that run it over GF(p).  Everything here is integer-exact; fields and
-elements are immutable and safe to share between threads once constructed.
+that run it over GF(p); a solve eliminates each coefficient matrix once and
+reuses the recorded row operations for every right-hand side.  Everything
+here is integer-exact; fields and elements are immutable and safe to share
+between threads once constructed.
 """
 
 from __future__ import annotations
@@ -744,7 +746,14 @@ def fp_solve(M: FpMatrix, b) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # Exact Gaussian elimination over an arbitrary GF(p^e) (used for Moore-type
 # systems, for function-rank computations and, over GF(p), for F_p matrices),
-# on canonical element indices with the field's IndexOps.
+# on canonical element indices with the field's IndexOps.  A solve eliminates
+# each coefficient matrix once (_reduction) and applies the recorded row
+# operations to each right-hand side.
+
+# Reductions kept by _reduction: the package solves one matrix per spec (the
+# Moore matrix of metrics._moore_solve), as many as _moore_matrix caches.
+_REDUCTIONS = 64
+
 
 def _fq_rref(ops: IndexOps, rows: list[list[int]], nc: int) -> list[int]:
     """In-place reduced row echelon form, on the first nc columns, of rows of
@@ -772,39 +781,68 @@ def _fq_rref(ops: IndexOps, rows: list[list[int]], nc: int) -> list[int]:
     return pivots
 
 
+@functools.lru_cache(maxsize=_REDUCTIONS)
+def _reduction(ops: IndexOps, arith, rows: tuple[tuple[int, ...], ...]):
+    """(pivots, E) for the matrix A of index rows: _fq_rref of [A | I], whose
+    identity block ends as E, the product of the row operations, so that
+    E A is the reduced form.  Those operations depend on A alone, so E b is
+    the column _fq_rref of [A | b] ends with.  Cached per matrix; the key
+    holds arith = (mul, sub, inv), the operations the elimination reads, so
+    a reduction made while one of them is replaced is never read back."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    aug = [[*row, *(int(i == j) for j in range(nr))] for i, row in enumerate(rows)]
+    pivots = _fq_rref(ops, aug, nc)
+    return tuple(pivots), tuple(tuple(row[nc:]) for row in aug)
+
+
 def _solve(ops: IndexOps, rows, rhs) -> list[int] | None:
     """One solution of A x = rhs on element indices, free variables zero, or
-    None if inconsistent; ValueError unless rhs has one entry per row."""
+    None if inconsistent; ValueError unless rhs has one entry per row.
+
+    y = E rhs for the cached reduction (pivots, E) of A: a nonzero y past
+    the rank makes the system inconsistent, and y gives the pivot
+    variables."""
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length mismatch")
-    aug = [[*r, b] for r, b in zip(rows, rhs)]
-    nc = len(rows[0]) if aug else 0
-    pivots = _fq_rref(ops, aug, nc)
-    if any(row[nc] for row in aug[len(pivots):]):
+    pivots, E = _reduction(ops, (ops.mul, ops.sub, ops.inv), tuple(map(tuple, rows)))
+    add, mul = ops.add, ops.mul
+    y = []
+    for row in E:
+        acc = 0
+        for c, b in zip(row, rhs):
+            if c and b:
+                acc = add(acc, mul(c, b))
+        y.append(acc)
+    if any(y[len(pivots):]):
         return None
-    x = [0] * nc
-    for ri, pc in enumerate(pivots):
-        x[pc] = aug[ri][nc]
+    x = [0] * (len(rows[0]) if rows else 0)
+    for pc, v in zip(pivots, y):
+        x[pc] = v
     return x
 
 
 def _index_rows(field: Field, rows) -> list[list[int]]:
-    """A matrix over field as rows of element indices; FieldMismatch for an
-    entry of another field, ValueError for rows of different lengths."""
-    if not all(
-        isinstance(v, FieldElement) and (v.field is field or v.field == field)
-        for r in rows for v in r
-    ):
-        raise FieldMismatch(f"entries must be elements of {field!r}")
-    if any(len(r) != len(rows[0]) for r in rows):
+    """A matrix over field as rows of element indices, checked and converted
+    in one pass per row; FieldMismatch for an entry of another field,
+    ValueError for rows of different lengths."""
+    out = []
+    for r in rows:
+        row = [
+            v.index for v in r
+            if isinstance(v, FieldElement) and (v.field is field or v.field == field)
+        ]
+        if len(row) != len(r):
+            raise FieldMismatch(f"entries must be elements of {field!r}")
+        out.append(row)
+    if any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged rows")
-    return [[v.index for v in r] for r in rows]
+    return out
 
 
 def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
     """One solution of A x = rhs over the field, or None if inconsistent."""
     x = _solve(field.ops(), _index_rows(field, rows), _index_rows(field, [rhs])[0])
-    return None if x is None else [field.from_index(i) for i in x]
+    return None if x is None else [field._elt_at(i) for i in x]
 
 
 def fq_rank(field: Field, rows) -> int:

@@ -160,16 +160,20 @@ class Line:
         return "[" + ", ".join(repr(c) for c in self.coords) + "]"
 
 
-def _check_vertex(spec: FamilySpec, v) -> None:
-    """Raise unless v is a Point or Line of spec: m+1 coordinates, all
-    elements of spec.field."""
+def _check_vertex(spec: FamilySpec, v) -> tuple[int, ...]:
+    """The index coordinates of v, read in the same pass that checks it:
+    TypeError unless v is a Point or Line, ValueError unless it has m+1
+    coordinates, all elements of spec.field."""
     if not isinstance(v, (Point, Line)):
         raise TypeError(f"expected a Point or Line, got {type(v).__name__}")
     F = spec.field
-    if len(v.coords) != spec.m + 1 or not all(
-        isinstance(c, FieldElement) and (c.field is F or c.field == F) for c in v.coords
-    ):
+    coords = v.coords
+    out = tuple([
+        c.index for c in coords if isinstance(c, FieldElement) and (c.field is F or c.field == F)
+    ])
+    if len(out) != spec.m + 1 or len(coords) != len(out):
         raise ValueError(f"{v!r} is not a vertex over {F!r} with {spec.m + 1} coordinates")
+    return out
 
 
 def adjacent(spec: FamilySpec, P: Point, L: Line) -> bool:
@@ -281,10 +285,11 @@ class Graph:
         self._check_id(vid)
         side, local = divmod(vid, self.half)
         F = self.spec.field
+        at, q = F._elt_at, F.q
         coords = []
         for _ in range(self.spec.m + 1):
-            coords.append(F.from_index(local % F.q))
-            local //= F.q
+            local, c = divmod(local, q)  # c in [0, q): no range check
+            coords.append(at(c))
         return Line(tuple(coords)) if side else Point(tuple(coords))
 
     # -- neighbors ------------------------------------------------------------

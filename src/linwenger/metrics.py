@@ -18,12 +18,14 @@ it is returned.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
-into a walk.  diameter_witness takes one pair of Point and Line objects and
-steps on their coordinates as element indices with the field's IndexOps
-(O(q) log lists up to TABLE_LIMIT, coefficient arithmetic above it), so it
-serves lazy graphs of any q.  path_witnesses takes whole arrays of vertex-id
-pairs on a materialized graph, steps by gathers from graph.adjacency, and
-checks every step against it.
+into a walk.  Every spec has one Moore matrix, and fq_solve eliminates it
+once and applies the cached row operations to each right-hand side.
+diameter_witness takes one pair of Point and Line objects, reads their
+index coordinates in the pass that checks them, and steps on those indices
+with the field's IndexOps (O(q) log lists up to TABLE_LIMIT, coefficient
+arithmetic above it), so it serves lazy graphs of any q.  path_witnesses
+takes whole arrays of vertex-id pairs on a materialized graph, steps by
+gathers from graph.adjacency, and checks every step against it.
 
 Common neighbours have two routes with one rule: two distinct points share a
 line exactly when their difference is (u, l u, l f_3(u), ..., l f_(m+1)(u))
@@ -399,9 +401,7 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
         raise UnsupportedRegime("common-neighbor solving needs the Frobenius family")
     if not (isinstance(P, Point) and isinstance(P2, Point)):
         raise TypeError("common_neighbor takes two Points")
-    _check_vertex(spec, P)
-    _check_vertex(spec, P2)
-    a, b = _indices(P), _indices(P2)
+    a, b = _check_vertex(spec, P), _check_vertex(spec, P2)
     if a == b:
         raise SamePoint("common_neighbor needs two distinct points")
     ops = spec.field.ops()
@@ -522,13 +522,10 @@ class PathWitness:
 # tuples of canonical element indices with the field's IndexOps, and make
 # Point and Line objects only for what they return.
 
-def _indices(v) -> tuple[int, ...]:
-    return tuple([c.index for c in v.coords])  # from a list: no tuple resize
-
-
 def _vertex(F, coords, point: bool):
-    """The Point or Line with these index coordinates, of cached elements."""
-    return (Point if point else Line)(tuple([F.from_index(c) for c in coords]))
+    """The Point or Line with these index coordinates, each in [0, q)."""
+    at = F._elt_at
+    return (Point if point else Line)(tuple([at(c) for c in coords]))
 
 
 def _neighbour(ops, own, x: int, point: bool) -> tuple[int, ...]:
@@ -565,9 +562,10 @@ def _moore_solve(spec: FamilySpec, rhs) -> list[int]:
     """Solve B x = rhs for the Moore matrix B, on element indices.
 
     Every witness system reduces to B, because the Frobenius maps f_k are
-    additive; the basis powers t^i are F_p-independent, so B is invertible."""
+    additive; the basis powers t^i are F_p-independent, so B is invertible.
+    rhs holds indices in [0, q), so its elements are built unchecked."""
     F = spec.field
-    x = fq_solve(F, _moore_matrix(spec), [F.from_index(r) for r in rhs])
+    x = fq_solve(F, _moore_matrix(spec), [F._elt_at(r) for r in rhs])
     if x is None:
         raise SolveFailed("Moore system unsolvable; basis powers not independent?")
     return [v.index for v in x]
@@ -598,20 +596,19 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
     Works for the Frobenius family with m <= e, on Point and Line objects,
     so it needs no neighbour array.  Coordinates are element indices and
     every step, f_k(x) being a Frobenius power, runs on the field's
-    IndexOps, which need no index tables above TABLE_LIMIT; the Moore
-    matrix is built once per spec and solved once per walk (fq_solve).
-    Before the walk is returned its ends must be a and b, and each edge must
-    satisfy l_k + p_k = f_k(p_1) l_1 on indices; any miss raises
-    SolveFailed."""
+    IndexOps, which need no index tables above TABLE_LIMIT.  The Moore
+    matrix is built once per spec and each walk makes one fq_solve call on
+    it, which eliminates it on the spec's first walk and then applies the
+    cached row operations to the walk's right-hand side.  Before the walk
+    is returned its ends must be a and b, and each edge must satisfy
+    l_k + p_k = f_k(p_1) l_1 on indices; any miss raises SolveFailed."""
     spec = graph.spec
     _require_witness_regime(spec)
-    _check_vertex(spec, a)
-    _check_vertex(spec, b)
+    ai, bi = _check_vertex(spec, a), _check_vertex(spec, b)
     F, m = spec.field, spec.m
     ops = F.ops()
     add, sub, mul, frob = ops.add, ops.sub, ops.mul, ops.frob
     a_point, b_point = isinstance(a, Point), isinstance(b, Point)
-    ai, bi = _indices(a), _indices(b)
     if a_point == b_point and ai == bi:
         walk = [ai]
     else:
@@ -655,9 +652,10 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     Each pair kind runs once over all its pairs.  Only the Moore right-hand
     sides decode coordinates: differences and products are gathers from the
     field's q x q index tables, and B^-1 is inverted once per batch (m
-    fq_solve calls, one per unit vector).  Every step is a gather
-    adjacency[v, x], because row v lists v's neighbours by first coordinate
-    and a vertex id's first coordinate is id mod q.  A pair a == b gives [a].
+    fq_solve calls, one per unit vector, sharing one elimination of B).
+    Every step is a gather adjacency[v, x], because row v lists v's
+    neighbours by first coordinate and a vertex id's first coordinate is
+    id mod q.  A pair a == b gives [a].
     The walks stay in one (pairs, 2m+3) array: backtracks are dropped column
     by column (_compress_columns) and line-to-point walks reversed in place.
 

@@ -569,3 +569,107 @@ class TestFqLinearAlgebra:
             fq_solve(F, ragged, [one, two, one])
         # the third equation x + y = 0 contradicts x = 1, y = 2
         assert fq_solve(F, rows3x2, [one, two, F.zero]) is None
+
+    def test_entry_of_another_field_is_reported_before_ragged_rows(self):
+        F, other = GF(5), GF(7)
+        one = F.one
+        for bad in ([[one, one], [other.one]], [[one], [one, other.one]]):
+            with pytest.raises(FieldMismatch):
+                fq_solve(F, bad, [one, one])
+            with pytest.raises(FieldMismatch):
+                fq_rank(F, bad)
+
+
+def _fresh_solve(ops, rows, rhs):
+    """One elimination of [A | b] from scratch, free variables zero: the
+    answer a solve gave before reductions were reused."""
+    nc = len(rows[0])
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    pivots = fields._fq_rref(ops, aug, nc)
+    if any(row[nc] for row in aug[len(pivots):]):
+        return None
+    x = [0] * nc
+    for ri, pc in enumerate(pivots):
+        x[pc] = aug[ri][nc]
+    return x
+
+
+def _shaped_systems(q, rng):
+    """(name, A, right-hand sides) on indices of a field of size q: square,
+    wide, tall and singular matrices, each with consistent right-hand sides
+    and, where the rank is short of the row count, inconsistent ones."""
+    square = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
+    singular = square[:2] + [square[0][:]]  # row 3 repeats row 1: rank 2
+    zero_col = [[0, rng.randrange(1, q), rng.randrange(q)] for _ in range(3)]
+    shapes = {
+        "square": square,
+        "wide": [[rng.randrange(q) for _ in range(4)] for _ in range(2)],
+        "tall": [[rng.randrange(q) for _ in range(2)] for _ in range(4)],
+        "singular": singular,
+        "zero column": zero_col,
+    }
+    for name, A in shapes.items():
+        rhs = [[rng.randrange(q) for _ in A] for _ in range(4)]
+        yield name, A, rhs + [[0] * len(A)]
+
+
+class TestSolveReuse:
+    """A solve eliminates each coefficient matrix once and applies the
+    recorded row operations to every right-hand side; each answer must be
+    the one a fresh elimination of [A | b] gives."""
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 17)])
+    def test_matches_a_fresh_elimination(self, p, e):
+        F = GF(p, e)
+        ops = F.ops()
+        rng = random.Random(f"reuse:{p}:{e}")
+        kinds = {"solved": 0, "inconsistent": 0}
+        for name, A, rhs_list in _shaped_systems(F.q, rng):
+            rows = [[F.from_index(i) for i in row] for row in A]
+            for rhs in rhs_list:
+                want = _fresh_solve(ops, A, rhs)
+                for _ in range(2):  # the second call reads the cached reduction
+                    got = fq_solve(F, rows, [F.from_index(i) for i in rhs])
+                    assert (None if got is None else [v.index for v in got]) == want, name
+                kinds["solved" if want is not None else "inconsistent"] += 1
+        assert all(kinds.values())
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_fp_solve_matches_a_fresh_elimination(self, p):
+        ops = GF(p).ops()
+        rng = random.Random(f"reuse:{p}")
+        kinds = set()
+        for name, A, rhs_list in _shaped_systems(p, rng):
+            for rhs in rhs_list:
+                want = _fresh_solve(ops, A, rhs)
+                got = fp_solve(FpMatrix(p, tuple(map(tuple, A))), rhs)
+                assert (None if got is None else list(got)) == want, name
+                kinds.add(want is None)
+        assert kinds == {True, False}
+
+    def test_a_repeated_matrix_is_eliminated_once(self, monkeypatch):
+        F = GF(3, 2)
+        calls = []
+        real = fields._fq_rref
+        monkeypatch.setattr(fields, "_fq_rref", lambda *a: calls.append(1) or real(*a))
+        fields._reduction.cache_clear()
+        rows = [[F.from_index(1), F.from_index(4)], [F.from_index(7), F.from_index(2)]]
+        for i in range(6):
+            assert fq_solve(F, rows, [F.from_index(i), F.from_index(8 - i)]) is not None
+        assert len(calls) == 1
+        fq_solve(F, rows[::-1], [F.one, F.one])
+        fp_solve(FpMatrix(3, ((1, 2), (0, 1))), (1, 1))
+        fp_solve(FpMatrix(3, ((1, 2), (0, 1))), (2, 0))
+        assert len(calls) == 3
+
+    def test_callers_rows_are_unchanged(self):
+        F = GF(2, 2)
+        rows = [[F.from_index(i) for i in row] for row in ([1, 2, 3], [2, 3, 1], [3, 1, 2])]
+        rhs = [F.one, F.zero, F.from_index(3)]
+        kept = [list(row) for row in rows], list(rhs)
+        fq_solve(F, rows, rhs)
+        fq_solve(F, rows, rhs)
+        assert ([list(row) for row in rows], rhs) == kept
+        index_rows = [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
+        fields._solve(F.ops(), index_rows, [1, 0, 3])
+        assert index_rows == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]

@@ -1,8 +1,10 @@
 """Distances, girth, common neighbors, and explicit witnesses."""
 
+import json
 import random
 from collections import deque
 from itertools import combinations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import networkx as nx
@@ -735,6 +737,29 @@ def test_lazy_witnesses_between_the_table_limits(p, e):
         assert common_neighbor(g, P, g.decode(rng.randrange(g.half))) is None
 
 
+GOLDEN = Path(__file__).parent / "data" / "witness_golden.json"
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN.read_text()), ids=lambda c: f"L_{c['m']}({c['p']}^{c['e']})"
+)
+def test_lazy_witnesses_match_the_recorded_sample(case):
+    """Walks and lines on lazy L_3(2^8) and L_2(2^17), past the reach of the
+    batch routes, id for id as recorded when every walk eliminated its Moore
+    system from scratch.  The pairs were drawn by
+    random.Random(f"golden:{p}:{e}:{m}"): path pairs cycle through
+    point-point, point-line, line-point and line-line, and every other
+    common-neighbour pair is two points of one line."""
+    g = Graph(FamilySpec.linearized(case["p"], case["e"], case["m"]))
+    for a, b, walk in case["paths"]:
+        assert [g.encode(v) for v in diameter_witness(g, g.decode(a), g.decode(b)).vertices] == walk
+    for i, j, line in case["common"]:
+        got = common_neighbor(g, g.decode(i), g.decode(j))
+        assert (None if got is None else g.encode(got)) == line
+    assert {len(walk) % 2 for _, _, walk in case["paths"]} == {0, 1}
+    assert {line is None for _, _, line in case["common"]} == {True, False}
+
+
 class TestPerPairChecks:
     """The checks diameter_witness and common_neighbor run before returning
     are live: a corrupted step or line raises SolveFailed."""
@@ -743,11 +768,16 @@ class TestPerPairChecks:
         g = Graph(FamilySpec.linearized(3, 2, 2))
         ops, q = g.spec.field.ops(), g.spec.q
         a, b = g.decode(5), g.decode(g.half + 17)
-        diameter_witness(g, a, b)
+        sound = diameter_witness(g, a, b)
         sub = ops.sub
+        # the Moore matrix is eliminated again, under the corrupted sub
+        fields._reduction.cache_clear()
         monkeypatch.setattr(ops, "sub", lambda x, y: (sub(x, y) + 1) % q)
         with pytest.raises(SolveFailed):
             diameter_witness(g, a, b)
+        # that reduction is never read back once sub is restored
+        monkeypatch.undo()
+        assert diameter_witness(g, a, b) == sound
 
     # point-point, point-line, line-point and line-line on L_2(9): 729 points
     @pytest.mark.parametrize("a,b", [(5, 700), (3, 769), (730, 11), (731, 738)])
