@@ -3,9 +3,10 @@ and run the full verification suite.
 
 Exit codes are a stable contract: 0 success, 1 I/O error, 2 invalid
 configuration, 3 budget exceeded or out of memory, 4 theorem mismatch, check
-failure or internal error (a failed solve, an acyclic graph, or any other
-exception raised inside the package, reported on one stderr line
-"error: internal error: <Type>: <message>" with no traceback).
+failure or internal error.  An exception's class alone picks its code:
+OSError 1, ConfigError 2, BudgetExceeded or MemoryError 3, and any other
+exception raised inside the package 4, reported on one stderr line
+"error: internal error: <Type>: <message>" with no traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import Acyclic, BudgetExceeded, ConfigError, NotBipartite, SolveFailed
+from .errors import BudgetExceeded, ConfigError
 from .graphs import DEFAULT_BYTE_BUDGET, FamilySpec, Graph, export, layout_certificate
 from .metrics import metrics_report
 from .spectrum import (
@@ -264,17 +265,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}",
+              file=sys.stderr)
         return EXIT_BUDGET
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_BUDGET
-    # NotBipartite is a ValueError, but the CLI's graphs are the package's own
-    except (SolveFailed, Acyclic, NotBipartite) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -2,7 +2,8 @@
 
 
 class ConfigError(ValueError):
-    """Invalid construction parameters: bad prime, modulus, family, regime."""
+    """Invalid construction parameters: bad prime, modulus, family, regime.
+    The CLI exits 2 on it."""
 
 
 class NonPrime(ConfigError):
@@ -42,13 +43,14 @@ class OutOfRange(ConfigError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The operation would exceed the configured vertex or evaluation budget."""
+    """The operation would exceed a configured limit: the byte or evaluation
+    budget, int32 array entries or index-table bytes."""
 
 
 class NotBipartite(ValueError):
     """A neighbour array is not laid out as the package builds it: points
     [0, n/2), lines [n/2, n), every edge across.  From a package-built graph
-    this indicates a bug."""
+    this indicates a bug, so the CLI exits 4 on it."""
 
 
 class Acyclic(RuntimeError):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
+    ConfigError,
     DegreeMismatch,
     FieldMismatch,
     NonPrime,
@@ -55,8 +56,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_field_params(p, e) -> None:
-    """Reject a characteristic or degree outside what GF(p^e) supports."""
+def _check_field_params(p, e, m=None) -> None:
+    """Reject a characteristic or degree outside what GF(p^e) supports, and
+    m < 1 when a number of maps m is given."""
     if not isinstance(p, int) or not is_prime(p):
         raise NonPrime(f"characteristic must be prime, got {p}")
     if p > P_LIMIT:
@@ -65,6 +67,8 @@ def _check_field_params(p, e) -> None:
         raise DegreeMismatch(f"extension degree must be a positive integer, got {e}")
     if p**e > Q_LIMIT:
         raise DegreeMismatch(f"field size {p}^{e} exceeds the supported bound {Q_LIMIT}")
+    if m is not None and (not isinstance(m, int) or m < 1):
+        raise ConfigError(f"need an integer m >= 1, got {m}")
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, OutOfRange
-from .fields import GF, Field, FieldElement
+from .errors import BudgetExceeded, ConfigError, OutOfRange
+from .fields import GF, Field, FieldElement, _check_field_params
 
 FAMILIES = ("linearized", "wenger", "custom")
 DEFAULT_BYTE_BUDGET = 2 << 30  # the graph_bytes(spec) a Graph may reach by default
@@ -52,21 +52,20 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.m < 1:
-            raise ValueError(f"need m >= 1, got {self.m}")
+            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        _check_field_params(self.p, self.e, self.m)
         if self.modulus is not None:
             object.__setattr__(self, "modulus", tuple(int(c) for c in self.modulus))
         q = self.field.q  # construct eagerly so bad parameters fail here
         if self.family == "custom":
             if self.f_indices is None or len(self.f_indices) != self.m:
-                raise ValueError("custom family needs one coefficient vector per map")
+                raise ConfigError("custom family needs one coefficient vector per map")
             f_indices = tuple(tuple(int(c) for c in poly) for poly in self.f_indices)
             if any(not 0 <= c < q for poly in f_indices for c in poly):
-                raise ValueError(f"custom coefficients must be element indices in [0, {q})")
+                raise ConfigError(f"custom coefficients must be element indices in [0, {q})")
             object.__setattr__(self, "f_indices", f_indices)
         elif self.f_indices is not None:
-            raise ValueError("f_indices is only meaningful for the custom family")
+            raise ConfigError("f_indices is only meaningful for the custom family")
 
     @functools.cached_property
     def field(self) -> Field:
@@ -144,8 +143,6 @@ class FamilySpec:
 class Point:
     coords: tuple[FieldElement, ...]
 
-    side = "point"
-
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
 
@@ -153,8 +150,6 @@ class Point:
 @dataclass(frozen=True)
 class Line:
     coords: tuple[FieldElement, ...]
-
-    side = "line"
 
     def __repr__(self):
         return "[" + ", ".join(repr(c) for c in self.coords) + "]"
@@ -351,7 +346,7 @@ class Graph:
                 ids[:] = x + (half if side == 0 else 0)
                 for k in range(2, m + 2):
                     ids += (sub * q ** (k - 1))[mul[f[k - 2][p1], l1], own[:, k - 1 : k]]
-        nbrs.flags.writeable = False  # csr() shares this memory
+        nbrs.flags.writeable = False  # so the records cached on the graph stay true
         self._nbrs = nbrs
         return self
 
@@ -476,6 +471,8 @@ def export(graph: Graph, fmt: str, sink) -> None:
     """
     if fmt not in ("edgelist", "dimacs", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
+    if fmt != "json":
+        graph.materialize()  # before a path is opened, so a refusal leaves no file
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             export(graph, fmt, fh)

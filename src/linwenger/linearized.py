@@ -61,9 +61,7 @@ def rank_distribution(p: int, e: int, m: int) -> dict[int, int]:
     For m > e each map is the linear part of q^(m-e) of the q^m tuples
     (w_2, ..., w_(m+1)).
     """
-    _check_field_params(p, e)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_field_params(p, e, m)
     d = e - min(m, e) + 1
     dist = {0: 1}
     for r in range(d, e + 1):

@@ -188,7 +188,7 @@ def closed_form_linearized(p: int, e: int, m: int) -> MultiplicityTable:
     constants with none.  rank_distribution counts the linear parts of each
     rank among the first min(m, e) coordinates; for m > e the remaining
     coordinates multiply every count by q^(m-e).  Bad p, e or m raise
-    ValueError."""
+    ConfigError."""
     ranks = rank_distribution(p, e, m)
     q = p**e
     scale = q ** (m - min(m, e))
@@ -222,8 +222,6 @@ class ExpansionBound:
 
 
 def expansion_bound(p: int, e: int, m: int) -> ExpansionBound:
-    _check_field_params(p, e)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_field_params(p, e, m)
     q = p**e
     return ExpansionBound(q=q, radicand=q * p ** (min(m, e) - 1))

@@ -318,6 +318,9 @@ class TestInternalErrors:
         (IndexError("index 9 is out of bounds"), EXIT_MISMATCH),
         (KeyError("missing"), EXIT_MISMATCH),
         (NotBipartite("BFS needs points [0, n/2) and lines [n/2, n)"), EXIT_MISMATCH),
+        # a ValueError that is not a ConfigError is the package's fault
+        (ValueError("id arrays of unequal lengths 3 and 4"), EXIT_MISMATCH),
+        (TypeError("expected a Point or Line, got int"), EXIT_MISMATCH),
     ])
     def test_mapped_to_exit_code_without_traceback(self, exc, code, capsys, monkeypatch):
         def raise_it(graph):
@@ -328,6 +331,17 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        if code == EXIT_MISMATCH:
+            assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
+
+    def test_value_error_inside_verify_exits_four(self, capsys, monkeypatch):
+        def raise_it(graph, k):
+            raise ValueError("walk trace needs k >= 1")
+
+        monkeypatch.setattr(verify, "walk_trace", raise_it)
+        assert main(["verify"]) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert err == "error: internal error: ValueError: walk trace needs k >= 1\n"
 
 
 # (p, e, m) with at most 4096 edges, q^(m+2).
@@ -367,7 +381,7 @@ def test_subcommands_run_without_scipy(tmp_path):
 @st.composite
 def _invocations(draw):
     """A build/spectrum/metrics argv over a small graph, possibly made
-    invalid by one fault."""
+    invalid by one fault, and whether it was."""
     command = draw(st.sampled_from(["build", "spectrum", "metrics"]))
     p, e, m = draw(st.sampled_from(_SMALL_CASES))
     family = draw(st.sampled_from(["linearized", "wenger", "custom"]))
@@ -395,17 +409,23 @@ def _invocations(draw):
         argv += ["--modulus", ",".join(["0"] * e + ["1"])]  # x^e, reducible for e >= 2
     elif fault == "wrong_degree_modulus":
         argv += ["--modulus", ",".join(["1"] * (e + 2))]
-    return argv
+    # at e = 1 the modulus x is irreducible, so it is no fault
+    return argv, fault is not None and not (fault == "reducible_modulus" and e == 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_invocations())
-def test_exit_code_contract(argv):
+def test_exit_code_contract(invocation):
+    # every parameter fault is a ConfigError, which exits 2 and never 4
+    argv, faulty = invocation
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejections
             code = exc.code
-    assert code in (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_BUDGET, EXIT_MISMATCH), argv
+    if faulty:
+        assert code == EXIT_CONFIG, (argv, err.getvalue())
+    else:
+        assert code in (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_BUDGET, EXIT_MISMATCH), argv
     assert "Traceback" not in err.getvalue(), argv

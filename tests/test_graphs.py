@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from linwenger import (
     BudgetExceeded,
+    ConfigError,
     FamilySpec,
     Graph,
     Line,
@@ -44,13 +45,15 @@ class TestFamilySpec:
         assert spec.n_edges == 4**5
 
     def test_family_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FamilySpec(2, 1, 1, family="wegner")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FamilySpec(2, 1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
+            FamilySpec(2, 1, 1.5)
+        with pytest.raises(ConfigError):
             FamilySpec.custom(2, 1, 2, f_indices=((0, 1),))  # needs m polys
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FamilySpec(2, 1, 1, family="linearized", f_indices=((0, 1),))
 
     def test_f_eval_families(self):
@@ -86,11 +89,11 @@ class TestFamilySpec:
 
     def test_custom_coefficients_are_element_indices(self):
         # index 10 would act as 10 mod 3 = 1 yet compare and serialize as 10
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FamilySpec.custom(3, 1, 1, ((0, 10),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FamilySpec.custom(3, 1, 1, ((-1, 1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FamilySpec.custom(2, 2, 1, ((0, 4),))
         assert FamilySpec.custom(2, 2, 1, ((0, 3),)).to_json_dict()["f_list"] == [[0, 3]]
 
@@ -527,13 +530,17 @@ class TestExport:
         with pytest.raises(ValueError):
             export(g, "gml", io.StringIO())
 
-    def test_export_budget(self):
+    def test_export_budget(self, tmp_path):
         # the edge formats stream graph.adjacency, so materialize's check
-        # refuses them; the JSON summary builds no array
+        # refuses them, before a path is opened; the JSON summary builds no
+        # array
         spec = FamilySpec.linearized(2, 1, 2)
         g = Graph(spec, byte_budget=graph_bytes(spec) - 1)
+        path = tmp_path / "graph.txt"
         for fmt in ("edgelist", "dimacs"):
-            with pytest.raises(BudgetExceeded):
-                export(g, fmt, io.StringIO())
+            for sink in (io.StringIO(), path):
+                with pytest.raises(BudgetExceeded):
+                    export(g, fmt, sink)
+            assert not path.exists()
         export(g, "json", io.StringIO())
         assert not g.materialized

@@ -10,6 +10,7 @@ from scipy import sparse
 
 from linwenger import (
     BudgetExceeded,
+    ConfigError,
     DegreeMismatch,
     FamilySpec,
     Graph,
@@ -73,7 +74,7 @@ class TestClosedForm:
             closed_form_linearized(4, 1, 1)
         with pytest.raises(ValueError, match="degree"):
             closed_form_linearized(2, 0, 1)
-        with pytest.raises(ValueError, match="m >= 1"):
+        with pytest.raises(ConfigError, match="m >= 1"):
             closed_form_linearized(2, 2, 0)
 
     @pytest.mark.parametrize(
@@ -376,7 +377,7 @@ class TestExpansionBound:
             expansion_bound(4, 1, 1)
         with pytest.raises(DegreeMismatch):
             expansion_bound(2, 0, 1)  # would give the float radicand 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             expansion_bound(3, 1, 0)
 
     def test_radicand_is_second_largest(self):
