@@ -71,6 +71,16 @@ def _check_field_params(p, e, m=None) -> None:
         raise ConfigError(f"need an integer m >= 1, got {m}")
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints read through operator.index, so that 1.9
+    or "1" is refused rather than truncated or parsed: ConfigError for
+    anything else, a non-iterable included."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ConfigError(f"{what} must be a sequence of integers, got {values!r}") from None
+
+
 def prime_divisors(n: int) -> list[int]:
     """Distinct prime divisors of n, ascending."""
     out = []
@@ -378,15 +388,6 @@ class FieldElement:
         F = self.field
         return F._elt_at((F._ops or F.ops()).pow(self.index, k))
 
-    def inverse(self) -> "FieldElement":
-        F = self.field
-        return F._elt_at((F._ops or F.ops()).inv(self.index))
-
-    def frob(self, k: int = 1) -> "FieldElement":
-        """k-fold Frobenius x -> x^(p^k)."""
-        F = self.field
-        return F._elt_at((F._ops or F.ops()).frob(self.index, k))
-
 
 def _fmt_poly(coeffs) -> str:
     terms = []
@@ -415,7 +416,7 @@ class Field:
         if modulus is None:
             modulus = default_modulus(p, e)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(c % p for c in _integers(modulus, "a modulus"))
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise DegreeMismatch(
                     f"modulus must be monic of degree {e}, got coefficients {modulus}"
@@ -694,7 +695,7 @@ def GF(p: int, e: int = 1, modulus=None) -> Field:
     if modulus is None:
         modulus = default_modulus(p, e)
     else:
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(c % p for c in _integers(modulus, "a modulus"))
     return _cached_field(p, e, modulus)
 
 

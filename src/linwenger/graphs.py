@@ -16,12 +16,13 @@ from __future__ import annotations
 import functools
 import json
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, ConfigError, OutOfRange
-from .fields import GF, Field, FieldElement, _check_field_params
+from .errors import BudgetExceeded, ConfigError, FieldMismatch, OutOfRange
+from .fields import GF, Field, FieldElement, _check_field_params, _integers
 
 FAMILIES = ("linearized", "wenger", "custom")
 DEFAULT_BYTE_BUDGET = 2 << 30  # the graph_bytes(spec) a Graph may reach by default
@@ -55,12 +56,13 @@ class FamilySpec:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         _check_field_params(self.p, self.e, self.m)
         if self.modulus is not None:
-            object.__setattr__(self, "modulus", tuple(int(c) for c in self.modulus))
+            object.__setattr__(self, "modulus", _integers(self.modulus, "a modulus"))
         q = self.field.q  # construct eagerly so bad parameters fail here
         if self.family == "custom":
-            if self.f_indices is None or len(self.f_indices) != self.m:
+            polys = self.f_indices if isinstance(self.f_indices, Iterable) else ()
+            f_indices = tuple(_integers(poly, "a custom coefficient vector") for poly in polys)
+            if len(f_indices) != self.m:
                 raise ConfigError("custom family needs one coefficient vector per map")
-            f_indices = tuple(tuple(int(c) for c in poly) for poly in self.f_indices)
             if any(not 0 <= c < q for poly in f_indices for c in poly):
                 raise ConfigError(f"custom coefficients must be element indices in [0, {q})")
             object.__setattr__(self, "f_indices", f_indices)
@@ -84,26 +86,33 @@ class FamilySpec:
         return self.q ** (self.m + 2)
 
     @functools.cached_property
-    def _f_elements(self) -> tuple[tuple[FieldElement, ...], ...] | None:
-        if self.family != "custom":
-            return None
-        F = self.field
-        return tuple(
-            tuple(F.from_index(c) for c in poly) for poly in self.f_indices
-        )
+    def f_index(self):
+        """The maps' one definition: f_index(x, j) is the index of f_(j+2)(x)
+        for indices x in [0, q) and 0 <= j < m.  IndexOps.frob itself for the
+        linearized family, x^(j+1) for Wenger, Horner's rule for custom."""
+        ops = self.field.ops()
+        if self.family == "linearized":
+            return ops.frob
+        if self.family == "wenger":
+            return lambda x, j: ops.pow(x, j + 1)
+        add, mul, polys = ops.add, ops.mul, self.f_indices
+
+        def horner(x, j):
+            acc = 0
+            for c in reversed(polys[j]):
+                acc = add(mul(acc, x), c)
+            return acc
+
+        return horner
 
     def f_eval(self, k: int, x: FieldElement) -> FieldElement:
-        """f_k(x) for 2 <= k <= m+1."""
+        """f_k(x) by f_index, for 2 <= k <= m+1 and x in spec.field."""
         if not 2 <= k <= self.m + 1:
             raise ValueError(f"family index {k} outside [2, {self.m + 1}]")
-        if self.family == "linearized":
-            return x.frob(k - 2)
-        if self.family == "wenger":
-            return x ** (k - 1)
-        acc = self.field.zero
-        for c in reversed(self._f_elements[k - 2]):
-            acc = acc * x + c
-        return acc
+        F = self.field
+        if not (isinstance(x, FieldElement) and (x.field is F or x.field == F)):
+            raise FieldMismatch(f"f_eval takes an element of {F!r}, got {x!r}")
+        return F._elt_at(self.f_index(x.index, k - 2))
 
     def f_values(self, x: FieldElement) -> tuple[FieldElement, ...]:
         return tuple(self.f_eval(k, x) for k in range(2, self.m + 2))
@@ -124,7 +133,7 @@ class FamilySpec:
 
     @classmethod
     def custom(cls, p: int, e: int, m: int, f_indices, modulus=None) -> "FamilySpec":
-        return cls(p, e, m, "custom", modulus, tuple(tuple(x) for x in f_indices))
+        return cls(p, e, m, "custom", modulus, f_indices)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -208,14 +217,12 @@ def graph_bytes(spec: FamilySpec) -> int:
 
 
 def _f_table(spec: FamilySpec, dtype=None):
-    """(m, q) array whose row k - 2 holds the index of f_k(x) for every
-    element x, in index order."""
+    """(m, q) array whose row j holds f_index(x, j), the index of
+    f_(j+2)(x), for every element index x."""
     import numpy as np
 
-    elts = list(spec.field.elements())
-    return np.array(
-        [[spec.f_eval(k, x).index for x in elts] for k in range(2, spec.m + 2)], dtype=dtype
-    )
+    f = spec.f_index
+    return np.array([[f(x, j) for x in range(spec.q)] for j in range(spec.m)], dtype=dtype)
 
 
 class Graph:

@@ -385,6 +385,13 @@ def walk_trace(graph: Graph, k: int) -> list[int]:
     return totals
 
 
+def _require_frobenius(spec: FamilySpec, what: str) -> None:
+    """The module's one family check.  The constructions and predictions
+    below need every f_k additive, as the Frobenius family's maps are."""
+    if spec.family != "linearized":
+        raise UnsupportedRegime(f"{what} needs the Frobenius family")
+
+
 # ---------------------------------------------------------------------------
 # Common neighbors (Frobenius family).
 
@@ -392,29 +399,28 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
     """The unique line adjacent to both points, if any.
 
     Two distinct points share a neighbor exactly when their difference has
-    the shape (u, l u, l u^p, ..., l u^(p^(m-1))) with u nonzero; the line is
-    then forced: l_1 = l and l_k = l_1 p_1^(p^(k-2)) - p_k.  The rule and the
-    check of both incidences of the line run on element indices with the
-    field's IndexOps, which need no index tables above TABLE_LIMIT."""
+    the shape (u, l u, l f_3(u), ..., l f_(m+1)(u)) with u nonzero; the line
+    is then forced: l_1 = l and l_k = f_k(p_1) l_1 - p_k.  The rule and the
+    check of both incidences of the line run on element indices with IndexOps
+    and spec.f_index, which need no index tables above TABLE_LIMIT."""
     spec = graph.spec
-    if spec.family != "linearized":
-        raise UnsupportedRegime("common-neighbor solving needs the Frobenius family")
+    _require_frobenius(spec, "common-neighbor solving")
     if not (isinstance(P, Point) and isinstance(P2, Point)):
         raise TypeError("common_neighbor takes two Points")
     a, b = _check_vertex(spec, P), _check_vertex(spec, P2)
     if a == b:
         raise SamePoint("common_neighbor needs two distinct points")
-    ops = spec.field.ops()
-    mul, sub, frob = ops.mul, ops.sub, ops.frob
+    ops, f = spec.field.ops(), spec.f_index
+    mul, sub = ops.mul, ops.sub
     u = sub(a[0], b[0])
     if not u:
         return None
     l = mul(sub(a[1], b[1]), ops.inv(u))
     for j in range(2, spec.m + 1):
-        if sub(a[j], b[j]) != mul(l, frob(u, j - 1)):
+        if sub(a[j], b[j]) != mul(l, f(u, j - 1)):
             return None
-    line = _neighbour(ops, a, l, True)
-    if not (_incident(ops, a, line) and _incident(ops, b, line)):
+    line = _neighbour(ops, f, a, l, True)
+    if not (_incident(ops, f, a, line) and _incident(ops, f, b, line)):
         raise SolveFailed("constructed line fails adjacency; internal error")
     return _vertex(spec.field, line, False)
 
@@ -455,8 +461,7 @@ def common_neighbors(graph: Graph, points, others):
     import numpy as np
 
     spec = graph.spec
-    if spec.family != "linearized":
-        raise UnsupportedRegime("common-neighbor solving needs the Frobenius family")
+    _require_frobenius(spec, "common-neighbor solving")
     a, b = _id_pairs(graph, points, others, "common neighbours")
     half = spec.n_vertices // 2
     if a.size and max(a.max(), b.max()) >= half:
@@ -528,22 +533,22 @@ def _vertex(F, coords, point: bool):
     return (Point if point else Line)(tuple([at(c) for c in coords]))
 
 
-def _neighbour(ops, own, x: int, point: bool) -> tuple[int, ...]:
+def _neighbour(ops, f, own, x: int, point: bool) -> tuple[int, ...]:
     """The neighbour whose first coordinate is x of the vertex with index
     coordinates own, a point if point.  Its coordinate k is
     f_k(p_1) l_1 - own_k, where (p_1, l_1) is (own_1, x) for a point and
-    (x, own_1) for a line, and f_k is the Frobenius power k - 2."""
-    mul, sub, frob = ops.mul, ops.sub, ops.frob
+    (x, own_1) for a line, and f is the spec's f_index."""
+    mul, sub = ops.mul, ops.sub
     p1, l1 = (own[0], x) if point else (x, own[0])
-    return (x, *[sub(mul(frob(p1, k - 1), l1), own[k]) for k in range(1, len(own))])
+    return (x, *[sub(mul(f(p1, k - 1), l1), own[k]) for k in range(1, len(own))])
 
 
-def _incident(ops, P, L) -> bool:
-    """l_k + p_k = f_k(p_1) l_1 for every k, on index coordinates."""
-    add, mul, frob = ops.add, ops.mul, ops.frob
+def _incident(ops, f, P, L) -> bool:
+    """l_k + p_k = f_k(p_1) l_1 for every k, on index coordinates; f is f_index."""
+    add, mul = ops.add, ops.mul
     p1, l1 = P[0], L[0]
     for k in range(1, len(P)):
-        if add(L[k], P[k]) != mul(frob(p1, k - 1), l1):
+        if add(L[k], P[k]) != mul(f(p1, k - 1), l1):
             return False
     return True
 
@@ -583,8 +588,7 @@ def _compress_backtracks(walk):
 
 
 def _require_witness_regime(spec: FamilySpec) -> None:
-    if spec.family != "linearized":
-        raise UnsupportedRegime("witness construction needs the Frobenius family")
+    _require_frobenius(spec, "witness construction")
     if spec.m > spec.e:
         raise UnsupportedRegime(f"witness anchors need m <= e; m={spec.m}, e={spec.e}")
 
@@ -595,19 +599,19 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
 
     Works for the Frobenius family with m <= e, on Point and Line objects,
     so it needs no neighbour array.  Coordinates are element indices and
-    every step, f_k(x) being a Frobenius power, runs on the field's
-    IndexOps, which need no index tables above TABLE_LIMIT.  The Moore
-    matrix is built once per spec and each walk makes one fq_solve call on
-    it, which eliminates it on the spec's first walk and then applies the
-    cached row operations to the walk's right-hand side.  Before the walk
+    every step runs on the field's IndexOps and spec.f_index, which need no
+    index tables above TABLE_LIMIT.  The Moore matrix is built once per spec
+    and each walk makes one fq_solve call on it, which eliminates it on the
+    spec's first walk and then applies the cached row operations to the
+    walk's right-hand side.  Before the walk
     is returned its ends must be a and b, and each edge must satisfy
     l_k + p_k = f_k(p_1) l_1 on indices; any miss raises SolveFailed."""
     spec = graph.spec
     _require_witness_regime(spec)
     ai, bi = _check_vertex(spec, a), _check_vertex(spec, b)
-    F, m = spec.field, spec.m
+    F, m, f = spec.field, spec.m, spec.f_index
     ops = F.ops()
-    add, sub, mul, frob = ops.add, ops.sub, ops.mul, ops.frob
+    add, sub, mul = ops.add, ops.sub, ops.mul
     a_point, b_point = isinstance(a, Point), isinstance(b, Point)
     if a_point == b_point and ai == bi:
         walk = [ai]
@@ -617,20 +621,20 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
         mixed = a_point != b_point
         if mixed:
             pt, end = (ai, bi) if a_point else (bi, ai)
-            start, x1, on_point = _neighbour(ops, pt, 0, True), pt[0], False
+            start, x1, on_point = _neighbour(ops, f, pt, 0, True), pt[0], False
         d = [sub(y, x) for x, y in zip(start, end)]
         if on_point:  # point kind
             xs = _moore_solve(spec, d[1:]) + [0]
             ys = basis + [sub(d[0], functools.reduce(add, basis))]
         else:  # line kind
-            rhs = [sub(d[k], mul(frob(x1, k - 1), d[0])) for k in range(1, m + 1)]
+            rhs = [sub(d[k], mul(f(x1, k - 1), d[0])) for k in range(1, m + 1)]
             tail = _moore_solve(spec, rhs)
             xs = [x1] + [add(x1, t) for t in basis]
             ys = [sub(d[0], functools.reduce(add, tail))] + tail
         walk, cur = [start], start
         for x, y in zip(xs, ys):
-            mid = _neighbour(ops, cur, x, on_point)
-            cur = _neighbour(ops, mid, add(cur[0], y), not on_point)
+            mid = _neighbour(ops, f, cur, x, on_point)
+            cur = _neighbour(ops, f, mid, add(cur[0], y), not on_point)
             walk += [mid, cur]
         walk = _compress_backtracks(walk[1:] if mixed else walk)
         if not a_point and b_point:
@@ -640,7 +644,7 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
         raise SolveFailed("walk endpoints do not match the request")
     for i in range(len(walk) - 1):
         u, v = walk[i], walk[i + 1]
-        if not (_incident(ops, u, v) if a_point == (i % 2 == 0) else _incident(ops, v, u)):
+        if not (_incident(ops, f, u, v) if a_point == (i % 2 == 0) else _incident(ops, f, v, u)):
             raise SolveFailed("walk contains a non-edge")
     return PathWitness(tuple([_vertex(F, v, a_point == (i % 2 == 0)) for i, v in enumerate(walk)]))
 
@@ -811,8 +815,7 @@ def cycle_from_coefficients(spec: FamilySpec, us, cs) -> CycleWitness:
     """The closed walk from the all-zero point P_1 given by decrements u_i and
     slopes c_i: L_i is the neighbor of P_i with first coordinate c_i, and
     P_(i+1) is the neighbor of L_i with first coordinate p_1(P_i) - u_i."""
-    if spec.family != "linearized":
-        raise UnsupportedRegime("cycle construction needs the Frobenius family")
+    _require_frobenius(spec, "cycle construction")
     if len(us) != len(cs) or len(us) < 2:
         raise ValueError("need matching u and c lists with at least two steps")
     F = spec.field
@@ -831,8 +834,8 @@ def cycle_from_coefficients(spec: FamilySpec, us, cs) -> CycleWitness:
 
 
 def verify_cycle_system(witness: CycleWitness) -> bool:
-    """The m+1 closure equations: sum u_i = 0 and, for each Frobenius power
-    j < m, sum c_i u_i^(p^j) = 0.
+    """The m+1 closure equations: sum u_i = 0 and, for each map f_k,
+    sum c_i f_k(u_i) = 0.
 
     Necessary for a closed cycle with these coefficients but not sufficient:
     the constructed walk can still revisit a vertex."""
@@ -842,20 +845,19 @@ def verify_cycle_system(witness: CycleWitness) -> bool:
         raise ValueError("cycle coefficients u_i must be nonzero")
     if sum(witness.us, F.zero):
         return False
-    for j in range(spec.m):
+    for k in range(2, spec.m + 2):
         acc = F.zero
         for u, c in zip(witness.us, witness.cs):
-            acc = acc + c * u.frob(j)
+            acc = acc + c * spec.f_eval(k, u)
         if acc:
             return False
     return True
 
 
-def _girth_regime(spec: FamilySpec) -> int | None:
+def _girth_regime(spec: FamilySpec) -> int:
     """The girth of the Frobenius family: 6 for odd p and for p = 2 with
-    e >= 2 and m = 1, 8 for the other binary cases; None for other families."""
-    if spec.family != "linearized":
-        return None
+    e >= 2 and m = 1, 8 for the other binary cases."""
+    _require_frobenius(spec, "the girth table")
     return 6 if spec.p % 2 or (spec.e >= 2 and spec.m == 1) else 8
 
 
@@ -868,8 +870,6 @@ def cycle_witness_6(spec: FamilySpec) -> CycleWitness:
     alpha with alpha^2 + alpha = beta, in closed form alpha = t and
     beta = t^2 + t: t is neither 0 nor 1, so beta != 0, and
     tr(beta) = tr(t^2) + tr(t) = 2 tr(t) = 0."""
-    if spec.family != "linearized":
-        raise UnsupportedRegime("cycle construction needs the Frobenius family")
     if _girth_regime(spec) != 6:
         raise NoSixCycle(
             f"girth is 8 for p=2 with e={spec.e}, m={spec.m}; no 6-cycle exists"
@@ -891,8 +891,6 @@ def cycle_witness_6(spec: FamilySpec) -> CycleWitness:
 def cycle_witness_8(spec: FamilySpec) -> CycleWitness:
     """An explicit 8-cycle in the girth-8 regimes: p = 2 with e = m = 1, or
     p = 2 with m >= 2.  Uses u = (1, 1, 1, 1), c = (0, 1, 0, 1)."""
-    if spec.family != "linearized":
-        raise UnsupportedRegime("cycle construction needs the Frobenius family")
     if _girth_regime(spec) != 8:
         raise UnsupportedRegime(
             f"8-cycle witness applies to p=2 with e=m=1 or m>=2; "
@@ -921,10 +919,12 @@ def predicted_metrics(spec: FamilySpec) -> PredictedMetrics:
     Diameter 2(m+1) and the girth table apply to the Frobenius family only;
     outside their regimes the fields stay None."""
     comp = component_count_formula(spec)
-    diam = None
-    if spec.family == "linearized" and spec.m <= spec.e:
-        diam = 2 * (spec.m + 1)
-    return PredictedMetrics(comp, diam, _girth_regime(spec))
+    try:
+        girth = _girth_regime(spec)
+    except UnsupportedRegime:
+        return PredictedMetrics(comp, None, None)
+    diam = 2 * (spec.m + 1) if spec.m <= spec.e else None
+    return PredictedMetrics(comp, diam, girth)
 
 
 @dataclass(frozen=True)

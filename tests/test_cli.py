@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,24 @@ class TestMetrics:
         out, _ = capsys.readouterr()
         assert code == EXIT_OK
         assert "(no prediction)" in out
+
+
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+@pytest.mark.parametrize(
+    "case",
+    json.loads(CLI_GOLDEN.read_text()),
+    ids=lambda c: "-".join([c["argv"][0], *c["argv"][2:9:2]]),
+)
+def test_json_output_matches_the_recorded_output(case, capsys):
+    """metrics --json and spectrum --json (--method both on linearized specs,
+    enum otherwise) on L_2(9), L_3(7), L_3(8), W_2(9) and a custom spec over
+    GF(3) with f_2 = 1 + x, f_3 = 2x + x^2, byte for byte as recorded while
+    each family still evaluated its maps on FieldElement objects."""
+    code = main(case["argv"])
+    out, _ = capsys.readouterr()
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 class TestVerify:

@@ -14,6 +14,7 @@ from linwenger import (
     BudgetExceeded,
     ConfigError,
     FamilySpec,
+    FieldMismatch,
     Graph,
     Line,
     OutOfRange,
@@ -55,6 +56,8 @@ class TestFamilySpec:
             FamilySpec.custom(2, 1, 2, f_indices=((0, 1),))  # needs m polys
         with pytest.raises(ConfigError):
             FamilySpec(2, 1, 1, family="linearized", f_indices=((0, 1),))
+        with pytest.raises(ConfigError):  # not truncated to the modulus (1, 1, 1)
+            FamilySpec(2, 2, 1, modulus=(1.9, 1, 1))
 
     def test_f_eval_families(self):
         lin = FamilySpec.linearized(3, 2, 3)
@@ -72,6 +75,13 @@ class TestFamilySpec:
             lin.f_eval(1, x)
         with pytest.raises(ValueError):
             lin.f_eval(5, x)
+        # every family answers only in its own field
+        other = FamilySpec.linearized(3, 2, 3, modulus=(1, 0, 1)).field.basis[1]
+        for spec in (lin, wen, FamilySpec.custom(3, 2, 1, ((0, 1),))):
+            with pytest.raises(FieldMismatch):
+                spec.f_eval(2, other)
+            with pytest.raises(FieldMismatch):
+                spec.f_eval(2, 1)
 
     def test_custom_horner(self):
         # f_2 = 1 + 2x + x^2 over F_5
@@ -95,6 +105,11 @@ class TestFamilySpec:
             FamilySpec.custom(3, 1, 1, ((-1, 1),))
         with pytest.raises(ConfigError):
             FamilySpec.custom(2, 2, 1, ((0, 4),))
+        # entries are read through operator.index: never truncated, never parsed
+        for f_indices in ([[1.7, 2.2]], [["a"]], [1], [None], None):
+            with pytest.raises(ConfigError):
+                FamilySpec.custom(3, 1, 1, f_indices)
+        assert FamilySpec.custom(3, 1, 1, np.array([[1, 2]])).f_indices == ((1, 2),)
         assert FamilySpec.custom(2, 2, 1, ((0, 3),)).to_json_dict()["f_list"] == [[0, 3]]
 
     def test_json_dict(self):

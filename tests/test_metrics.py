@@ -26,6 +26,7 @@ from linwenger import (
     SamePoint,
     SolveFailed,
     UnsupportedRegime,
+    adjacent,
     common_neighbor,
     common_neighbors,
     components,
@@ -760,6 +761,52 @@ def test_lazy_witnesses_match_the_recorded_sample(case):
     assert {line is None for _, _, line in case["common"]} == {True, False}
 
 
+# the custom maps are f_2 = 1 + t x and f_3 = (1 + t) + x^2 over GF(4), and
+# f_2 = 1 + x and f_3 = 2x + x^2 over GF(3): coefficients off the prime field
+# and constant terms both reach the Horner loop
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec.linearized(2, 2, 2),
+        FamilySpec.linearized(3, 1, 2),
+        FamilySpec.wenger(3, 1, 2),
+        FamilySpec.wenger(2, 2, 2),
+        FamilySpec.custom(2, 2, 2, ((1, 2), (3, 0, 1))),
+        FamilySpec.custom(3, 1, 2, ((1, 1), (0, 2, 1))),
+    ],
+    ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}",
+)
+def test_per_pair_rule_helpers_match_the_object_oracles(spec):
+    """_neighbour and _incident, given spec.f_index as the per-pair routes
+    bind it, agree with line_through/point_through and adjacent, which
+    evaluate the maps through f_eval on objects, for every vertex, first
+    coordinate and point-line pair; and _f_table is the f_eval table."""
+    g = Graph(spec)
+    F, ops, f = spec.field, spec.field.ops(), spec.f_index
+
+    def ids(coords):
+        return tuple(c.index for c in coords)
+
+    vertices = [g.decode(vid) for vid in range(g.n)]
+    for v in vertices:
+        own, point = ids(v.coords), isinstance(v, Point)
+        through = line_through if point else point_through
+        for x in F.elements():
+            assert metrics_mod._neighbour(ops, f, own, x.index, point) == ids(
+                through(spec, v, x).coords
+            )
+    points, lines = vertices[: g.half], vertices[g.half :]
+    edges = 0
+    for P in points:
+        for L in lines:
+            rule = metrics_mod._incident(ops, f, ids(P.coords), ids(L.coords))
+            assert rule == adjacent(spec, P, L)
+            edges += rule
+    assert edges == spec.n_edges
+    table = [[spec.f_eval(k, x).index for x in F.elements()] for k in range(2, spec.m + 2)]
+    assert graphs_mod._f_table(spec).tolist() == table
+
+
 class TestPerPairChecks:
     """The checks diameter_witness and common_neighbor run before returning
     are live: a corrupted step or line raises SolveFailed."""
@@ -810,8 +857,8 @@ class TestPerPairChecks:
         assert common_neighbor(g, P, P2) == L
         neighbour = metrics_mod._neighbour
 
-        def corrupt(ops, own, x, point):
-            out = neighbour(ops, own, x, point)
+        def corrupt(ops, f, own, x, point):
+            out = neighbour(ops, f, own, x, point)
             return out[:-1] + ((out[-1] + 1) % spec.q,)
 
         monkeypatch.setattr(metrics_mod, "_neighbour", corrupt)
