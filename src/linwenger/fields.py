@@ -9,9 +9,11 @@ built on first use in O(q) memory; larger fields compute on coordinate
 vectors with the F_p polynomial helpers modulo the modulus, and that
 coefficient arithmetic is the oracle the tables are tested against.
 FieldElement's operators are shells over IndexOps.  Linear algebra is one
-Gaussian elimination over GF(p^e), on element indices, with F_p entry points
-that run it over GF(p); a solve eliminates each coefficient matrix once and
-reuses the recorded row operations for every right-hand side.  Everything
+Gaussian elimination over GF(p^e), with F_p entry points that run it over
+GF(p).  Its matrices, right-hand sides and answers are element indices, and
+no FieldElement enters it: fq_solve checks each coefficient matrix and
+eliminates it once, then reuses the recorded row operations for every
+right-hand side.  Everything
 here is integer-exact; fields and elements are immutable and safe to share
 between threads once constructed.
 """
@@ -744,16 +746,16 @@ def fp_solve(M: FpMatrix, b) -> tuple[int, ...] | None:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    x = _solve(GF(M.p).ops(), M.rows, [int(v) % M.p for v in b])
+    x = fq_solve(GF(M.p), M.rows, [int(v) % M.p for v in b])
     return None if x is None else tuple(x)
 
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian elimination over an arbitrary GF(p^e) (used for Moore-type
 # systems, for function-rank computations and, over GF(p), for F_p matrices),
-# on canonical element indices with the field's IndexOps.  A solve eliminates
-# each coefficient matrix once (_reduction) and applies the recorded row
-# operations to each right-hand side.
+# on canonical element indices with the field's IndexOps.  A solve checks and
+# eliminates each coefficient matrix once (_reduction) and applies the
+# recorded row operations to each right-hand side.
 
 # Reductions kept by _reduction: the package solves one matrix per spec (the
 # Moore matrix of metrics._moore_solve), as many as _moore_matrix caches.
@@ -786,30 +788,52 @@ def _fq_rref(ops: IndexOps, rows: list[list[int]], nc: int) -> list[int]:
     return pivots
 
 
+def _index_matrix(field: Field, rows) -> list[list[int]]:
+    """A copy of rows as lists, ValueError unless the rows have one length
+    and every entry is an element index of field: an int in [0, q)."""
+    out = [list(r) for r in rows]
+    if any(len(r) != len(out[0]) for r in out):
+        raise ValueError("ragged rows")
+    q = field.q
+    if not all(isinstance(v, int) and 0 <= v < q for r in out for v in r):
+        raise ValueError(f"matrix entries must be element indices in [0, {q})")
+    return out
+
+
 @functools.lru_cache(maxsize=_REDUCTIONS)
-def _reduction(ops: IndexOps, arith, rows: tuple[tuple[int, ...], ...]):
-    """(pivots, E) for the matrix A of index rows: _fq_rref of [A | I], whose
-    identity block ends as E, the product of the row operations, so that
-    E A is the reduced form.  Those operations depend on A alone, so E b is
-    the column _fq_rref of [A | b] ends with.  Cached per matrix; the key
-    holds arith = (mul, sub, inv), the operations the elimination reads, so
-    a reduction made while one of them is replaced is never read back."""
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    aug = [[*row, *(int(i == j) for j in range(nr))] for i, row in enumerate(rows)]
-    pivots = _fq_rref(ops, aug, nc)
+def _reduction(field: Field, arith, rows: tuple[tuple[int, ...], ...]):
+    """(pivots, E) for the matrix A of index rows, checked by _index_matrix:
+    _fq_rref of [A | I], whose identity block ends as E, the product of the
+    row operations, so that E A is the reduced form.  Those operations
+    depend on A alone, so E b is the column _fq_rref of [A | b] ends with.
+    Cached per field and matrix, so a matrix is checked once, and one that
+    fails raises on every call; the key holds arith = (mul, sub, inv), the
+    operations the elimination reads, so a reduction made while one of them
+    is replaced is never read back."""
+    aug = _index_matrix(field, rows)
+    nr, nc = len(aug), len(aug[0]) if aug else 0
+    for i, row in enumerate(aug):
+        row += [int(i == j) for j in range(nr)]
+    pivots = _fq_rref(field.ops(), aug, nc)
     return tuple(pivots), tuple(tuple(row[nc:]) for row in aug)
 
 
-def _solve(ops: IndexOps, rows, rhs) -> list[int] | None:
-    """One solution of A x = rhs on element indices, free variables zero, or
-    None if inconsistent; ValueError unless rhs has one entry per row.
+def fq_solve(field: Field, rows, rhs) -> list[int] | None:
+    """One solution of A x = rhs over the field, free variables zero, or
+    None if inconsistent, all on element indices: ValueError for a matrix
+    _index_matrix refuses, or unless rhs has one index in [0, q) per row.
 
     y = E rhs for the cached reduction (pivots, E) of A: a nonzero y past
     the rank makes the system inconsistent, and y gives the pivot
-    variables."""
+    variables.  Matrices are cached by value, so one whose entries equal a
+    reduced matrix's (1.0 or True for 1) is served that reduction."""
+    q = field.q
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length mismatch")
-    pivots, E = _reduction(ops, (ops.mul, ops.sub, ops.inv), tuple(map(tuple, rows)))
+    if not all(isinstance(b, int) and 0 <= b < q for b in rhs):
+        raise ValueError(f"right-hand side entries must be element indices in [0, {q})")
+    ops = field.ops()
+    pivots, E = _reduction(field, (ops.mul, ops.sub, ops.inv), tuple(map(tuple, rows)))
     add, mul = ops.add, ops.mul
     y = []
     for row in E:
@@ -826,31 +850,7 @@ def _solve(ops: IndexOps, rows, rhs) -> list[int] | None:
     return x
 
 
-def _index_rows(field: Field, rows) -> list[list[int]]:
-    """A matrix over field as rows of element indices, checked and converted
-    in one pass per row; FieldMismatch for an entry of another field,
-    ValueError for rows of different lengths."""
-    out = []
-    for r in rows:
-        row = [
-            v.index for v in r
-            if isinstance(v, FieldElement) and (v.field is field or v.field == field)
-        ]
-        if len(row) != len(r):
-            raise FieldMismatch(f"entries must be elements of {field!r}")
-        out.append(row)
-    if any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged rows")
-    return out
-
-
-def fq_solve(field: Field, rows, rhs) -> list[FieldElement] | None:
-    """One solution of A x = rhs over the field, or None if inconsistent."""
-    x = _solve(field.ops(), _index_rows(field, rows), _index_rows(field, [rhs])[0])
-    return None if x is None else [field._elt_at(i) for i in x]
-
-
 def fq_rank(field: Field, rows) -> int:
-    """Rank of a matrix with entries in the field."""
-    work = _index_rows(field, rows)
+    """Rank over the field of a matrix of element indices (_index_matrix)."""
+    work = _index_matrix(field, rows)
     return len(_fq_rref(field.ops(), work, len(work[0]) if work else 0))

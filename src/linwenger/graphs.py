@@ -55,9 +55,10 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         _check_field_params(self.p, self.e, self.m)
-        if self.modulus is not None:
-            object.__setattr__(self, "modulus", _integers(self.modulus, "a modulus"))
-        q = self.field.q  # construct eagerly so bad parameters fail here
+        # built eagerly so bad parameters fail here; its reduced modulus, the
+        # default included, makes the specs of one field equal
+        object.__setattr__(self, "modulus", self.field.modulus)
+        q = self.field.q
         if self.family == "custom":
             polys = self.f_indices if isinstance(self.f_indices, Iterable) else ()
             f_indices = tuple(_integers(poly, "a custom coefficient vector") for poly in polys)

@@ -18,8 +18,9 @@ it is returned.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
-into a walk.  Every spec has one Moore matrix, and fq_solve eliminates it
-once and applies the cached row operations to each right-hand side.
+into a walk.  Every spec has one Moore matrix, held as element indices, and
+fq_solve checks and eliminates it once and applies the cached row
+operations to each right-hand side, which stays on indices too.
 diameter_witness takes one pair of Point and Line objects, reads their
 index coordinates in the pass that checks them, and steps on those indices
 with the field's IndexOps (O(q) log lists up to TABLE_LIMIT, coefficient
@@ -554,26 +555,22 @@ def _incident(ops, f, P, L) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _moore_matrix(spec: FamilySpec) -> tuple[tuple[FieldElement, ...], ...]:
-    """The Moore matrix B[k][i] = f_k(t^i), 2 <= k <= m+1, 0 <= i < m,
-    built once per spec."""
-    F = spec.field
-    return tuple(
-        tuple(spec.f_eval(k, F.basis[i]) for i in range(spec.m)) for k in range(2, spec.m + 2)
-    )
+def _moore_matrix(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
+    """The Moore matrix B[k][i] = f_k(t^i), 2 <= k <= m+1, 0 <= i < m, as
+    element indices (t^i has index p^i), built once per spec."""
+    f, p, m = spec.f_index, spec.p, spec.m
+    return tuple(tuple(f(p**i, j) for i in range(m)) for j in range(m))
 
 
 def _moore_solve(spec: FamilySpec, rhs) -> list[int]:
     """Solve B x = rhs for the Moore matrix B, on element indices.
 
     Every witness system reduces to B, because the Frobenius maps f_k are
-    additive; the basis powers t^i are F_p-independent, so B is invertible.
-    rhs holds indices in [0, q), so its elements are built unchecked."""
-    F = spec.field
-    x = fq_solve(F, _moore_matrix(spec), [F._elt_at(r) for r in rhs])
+    additive; the basis powers t^i are F_p-independent, so B is invertible."""
+    x = fq_solve(spec.field, _moore_matrix(spec), rhs)
     if x is None:
         raise SolveFailed("Moore system unsolvable; basis powers not independent?")
-    return [v.index for v in x]
+    return x
 
 
 def _compress_backtracks(walk):
@@ -600,10 +597,10 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
     Works for the Frobenius family with m <= e, on Point and Line objects,
     so it needs no neighbour array.  Coordinates are element indices and
     every step runs on the field's IndexOps and spec.f_index, which need no
-    index tables above TABLE_LIMIT.  The Moore matrix is built once per spec
-    and each walk makes one fq_solve call on it, which eliminates it on the
-    spec's first walk and then applies the cached row operations to the
-    walk's right-hand side.  Before the walk
+    index tables above TABLE_LIMIT.  The Moore matrix is built on indices
+    once per spec and each walk makes one fq_solve call on it with its index
+    right-hand side; the call checks and eliminates the matrix on the spec's
+    first walk and then applies the cached row operations.  Before the walk
     is returned its ends must be a and b, and each edge must satisfy
     l_k + p_k = f_k(p_1) l_1 on indices; any miss raises SolveFailed."""
     spec = graph.spec
@@ -656,7 +653,8 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     Each pair kind runs once over all its pairs.  Only the Moore right-hand
     sides decode coordinates: differences and products are gathers from the
     field's q x q index tables, and B^-1 is inverted once per batch (m
-    fq_solve calls, one per unit vector, sharing one elimination of B).
+    fq_solve calls, one per unit vector, sharing one elimination of B); the
+    basis t^i and its sum are indices too.
     Every step is a gather adjacency[v, x], because row v lists v's
     neighbours by first coordinate and a vertex id's first coordinate is
     id mod q.  A pair a == b gives [a].
@@ -681,12 +679,13 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     f = _f_table(spec)
     cols = [_moore_solve(spec, [int(i == j) for i in range(m)]) for j in range(m)]
     inv = np.array(cols).T
-    basis = [b.index for b in F.basis[:m]]
-    basis_sum = sum(F.basis[:m], F.zero).index
+    basis = [F.p**i for i in range(m)]  # the index of t^i
     powers = q ** np.arange(m + 1)
 
     def add(a, b):
         return sub[a, neg[b]]
+
+    basis_sum = functools.reduce(add, basis)
 
     def total(x):  # sum over the last axis
         acc = x[..., 0]

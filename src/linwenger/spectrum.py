@@ -203,12 +203,9 @@ def closed_form_linearized(p: int, e: int, m: int) -> MultiplicityTable:
 def component_count_formula(spec: FamilySpec) -> int:
     """q^(m+1-r) where r is the rank over the field of the functions
     (1, f_2, ..., f_(m+1)) on their q evaluation points."""
-    F = spec.field
-    rows = [[F.one] * F.q]
-    for k in range(2, spec.m + 2):
-        rows.append([spec.f_eval(k, u) for u in F.elements()])
-    r = fq_rank(F, rows)
-    return F.q ** (spec.m + 1 - r)
+    q = spec.q
+    r = fq_rank(spec.field, [[1] * q, *_f_table(spec).tolist()])
+    return q ** (spec.m + 1 - r)
 
 
 @dataclass(frozen=True)

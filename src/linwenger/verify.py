@@ -370,7 +370,7 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
         spec = run.spec(case)
         F, ops_p = spec.field, GF(p).ops()
         add, mul = F.ops().add, F.ops().mul
-        f_basis = [[f.index for f in spec.f_values(b)] for b in F.basis]
+        f_basis = [[spec.f_index(p**i, j) for j in range(m)] for i in range(e)]
         tally: Counter[int] = Counter()
         for linear in itertools.product(range(spec.q), repeat=m):
             images = []  # the images of the basis: the matrix's columns as rows

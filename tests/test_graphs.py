@@ -25,9 +25,9 @@ from linwenger import (
     point_through,
     walk_trace,
 )
-from linwenger import graphs
+from linwenger import graphs, metrics
 from linwenger.graphs import DEFAULT_BYTE_BUDGET, _certify_layout, graph_bytes
-from linwenger.metrics import metrics_report
+from linwenger.metrics import diameter_witness, metrics_report
 
 
 def ids(elts):
@@ -118,6 +118,21 @@ class TestFamilySpec:
         assert d["family"] == "custom"
         assert d["f_list"] == [[0, 1]]
         assert d["modulus"] == [1, 1]  # x + 1, the degree-1 default over F_2
+
+
+    def test_modulus_is_canonical(self):
+        """A spec stores its field's reduced modulus, the default included, so
+        one field gives one spec: equal, one hash, one cached Moore matrix."""
+        specs = [FamilySpec.linearized(3, 2, 2, modulus=mod) for mod in (None, (2, 2, 1), (5, 5, 1))]
+        assert all(spec.modulus == (2, 2, 1) for spec in specs)  # the Conway default
+        assert specs[0] == specs[1] == specs[2]
+        assert len({hash(spec) for spec in specs}) == 1
+        assert all(spec.to_json_dict()["modulus"] == [2, 2, 1] for spec in specs)
+        metrics._moore_matrix.cache_clear()
+        for spec in specs:
+            g = Graph(spec)
+            diameter_witness(g, g.decode(0), g.decode(g.half + 1))
+        assert metrics._moore_matrix.cache_info().misses == 1
 
 
 class TestIncidence:

@@ -632,7 +632,8 @@ class TestDiameterWitness:
     @pytest.mark.parametrize("p,e,m", [(3, 2, 2), (2, 3, 3), (5, 2, 1)])
     def test_one_moore_solve_per_witness(self, p, e, m, monkeypatch):
         """Every witness with a != b runs fq_solve once, on the m x m Moore
-        matrix, whatever the sides of its ends."""
+        matrix, whatever the sides of its ends, and hands it element indices
+        alone: ints in [0, q), no element objects."""
         g = Graph(FamilySpec.linearized(p, e, m))
         calls = []
         monkeypatch.setattr(
@@ -648,6 +649,10 @@ class TestDiameterWitness:
         assert len(sides) == 4
         assert len(calls) == n_walks
         assert all(len(rows) == m == len(rows[0]) for _, rows, _ in calls)
+        q = g.spec.q
+        for _, rows, rhs in calls:
+            entries = [*rhs, *(v for row in rows for v in row)]
+            assert all(type(v) is int and 0 <= v < q for v in entries)
 
 
 def test_lazy_witnesses_above_the_table_limit():

@@ -355,11 +355,21 @@ class TestComponents:
     def test_linearized_formula(self, p, e, m, expected):
         assert component_count_formula(FamilySpec.linearized(p, e, m)) == expected
 
-    def test_formula_matches_bfs_on_wenger(self):
-        for spec in (FamilySpec.wenger(2, 1, 2), FamilySpec.wenger(3, 1, 1)):
-            g = Graph(spec).materialize()
-            count, _ = components(g)
-            assert count == component_count_formula(spec)
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (FamilySpec.wenger(2, 1, 2), 2),
+            (FamilySpec.wenger(3, 1, 1), 1),
+            (FamilySpec.custom(2, 2, 2, [[0, 1], [0, 1]]), 4),
+            (FamilySpec.custom(2, 2, 2, [[2], [0, 3]]), 4),
+            (FamilySpec.custom(3, 1, 2, [[1, 1], [0, 2, 1]]), 1),
+            (FamilySpec.linearized(3, 2, 2, modulus=(1, 0, 1)), 1),
+        ],
+        ids=["wen-2-1-2", "wen-3-1-1", "cus-4-a", "cus-4-b", "cus-3-1-2", "lin-9-modulus"],
+    )
+    def test_formula_matches_bfs_on_every_family(self, spec, expected):
+        count, _ = components(Graph(spec).materialize())
+        assert count == component_count_formula(spec) == expected
 
 
 class TestExpansionBound:
