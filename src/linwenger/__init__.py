@@ -22,7 +22,7 @@ from .errors import (
     ThetaNotInjective,
     UnsupportedRegime,
 )
-from .fields import GF, Field, FieldElement, FpMatrix, fp_rank_kernel, fp_solve
+from .fields import GF, Field, FieldElement, fp_rank_kernel, fp_solve
 from .graphs import (
     FamilySpec,
     Graph,

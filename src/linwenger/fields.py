@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
@@ -704,49 +703,38 @@ def GF(p: int, e: int = 1, modulus=None) -> Field:
 # ---------------------------------------------------------------------------
 # Exact linear algebra over F_p, by the elimination below run over GF(p).
 
-@dataclass(frozen=True)
-class FpMatrix:
-    """A dense matrix over F_p; entries are normalized into [0, p)."""
-
-    p: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("FpMatrix needs at least one row")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
-            raise ValueError("ragged rows")
-        norm = tuple(tuple(c % self.p for c in r) for r in self.rows)
-        object.__setattr__(self, "rows", norm)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0])
+def _mod_p(p: int, values) -> list[int]:
+    """Integers read by _integers (ConfigError for 1.5), reduced into
+    [0, p): an entry of [0, p) is its own GF(p) element index."""
+    return [c % p for c in _integers(values, "an F_p matrix row or right-hand side")]
 
 
-def fp_rank_kernel(M: FpMatrix) -> tuple[int, list[tuple[int, ...]]]:
-    """Rank and a deterministic kernel basis of the linear map v -> M v."""
-    rows = [list(r) for r in M.rows]  # an entry of [0, p) is its own GF(p) index
-    pivots = _fq_rref(GF(M.p).ops(), rows, M.n_cols)
+def fp_rank_kernel(p: int, rows) -> tuple[int, list[tuple[int, ...]]]:
+    """Rank and a deterministic kernel basis of the linear map v -> M v, for
+    the matrix M over F_p with these integer rows."""
+    F = GF(p)
+    work = _index_matrix(F, [_mod_p(p, r) for r in rows])
+    nc = len(work[0]) if work else 0
+    pivots = _fq_rref(F.ops(), work, nc)
     kernel = []
-    for free in range(M.n_cols):
+    for free in range(nc):
         if free in pivots:
             continue
-        v = [0] * M.n_cols
+        v = [0] * nc
         v[free] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[free] % M.p
+        for row, pc in zip(work, pivots):
+            v[pc] = -row[free] % p
         kernel.append(tuple(v))
     return len(pivots), kernel
 
 
-def fp_solve(M: FpMatrix, b) -> tuple[int, ...] | None:
-    """One solution of M x = b, or None if the system is inconsistent.
+def fp_solve(p: int, rows, b) -> tuple[int, ...] | None:
+    """One solution of M x = b over F_p, for integer rows and right-hand
+    side, or None if the system is inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    x = fq_solve(GF(M.p), M.rows, [int(v) % M.p for v in b])
+    x = fq_solve(GF(p), [_mod_p(p, r) for r in rows], _mod_p(p, b))
     return None if x is None else tuple(x)
 
 
@@ -825,15 +813,18 @@ def fq_solve(field: Field, rows, rhs) -> list[int] | None:
 
     y = E rhs for the cached reduction (pivots, E) of A: a nonzero y past
     the rank makes the system inconsistent, and y gives the pivot
-    variables.  Matrices are cached by value, so one whose entries equal a
-    reduced matrix's (1.0 or True for 1) is served that reduction."""
+    variables.  The cache compares matrices by value, and 1.0 == 1, so the
+    entries' type is checked on every call and their range once."""
     q = field.q
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length mismatch")
     if not all(isinstance(b, int) and 0 <= b < q for b in rhs):
         raise ValueError(f"right-hand side entries must be element indices in [0, {q})")
+    key = tuple(map(tuple, rows))
+    if not all(isinstance(v, int) for row in key for v in row):
+        raise ValueError(f"matrix entries must be element indices in [0, {q})")
     ops = field.ops()
-    pivots, E = _reduction(field, (ops.mul, ops.sub, ops.inv), tuple(map(tuple, rows)))
+    pivots, E = _reduction(field, (ops.mul, ops.sub, ops.inv), key)
     add, mul = ops.add, ops.mul
     y = []
     for row in E:

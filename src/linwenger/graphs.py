@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, FieldMismatch, OutOfRange
-from .fields import GF, Field, FieldElement, _check_field_params, _integers
+from .fields import GF, Field, FieldElement, _check_field_params, _coords, _index, _integers
 
 FAMILIES = ("linearized", "wenger", "custom")
 DEFAULT_BYTE_BUDGET = 2 << 30  # the graph_bytes(spec) a Graph may reach by default
@@ -181,6 +181,14 @@ def _check_vertex(spec: FamilySpec, v) -> tuple[int, ...]:
     return out
 
 
+def _vertex(F: Field, coords, point: bool) -> Point | Line:
+    """The Point or Line with these index coordinates: the one place the
+    package turns indices into vertices.  Field._elt_at reads them
+    unchecked, as digits already in [0, q)."""
+    at = F._elt_at
+    return (Point if point else Line)(tuple([at(c) for c in coords]))
+
+
 def adjacent(spec: FamilySpec, P: Point, L: Line) -> bool:
     """The m defining equations l_k + p_k = f_k(p_1) l_1."""
     p1, l1 = P.coords[0], L.coords[0]
@@ -226,6 +234,31 @@ def _f_table(spec: FamilySpec, dtype=None):
     return np.array([[f(x, j) for x in range(spec.q)] for j in range(spec.m)], dtype=dtype)
 
 
+def _digits(ids, q: int, width: int):
+    """The one array decode of vertex ids: a (width, len(ids)) array in ids'
+    dtype, row j holding ids // q^j % q, coordinate j of each id; a line id
+    decodes to its own coordinates, its side digit being past width."""
+    import numpy as np
+
+    return ids // q ** np.arange(width, dtype=ids.dtype)[:, None] % q
+
+
+def _gather(out, tables, f, own, x, point: bool) -> None:
+    """The rule as gathers, written in place into out: the ids of the
+    neighbours with first coordinate x of the vertices with coordinates own
+    (_digits), points if point; own[j] and x broadcast to out's shape.
+    Coordinate k is f_k(p_1) l_1 - own_k, (p_1, l_1) being (own_1, x) for a
+    point and (x, own_1) for a line, gathered from tables = (mul, sub), the
+    field's index tables, and f = _f_table; each term is gathered from sub
+    scaled by q^k, so every temporary has out's shape or is q x q."""
+    mul, sub = tables
+    q, width = len(mul), len(own)
+    p1, l1 = (own[0], x) if point else (x, own[0])
+    out[:] = x + q**width if point else x
+    for k in range(1, width):
+        out += (sub * q**k)[mul[f[k - 1][p1], l1], own[k]]
+
+
 class Graph:
     """One constructed graph.  Vertices are addressable either as
     Point/Line objects or as integer ids:
@@ -257,26 +290,16 @@ class Graph:
     def n_edges(self) -> int:
         return self.spec.n_edges
 
-    @property
+    @functools.cached_property
     def half(self) -> int:
-        """Vertices per side."""
+        """Vertices per side, cached for the codec."""
         return self.spec.q ** (self.spec.m + 1)
 
     # -- id codec -------------------------------------------------------------
 
     def encode(self, v: Point | Line) -> int:
-        _check_vertex(self.spec, v)
-        return self._id(v)
-
-    def _id(self, v: Point | Line) -> int:
-        """encode without the vertex check, for vertices the package built."""
-        q = self.spec.q
-        acc = 0
-        for c in reversed(v.coords):
-            acc = acc * q + c.index
-        if isinstance(v, Line):
-            acc += self.half
-        return acc
+        own = _check_vertex(self.spec, v)
+        return _index(own, self.spec.q) + (self.half if isinstance(v, Line) else 0)
 
     def _check_id(self, vid: int) -> None:
         if isinstance(vid, bool):
@@ -288,12 +311,7 @@ class Graph:
         self._check_id(vid)
         side, local = divmod(vid, self.half)
         F = self.spec.field
-        at, q = F._elt_at, F.q
-        coords = []
-        for _ in range(self.spec.m + 1):
-            local, c = divmod(local, q)  # c in [0, q): no range check
-            coords.append(at(c))
-        return Line(tuple(coords)) if side else Point(tuple(coords))
+        return _vertex(F, _coords(local, F.q, self.spec.m + 1), not side)
 
     # -- neighbors ------------------------------------------------------------
 
@@ -305,7 +323,7 @@ class Graph:
             return self._nbrs[vid].tolist()
         v = self.decode(vid)
         through = line_through if isinstance(v, Point) else point_through
-        return [self._id(through(self.spec, v, x)) for x in self.spec.field.elements()]
+        return [self.encode(through(self.spec, v, x)) for x in self.spec.field.elements()]
 
     # -- materialization --------------------------------------------------------
 
@@ -316,13 +334,10 @@ class Graph:
     def materialize(self) -> "Graph":
         """Fill the (n, q) neighbour array, each row in neighbor_ids order.
 
-        Both sides share one formula: the neighbour with first coordinate x
-        has k-th coordinate f_k(p_1) l_1 - (own k-th coordinate), where
-        (p_1, l_1) is (own first, x) for a point and (x, own first) for a
-        line.  Products and differences are gathered from the field's q x q
-        index tables, and the f_k values come from _f_table.  The rows
-        are gathered a block at a time, and each block's (rows, q) gathers
-        and (rows, m + 1) coordinate digits stay within _GATHER_BYTES.
+        Both sides share one formula, _gather of the block's coordinates
+        (_digits) with x = every first coordinate.  The rows are gathered a
+        block at a time, and each block's (rows, q) gathers and (m + 1, rows)
+        coordinate digits stay within _GATHER_BYTES.
 
         BudgetExceeded, before anything is allocated, past the byte budget
         (graph_bytes) or at 2^31 array entries (int32 ids and flat indices)."""
@@ -338,22 +353,16 @@ class Graph:
         import numpy as np
 
         dtype = np.int32
-        mul, sub = (t.astype(dtype) for t in spec.field.index_tables())
+        tables = tuple(t.astype(dtype) for t in spec.field.index_tables())
         f = _f_table(spec, dtype)
         x = np.arange(q, dtype=dtype)
         nbrs = np.empty((self.n, q), dtype=dtype)
         rows = max(1, _GATHER_BYTES // (max(q, m + 1) * nbrs.itemsize))
         for start in range(0, half, rows):
             stop = min(start + rows, half)
-            own = (  # coordinate indices
-                np.arange(start, stop, dtype=dtype)[:, None]
-                // q ** np.arange(m + 1, dtype=dtype) % q
-            )
-            for side, (p1, l1) in enumerate(((own[:, :1], x), (x, own[:, :1]))):
-                ids = nbrs[side * half + start : side * half + stop]
-                ids[:] = x + (half if side == 0 else 0)
-                for k in range(2, m + 2):
-                    ids += (sub * q ** (k - 1))[mul[f[k - 2][p1], l1], own[:, k - 1 : k]]
+            own = _digits(np.arange(start, stop, dtype=dtype), q, m + 1)[:, :, None]
+            for side in (0, 1):
+                _gather(nbrs[side * half + start : side * half + stop], tables, f, own, x, not side)
         nbrs.flags.writeable = False  # so the records cached on the graph stay true
         self._nbrs = nbrs
         return self

@@ -16,6 +16,11 @@ they exploit the Frobenius-family structure to produce short paths and
 cycles in closed form, and every witness is re-validated edge by edge before
 it is returned.
 
+Only graphs.py knows the vertex layout (graphs._digits, Graph.decode,
+graphs._vertex).  Every route here steps on element indices, never through
+the object oracles line_through and point_through: the per-pair routes and
+the cycle witnesses with _neighbour, the batch routes with gathers.
+
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
 into a walk.  Every spec has one Moore matrix, held as element indices, and
@@ -33,8 +38,9 @@ line exactly when their difference is (u, l u, l f_3(u), ..., l f_(m+1)(u))
 with u nonzero, and the line is then forced.  common_neighbor solves one pair
 of Point objects on indices with IndexOps, so it serves lazy graphs of any
 q.  common_neighbors takes whole arrays of point-id pairs on a materialized
-graph, runs the rule as gathers from the field's q x q index tables, and
-checks every line it returns against graph.adjacency.  On one pair the batch
+graph, runs the rule as gathers from the field's q x q index tables, builds
+each line with graphs._gather, the gather that fills the array, and checks
+every line it returns against graph.adjacency.  On one pair the batch
 is slower, so neither route is built on the other.
 """
 
@@ -60,11 +66,12 @@ from .graphs import (
     Point,
     _certify_rows,
     _check_vertex,
+    _digits,
     _f_table,
+    _gather,
+    _vertex,
     adjacent,
     layout_certificate,
-    line_through,
-    point_through,
 )
 from .spectrum import component_count_formula
 
@@ -111,7 +118,7 @@ def components(graph: Graph) -> tuple[int, list[int]]:
     return len(sizes), sizes.tolist()
 
 
-def _candidate_shifts(spec: FamilySpec):
+def _candidate_shifts(spec: FamilySpec, tables):
     """The candidate automorphisms of the point-line graphs, as pairs
     (point shifts, line shifts) of (m+1, q) index tables: a vertex with first
     coordinate x has shifts[j][x] added to its coordinate j.  With a, b, c
@@ -123,11 +130,12 @@ def _candidate_shifts(spec: FamilySpec):
 
     B and T_k preserve l_k + p_k = f_k(p_1) l_1 for any maps f_k; A does so
     exactly when every f_k is additive.  Nothing here assumes either: each
-    candidate is certified on the neighbour array before it is used."""
+    candidate is certified on the neighbour array before it is used.
+    tables is the field's (mul, sub), Field.index_tables()."""
     import numpy as np
 
     F, q, m = spec.field, spec.q, spec.m
-    mul, sub = F.index_tables()
+    mul, sub = tables
     f = _f_table(spec)
     x = np.arange(q)
     for b in (F.basis[i].index for i in range(spec.e)):
@@ -147,8 +155,8 @@ def _candidate_shifts(spec: FamilySpec):
 
 
 def _permutation(shifts, digits, add):
-    """The vertex-id map of a pair of shift tables; digits[j] holds
-    coordinate j of every local id [0, n/2)."""
+    """The vertex-id map of a pair of shift tables; digits is _digits of
+    every local id [0, n/2)."""
     import numpy as np
 
     half, q = len(digits[0]), add.shape[0]
@@ -211,11 +219,10 @@ def _orbits(graph):
     spec = getattr(graph, "spec", None)
     kept = []  # a zero-argument builder per certified map
     if spec is not None and not any(layout_certificate(graph)):
-        _, sub = spec.field.index_tables()
+        tables = _, sub = spec.field.index_tables()
         add = sub[:, sub[0]].astype(table.dtype)
-        local = np.arange(n // 2, dtype=table.dtype)
-        digits = [local // q**j % q for j in range(spec.m + 1)]
-        for shifts in _candidate_shifts(spec):
+        digits = _digits(np.arange(n // 2, dtype=table.dtype), q, spec.m + 1)
+        for shifts in _candidate_shifts(spec, tables):
             build = functools.partial(_permutation, shifts, digits, add)
             if _is_automorphism(table, build()):
                 kept.append(build)
@@ -450,11 +457,12 @@ def common_neighbors(graph: Graph, points, others):
     materialized Frobenius-family graph: an int64 array holding the id of
     the line both points of each pair lie on, or -1 where they share none.
 
-    Coordinates are decoded as ids // q^j % q, and the rule runs as gathers
+    Coordinates are decoded by graphs._digits, and the rule runs as gathers
     from the field's q x q index tables: with u = p_1 - p'_1 and
     l = (p_2 - p'_2) / u, a pair shares a line iff u != 0 and
-    p_k - p'_k = l f_k(u) for k = 3..m+1, and the line is
-    (l, f_k(p_1) l - p_k).  Every returned line L is checked before it is
+    p_k - p'_k = l f_k(u) for k = 3..m+1, and the line is p's neighbour
+    with first coordinate l, written by graphs._gather, materialize's own
+    rule.  Every returned line L is checked before it is
     returned, in one gather: adjacency[i, l] == L and adjacency[j, l] == L,
     row i listing i's neighbours by first coordinate; any miss raises
     SolveFailed.  The errors are those of common_neighbor: TypeError for a
@@ -471,20 +479,18 @@ def common_neighbors(graph: Graph, points, others):
         raise SamePoint("common_neighbors needs two distinct points in each pair")
 
     F, q, m = spec.field, spec.q, spec.m
-    mul, sub = F.index_tables()
+    tables = mul, sub = F.index_tables()
     inv = np.argmax(mul == F.one.index, axis=1)  # inv[0] = 0, never used
     f = _f_table(spec)
-    powers = q ** np.arange(m + 1)
-    P = a[:, None] // powers % q
-    d = sub[P, b[:, None] // powers % q]
-    u = d[:, 0]
-    l = mul[d[:, 1], inv[u]]
+    P = _digits(a, q, m + 1)
+    d = sub[P, _digits(b, q, m + 1)]
+    u = d[0]
+    l = mul[d[1], inv[u]]
     shared = u != 0
     for k in range(3, m + 2):
-        shared &= d[:, k - 1] == mul[l, f[k - 2][u]]
-    line = half + l
-    for k in range(2, m + 2):
-        line += sub[mul[f[k - 2][P[:, 0]], l], P[:, k - 1]] * q ** (k - 1)
+        shared &= d[k - 1] == mul[l, f[k - 2][u]]
+    line = np.empty_like(l)
+    _gather(line, tables, f, P, l, True)
     adj = graph.adjacency
     L, at = line[shared], l[shared]
     if not ((adj[a[shared], at] == L).all() and (adj[b[shared], at] == L).all()):
@@ -524,15 +530,10 @@ class PathWitness:
         return len(self.vertices) - 1
 
 
-# The per-pair routes (diameter_witness, common_neighbor) work on vertices as
-# tuples of canonical element indices with the field's IndexOps, and make
-# Point and Line objects only for what they return.
-
-def _vertex(F, coords, point: bool):
-    """The Point or Line with these index coordinates, each in [0, q)."""
-    at = F._elt_at
-    return (Point if point else Line)(tuple([at(c) for c in coords]))
-
+# The per-pair routes (diameter_witness, common_neighbor) and the cycle
+# witnesses work on vertices as tuples of canonical element indices with the
+# field's IndexOps, and make Point and Line objects (graphs._vertex) only for
+# what they return.
 
 def _neighbour(ops, f, own, x: int, point: bool) -> tuple[int, ...]:
     """The neighbour whose first coordinate is x of the vertex with index
@@ -677,27 +678,23 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
     mul, sub = F.index_tables()
     neg = sub[0]
     f = _f_table(spec)
-    cols = [_moore_solve(spec, [int(i == j) for i in range(m)]) for j in range(m)]
-    inv = np.array(cols).T
+    # row j is B^-1 e_j, so (B^-1 r)_i = sum_j cols[j, i] r_j
+    cols = np.array([_moore_solve(spec, [int(i == j) for i in range(m)]) for j in range(m)])
     basis = [F.p**i for i in range(m)]  # the index of t^i
-    powers = q ** np.arange(m + 1)
 
     def add(a, b):
         return sub[a, neg[b]]
 
     basis_sum = functools.reduce(add, basis)
 
-    def total(x):  # sum over the last axis
-        acc = x[..., 0]
-        for j in range(1, x.shape[-1]):
-            acc = add(acc, x[..., j])
+    def total(x):  # sum over the first axis
+        acc = x[0]
+        for j in range(1, len(x)):
+            acc = add(acc, x[j])
         return acc
 
-    def moore(rhs):  # B^-1 applied to each row of a (pairs, m) array
-        return total(mul[inv, rhs[:, None, :]])
-
-    def coords(ids):
-        return ids[:, None] % half // powers % q
+    def moore(rhs):  # B^-1 applied to each column of an (m, pairs) array
+        return total(mul[cols[:, :, None], rhs[:, None, :]])
 
     on_point = (src < half, dst < half)
     points = on_point[0] & on_point[1]
@@ -717,14 +714,14 @@ def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:
         if not mask.any():
             continue
         S, x1 = start[mask], anchor[mask]
-        d = sub[coords(end[mask]), coords(S)]
+        d = sub[_digits(end[mask], q, m + 1), _digits(S, q, m + 1)]
         if point_kind:
-            xs = [*moore(d[:, 1:]).T, 0]
-            ys = [*basis, sub[d[:, 0], basis_sum]]
+            xs = [*moore(d[1:]), 0]
+            ys = [*basis, sub[d[0], basis_sum]]
         else:
-            tail = moore(sub[d[:, 1:], mul[f[:, x1].T, d[:, :1]]])
+            tail = moore(sub[d[1:], mul[f[:, x1], d[:1]]])
             xs = [x1] + [add(x1, b) for b in basis]
-            ys = [sub[d[:, 0], total(tail)], *tail.T]
+            ys = [sub[d[0], total(tail)], *tail]
         walk, cur = [S], S
         for x, y in zip(xs, ys):
             mid = adj[cur, x]
@@ -813,23 +810,24 @@ class CycleWitness:
 def cycle_from_coefficients(spec: FamilySpec, us, cs) -> CycleWitness:
     """The closed walk from the all-zero point P_1 given by decrements u_i and
     slopes c_i: L_i is the neighbor of P_i with first coordinate c_i, and
-    P_(i+1) is the neighbor of L_i with first coordinate p_1(P_i) - u_i."""
+    P_(i+1) is the neighbor of L_i with first coordinate p_1(P_i) - u_i.
+    The walk steps by _neighbour on element indices; the witness's
+    edges_valid checks it on objects with graphs.adjacent."""
     _require_frobenius(spec, "cycle construction")
     if len(us) != len(cs) or len(us) < 2:
         raise ValueError("need matching u and c lists with at least two steps")
     F = spec.field
-    us = tuple(u if isinstance(u, FieldElement) else F.from_int(u) for u in us)
-    cs = tuple(c if isinstance(c, FieldElement) else F.from_int(c) for c in cs)
-    cur = Point((F.zero,) * (spec.m + 1))
-    points = [cur]
-    lines = []
-    for i, (u, c) in enumerate(zip(us, cs)):
-        ln = line_through(spec, cur, c)
-        lines.append(ln)
-        cur = point_through(spec, ln, cur.coords[0] - u)
-        if i + 1 < len(us):
-            points.append(cur)
-    return CycleWitness(spec, tuple(points), tuple(lines), us, cs, cur)
+    # each coefficient as an element of F: an integer through the prime
+    # subfield, and FieldMismatch for an element of another field
+    us, cs = (tuple([F.zero + v for v in vs]) for vs in (us, cs))
+    ops, f = F.ops(), spec.f_index
+    points, lines = [(0,) * (spec.m + 1)], []
+    for u, c in zip(us, cs):
+        lines.append(_neighbour(ops, f, points[-1], c.index, True))
+        points.append(_neighbour(ops, f, lines[-1], ops.sub(points[-1][0], u.index), False))
+    closure = _vertex(F, points.pop(), True)
+    points = tuple([_vertex(F, v, True) for v in points])
+    return CycleWitness(spec, points, tuple([_vertex(F, v, False) for v in lines]), us, cs, closure)
 
 
 def verify_cycle_system(witness: CycleWitness) -> bool:

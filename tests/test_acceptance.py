@@ -134,14 +134,29 @@ def test_one_run_computes_each_orbit_record_once(monkeypatch):
     graphs of one run has its candidate maps tried once."""
     real, tried = metrics._candidate_shifts, []
 
-    def counted(spec):
+    def counted(spec, tables):
         tried.append(spec)
-        return real(spec)
+        return real(spec, tables)
 
     monkeypatch.setattr(metrics, "_candidate_shifts", counted)
     results = verify.run_acceptance(seed=0)
     assert all(r.status == "PASS" for r in results)
     assert sorted((s.p, s.e, s.m) for s in tried) == sorted(verify.ALL_CASES)
+
+
+def test_no_check_steps_through_the_object_oracles(monkeypatch):
+    """line_through and point_through are oracles only: every route the
+    checks run steps on element indices, so all eleven still pass with both
+    made to raise, and metrics does not even bind them."""
+    assert not hasattr(metrics, "line_through") and not hasattr(metrics, "point_through")
+
+    def refuse(*args):
+        raise AssertionError("an object oracle was called")
+
+    monkeypatch.setattr(graphs, "line_through", refuse)
+    monkeypatch.setattr(graphs, "point_through", refuse)
+    results = verify.run_acceptance(seed=0)
+    assert len(results) == 11 and all(r.status == "PASS" for r in results)
 
 
 # run_acceptance(seed=0), criterion by criterion: a change to any check's

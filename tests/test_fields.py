@@ -23,7 +23,6 @@ from linwenger.fields import (
     TABLE_LIMIT,
     Field,
     FieldElement,
-    FpMatrix,
     _pinvmod,
     _ppowmod,
     default_modulus,
@@ -475,49 +474,62 @@ def _fp_systems(draw):
     entry = st.integers(0, p - 1)
     row = st.tuples(*[entry] * n_cols)
     rows = draw(st.tuples(*[row] * n_rows))
-    return FpMatrix(p, rows), draw(st.tuples(*[entry] * n_rows))
+    return p, rows, draw(st.tuples(*[entry] * n_rows))
 
 
 class TestFpLinearAlgebra:
     @settings(max_examples=300)
     @given(_fp_systems())
     def test_against_brute_force(self, system):
-        M, b = system
-        p = M.p
+        p, rows, b = system
+        n_cols = len(rows[0])
 
         def image(v):
-            return tuple(sum(c * x for c, x in zip(r, v)) % p for r in M.rows)
+            return tuple(sum(c * x for c, x in zip(r, v)) % p for r in rows)
 
-        images = {image(v) for v in itertools.product(range(p), repeat=M.n_cols)}
-        rank, kernel = fp_rank_kernel(M)
+        images = {image(v) for v in itertools.product(range(p), repeat=n_cols)}
+        rank, kernel = fp_rank_kernel(p, rows)
         assert p**rank == len(images)
-        assert all(image(v) == (0,) * len(M.rows) for v in kernel)
-        assert rank + len(kernel) == M.n_cols
-        x = fp_solve(M, b)
+        assert all(image(v) == (0,) * len(rows) for v in kernel)
+        assert rank + len(kernel) == n_cols
+        x = fp_solve(p, rows, b)
         if b in images:
             assert x is not None and image(x) == b
         else:
             assert x is None
 
     def test_rank_kernel(self):
-        rank, kernel = fp_rank_kernel(FpMatrix(3, ((1, 2), (2, 4))))
+        rank, kernel = fp_rank_kernel(3, ((1, 2), (2, 4)))
         assert rank == 1
         assert len(kernel) == 1
         x, y = kernel[0]
         assert (x + 2 * y) % 3 == 0
 
     def test_solve_consistent(self):
-        M = FpMatrix(5, ((1, 1), (0, 1)))
-        sol = fp_solve(M, (3, 2))
+        sol = fp_solve(5, ((1, 1), (0, 1)), (3, 2))
         assert sol == (1, 2)
 
     def test_solve_inconsistent_returns_none(self):
-        M = FpMatrix(2, ((1, 1), (1, 1)))
-        assert fp_solve(M, (0, 1)) is None
+        assert fp_solve(2, ((1, 1), (1, 1)), (0, 1)) is None
 
     def test_entries_normalized(self):
-        M = FpMatrix(3, ((-1, 4), (7, -6)))
-        assert M.rows == ((2, 1), (1, 0))
+        """Integer entries are reduced into [0, p): the rows below are
+        ((2, 1), (1, 0)) over F_3, and so is the right-hand side."""
+        rows = ((-1, 4), (7, -6))
+        assert fp_rank_kernel(3, rows) == fp_rank_kernel(3, ((2, 1), (1, 0)))
+        assert fp_solve(3, rows, (-1, 4)) == fp_solve(3, ((2, 1), (1, 0)), (2, 1)) == (1, 0)
+
+    @pytest.mark.parametrize("bad", [1.5, "1", None])
+    def test_non_integer_entries_refused(self, bad):
+        """Entries are read as integers, never truncated: both entry points
+        refuse a non-integer with ConfigError, in the matrix and in the
+        right-hand side alike."""
+        with pytest.raises(ConfigError):
+            fp_rank_kernel(3, ((bad, 2), (0, 1)))
+        with pytest.raises(ConfigError):
+            fp_solve(3, ((bad, 2), (0, 1)), (1, 1))
+        with pytest.raises(ConfigError):
+            fp_solve(3, ((1, 2), (0, 1)), (1, bad))
 
 
 @st.composite
@@ -593,6 +605,17 @@ class TestFqLinearAlgebra:
         with pytest.raises(ValueError, match="element indices"):
             fq_solve(F, rows, [1, bad])
 
+    def test_a_non_integer_entry_is_refused_cold_and_warm(self):
+        """The reduction cache compares matrices by value, and 1.0 == 1:
+        [[1.0]] is refused both before and after [[1]] has been reduced."""
+        F = GF(3)
+        fields._reduction.cache_clear()
+        with pytest.raises(ValueError, match="element indices"):
+            fq_solve(F, [[1.0]], [1])  # cold
+        assert fq_solve(F, [[1]], [1]) == [1]
+        with pytest.raises(ValueError, match="element indices"):
+            fq_solve(F, [[1.0]], [1])  # warm
+
     def test_a_good_matrix_is_checked_once(self, monkeypatch):
         F = GF(2, 3)
         checks = []
@@ -665,7 +688,7 @@ class TestSolveReuse:
         for name, A, rhs_list in _shaped_systems(p, rng):
             for rhs in rhs_list:
                 want = _fresh_solve(ops, A, rhs)
-                got = fp_solve(FpMatrix(p, tuple(map(tuple, A))), rhs)
+                got = fp_solve(p, A, rhs)
                 assert (None if got is None else list(got)) == want, name
                 kinds.add(want is None)
         assert kinds == {True, False}
@@ -681,8 +704,8 @@ class TestSolveReuse:
             assert fq_solve(F, rows, [i, 8 - i]) is not None
         assert len(calls) == 1
         fq_solve(F, rows[::-1], [1, 1])
-        fp_solve(FpMatrix(3, ((1, 2), (0, 1))), (1, 1))
-        fp_solve(FpMatrix(3, ((1, 2), (0, 1))), (2, 0))
+        fp_solve(3, ((1, 2), (0, 1)), (1, 1))
+        fp_solve(3, ((1, 2), (0, 1)), (2, 0))
         assert len(calls) == 3
 
     def test_callers_rows_are_unchanged(self):

@@ -16,8 +16,10 @@ from linwenger import fields
 from linwenger import graphs as graphs_mod
 from linwenger import metrics as metrics_mod
 from linwenger import (
+    GF,
     Acyclic,
     FamilySpec,
+    FieldMismatch,
     Graph,
     Line,
     NoSixCycle,
@@ -270,6 +272,16 @@ def test_report_checks_certifies_and_sweeps_once(monkeypatch):
     assert (report.bfs_sources, report.automorphisms) == (g._bfs.sources, g._bfs.automorphisms)
     assert (diameter(g), girth(g)) == (report.diameter, report.girth)
     assert len(calls) == 2
+
+
+def test_orbits_build_the_index_tables_once(monkeypatch):
+    """_orbits builds the field's index tables once and hands them to
+    _candidate_shifts, for every candidate it certifies."""
+    g = Graph(FamilySpec.linearized(3, 2, 2)).materialize()
+    builds, real = [], type(g.spec.field).index_tables
+    monkeypatch.setattr(type(g.spec.field), "index_tables", lambda F: builds.append(1) or real(F))
+    assert metrics_mod._orbits(g)[1] > 0
+    assert len(builds) == 1
 
 
 def test_cached_eccentricities_are_read_only(graph_cache):
@@ -1011,6 +1023,11 @@ class TestCycleWitnesses:
             cycle_from_coefficients(spec, (1,), (1,))
         with pytest.raises(UnsupportedRegime):
             cycle_from_coefficients(FamilySpec.wenger(3, 1, 1), (1, 1), (1, 1))
+        # the walk steps on indices, but a coefficient is still read as an element
+        with pytest.raises(FieldMismatch):
+            cycle_from_coefficients(spec, (1, 2), (0, GF(3, 2).one))
+        with pytest.raises(TypeError):
+            cycle_from_coefficients(spec, (1.5, 2), (0, 0))
 
     def test_system_checker(self):
         spec = FamilySpec.linearized(3, 1, 1)
