@@ -457,6 +457,15 @@ class Field:
             return FieldElement(self, i)
         return T.elts[i]
 
+    def _elts_at(self, indices) -> list[FieldElement]:
+        """The elements of these indices in [0, q), as _elt_at gives them,
+        reading the tables once."""
+        T = self._tab or self._tables()
+        if T is None:
+            return [FieldElement(self, i) for i in indices]
+        elts = T.elts
+        return [elts[i] for i in indices]
+
     def _tables(self) -> "_Tables | None":
         """The index tables, built on first use; None when q > TABLE_LIMIT."""
         if self.q > TABLE_LIMIT:

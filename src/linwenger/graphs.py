@@ -183,10 +183,9 @@ def _check_vertex(spec: FamilySpec, v) -> tuple[int, ...]:
 
 def _vertex(F: Field, coords, point: bool) -> Point | Line:
     """The Point or Line with these index coordinates: the one place the
-    package turns indices into vertices.  Field._elt_at reads them
+    package turns indices into vertices.  Field._elts_at reads them
     unchecked, as digits already in [0, q)."""
-    at = F._elt_at
-    return (Point if point else Line)(tuple([at(c) for c in coords]))
+    return (Point if point else Line)(tuple(F._elts_at(coords)))
 
 
 def adjacent(spec: FamilySpec, P: Point, L: Line) -> bool:
@@ -304,7 +303,7 @@ class Graph:
     def _check_id(self, vid: int) -> None:
         if isinstance(vid, bool):
             raise TypeError("a vertex id must be an integer, not a bool")
-        if not 0 <= operator.index(vid) < self.n:  # TypeError unless an integer
+        if not 0 <= operator.index(vid) < 2 * self.half:  # TypeError unless an integer
             raise OutOfRange(f"vertex id {vid} outside [0, {self.n})")
 
     def decode(self, vid: int) -> Point | Line:

@@ -26,6 +26,7 @@ from linwenger import (
     walk_trace,
 )
 from linwenger import graphs, metrics
+from linwenger.fields import TABLE_LIMIT
 from linwenger.graphs import DEFAULT_BYTE_BUDGET, _certify_layout, graph_bytes
 from linwenger.metrics import diameter_witness, metrics_report
 
@@ -269,6 +270,20 @@ class TestGraph:
         v = g.decode(vid)
         assert g.encode(v) == vid
         assert isinstance(v, Line) == (vid >= g.n // 2)
+
+    def test_decoded_coordinates_below_and_above_the_table_limit(self):
+        # with index tables the coordinates are the field's cached elements;
+        # past TABLE_LIMIT each is a new element of the same index
+        for spec, tabled in ((FamilySpec.linearized(3, 2, 2), True),
+                             (FamilySpec.linearized(2, 17, 1), False)):
+            assert (spec.q <= TABLE_LIMIT) == tabled
+            g, F = Graph(spec), spec.field
+            for vid in (0, 12345 % g.n, g.n // 2 + 7, g.n - 1):
+                v = g.decode(vid)
+                assert g.encode(v) == vid
+                for c, cached in zip(v.coords, map(F.from_index, ids(v.coords))):
+                    assert c.field is F and c == cached
+                    assert (c is cached) == tabled
 
     def test_decode_out_of_range(self):
         g = Graph(FamilySpec.linearized(2, 1, 1))
