@@ -28,11 +28,21 @@ L_1(11) pair is solved by common_neighbor alone.
 
 The seeded samples of criteria 7 and 8 come in bulk from _draws: the same
 ids, from the same stream, that one randrange call per id would give.
+
+run_acceptance builds the run's 15 graphs and certifies the 14 layouts, then
+runs the criteria on two cores.  Criteria 1, 2, 5, 6 and 10 share the
+certified orbits and the enumerated spectra, so they run in this process.
+Criteria 3, 4, 7, 8, 9 and 11 read neither, so they run in one forked child
+(_forked), which sends back its results, or the exception it raised, to be
+raised again here.  Where os.fork is missing or fails, they run in this
+process, before the others.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 import random
 import time
 from collections import Counter
@@ -444,11 +454,80 @@ CHECKS = (
 )
 
 
-def run_acceptance(seed=0, perturb=False) -> list[CheckResult]:
-    run = _Runner(seed=seed, perturb=perturb)
+# The criteria that read no orbit record and no enumerated spectrum: they run
+# in the forked child.
+FORKED = (3, 4, 7, 8, 9, 11)
+
+
+def _run_checks(run: _Runner, checks) -> list[CheckResult]:
     results = []
-    for number, name, fn in CHECKS:
+    for number, name, fn in checks:
         t0 = time.perf_counter()
         status, detail = fn(run)
         results.append(CheckResult(number, name, status, detail, time.perf_counter() - t0))
     return results
+
+
+def _outcome(work):
+    """(True, work()), or (False, the exception work() raised)."""
+    try:
+        return True, work()
+    except BaseException as exc:  # noqa: BLE001 - the caller raises it again
+        return False, exc
+
+
+def _forked(work):
+    """Start work() in a forked child and return a function that waits for
+    it and gives its _outcome.  The child pickles that outcome into a pipe
+    and leaves with os._exit; a child that sends nothing gives a
+    RuntimeError.  Where os.fork is missing or raises OSError, work() runs
+    here, now, and the function gives its outcome.  The package starts no
+    thread; numpy's BLAS pool may hold some, and the forked criteria make no
+    BLAS call."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):
+        os.close(read_end)
+        os.close(write_end)
+        outcome = _outcome(work)
+        return lambda: outcome
+    if pid == 0:  # the child
+        status = 1
+        try:
+            os.close(read_end)
+            data = pickle.dumps(_outcome(work))
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+
+    def wait():
+        try:
+            with os.fdopen(read_end, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            return False, RuntimeError(f"the forked criteria sent no result (exit code {code})")
+        return pickle.loads(data)
+
+    return wait
+
+
+def run_acceptance(seed=0, perturb=False) -> list[CheckResult]:
+    run = _Runner(seed=seed, perturb=perturb)
+    for case in ALL_CASES:
+        layout_certificate(run.graph(case))
+    run.graph(SAMPLED_NEIGHBOR_CASE)
+    wait = _forked(lambda: _run_checks(run, [c for c in CHECKS if c[0] in FORKED]))
+    try:
+        results = _run_checks(run, [c for c in CHECKS if c[0] not in FORKED])
+    finally:
+        ok, forked = wait()
+    if not ok:
+        raise forked
+    return sorted(results + forked, key=lambda r: r.number)

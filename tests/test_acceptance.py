@@ -4,17 +4,25 @@ Each test prints a single pass/fail line and asserts exact integer agreement
 (the check functions themselves compare with ==, never with tolerances).
 Criteria with a stated time budget also assert the wall-clock bound.  A last
 test feeds criteria 4-7 wrong predictions and expects them to fail, and the
-criterion 8 tests feed it wrong common-neighbour answers.
+criterion 8 tests feed it wrong common-neighbour answers.  The fork tests
+check that run_acceptance's forked criteria raise through it unchanged,
+leave no process behind, give the same results without a fork, and build
+and certify nothing in the child.
 """
 
 import dataclasses
+import errno
+import faulthandler
+import os
 import random
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from linwenger import graphs, metrics, verify
+from linwenger import cli, graphs, metrics, verify
+from linwenger.errors import BudgetExceeded
 from linwenger.verify import CHECKS, _Runner
 
 _BY_NUMBER = {number: (name, fn) for number, name, fn in CHECKS}
@@ -114,7 +122,7 @@ def test_criterion_02_walks_each_graph_once(monkeypatch):
 def test_one_run_certifies_each_layout_once(monkeypatch):
     """Criteria 2 to 6 all read the layout certificate (walk traces, the
     regularity check, the BFS sweep), but each of the 14 graphs of one run
-    is certified once."""
+    is certified once, before the forked criteria start."""
     real, certified = graphs._certify_layout, []
 
     def counted(nbrs):
@@ -187,6 +195,107 @@ GOLDEN_SEED_0 = [
 def test_seed_0_results_are_unchanged():
     results = verify.run_acceptance(seed=0)
     assert [(r.number, r.name, r.status, r.detail) for r in results] == GOLDEN_SEED_0
+
+
+def _raise(exc):
+    def raising(*args):
+        raise exc
+
+    return raising
+
+
+@pytest.mark.parametrize(
+    "name,exc,code,message",
+    [
+        ("components", ValueError("boom"), cli.EXIT_MISMATCH,
+         "error: internal error: ValueError: boom\n"),
+        ("component_count_formula", BudgetExceeded("too big"), cli.EXIT_BUDGET, "error: too big\n"),
+        ("walk_trace", ValueError("boom"), cli.EXIT_MISMATCH,
+         "error: internal error: ValueError: boom\n"),
+    ],
+    ids=["child-internal-error", "child-budget", "parent-internal-error"],
+)
+def test_an_exception_crosses_the_fork_unchanged(monkeypatch, capsys, name, exc, code, message):
+    """Criterion 4 (components, component_count_formula) runs in the forked
+    child and criterion 2 (walk_trace) in this process: either way the CLI
+    sees the exception itself, so its exit code and line stay the same."""
+    monkeypatch.setattr(verify, name, _raise(exc))
+    assert cli.main(["verify"]) == code
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="without os.fork the check would end the test process")
+def test_a_child_that_exits_without_a_result_is_an_internal_error(monkeypatch, capsys):
+    """The parent reads the pipe to its end, which the child's exit closes,
+    so it does not hang; a hang would end the test process after 120 s."""
+    monkeypatch.setattr(verify, "components", lambda g: os._exit(1))
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
+    try:
+        code = cli.main(["verify"])
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert code == cli.EXIT_MISMATCH
+    assert capsys.readouterr().err == (
+        "error: internal error: RuntimeError: the forked criteria sent no result (exit code 1)\n"
+    )
+
+
+def test_no_process_is_left_behind(monkeypatch, capsys):
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    assert cli.main(["verify", "--perturb"]) == cli.EXIT_MISMATCH
+    monkeypatch.setattr(verify, "components", _raise(ValueError("boom")))
+    assert cli.main(["verify"]) == cli.EXIT_MISMATCH
+    monkeypatch.setattr(verify, "walk_trace", _raise(ValueError("boom")))
+    assert cli.main(["verify"]) == cli.EXIT_MISMATCH
+    capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_fails():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [lambda mp: mp.setattr(os, "fork", _fork_fails), lambda mp: mp.delattr(os, "fork")],
+    ids=["fork-raises", "no-fork"],
+)
+def test_without_a_fork_every_criterion_runs_here(monkeypatch, patch):
+    patch(monkeypatch)
+    results = verify.run_acceptance(seed=0)
+    assert [(r.number, r.name, r.status, r.detail) for r in results] == GOLDEN_SEED_0
+
+
+def test_the_child_builds_and_certifies_nothing(monkeypatch):
+    """Every graph is built, and every layout certified, in this process
+    before the fork: a build or a certificate in the child raises there,
+    and its exception would come back through run_acceptance."""
+    pid, built, certified = os.getpid(), [], []
+    real_materialize, real_certify = graphs.Graph.materialize, graphs._certify_layout
+
+    def here_only(what):
+        if os.getpid() != pid:
+            raise AssertionError(f"{what} in the forked child")
+
+    def materialize(self):
+        if not self.materialized:  # a materialized graph returns itself
+            here_only("a graph built")
+            built.append((self.spec.p, self.spec.e, self.spec.m))
+        return real_materialize(self)
+
+    def certify(nbrs):
+        here_only("a layout certified")
+        certified.append(nbrs)
+        return real_certify(nbrs)
+
+    monkeypatch.setattr(graphs.Graph, "materialize", materialize)
+    monkeypatch.setattr(graphs, "_certify_layout", certify)
+    results = verify.run_acceptance(seed=0)
+    assert [r.status for r in results] == ["PASS"] * 11
+    assert sorted(built) == sorted(verify.ALL_CASES + (verify.SAMPLED_NEIGHBOR_CASE,))
+    assert len(built) == 15 and len(certified) == 14
 
 
 def test_criterion_08_checks_the_same_pairs():
