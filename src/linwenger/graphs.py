@@ -120,6 +120,11 @@ class FamilySpec:
 
     @functools.cached_property
     def theta_injective(self) -> bool:
+        """Whether x -> (f_2(x), ..., f_(m+1)(x)) is one-to-one.  f_2 is x
+        itself in the linearized and Wenger families, so only custom maps
+        are tabulated (_f_table)."""
+        if self.family != "custom":
+            return True
         return len(set(zip(*_f_table(self).tolist()))) == self.q
 
     # -- construction helpers -------------------------------------------------
@@ -213,6 +218,16 @@ def line_through(spec: FamilySpec, P: Point, l1: FieldElement) -> Line:
     for k in range(2, spec.m + 2):
         coords.append(spec.f_eval(k, p1) * l1 - P.coords[k - 1])
     return Line(tuple(coords))
+
+
+def _neighbour(ops, f, own, x: int, point: bool) -> tuple[int, ...]:
+    """The neighbour whose first coordinate is x of the vertex with index
+    coordinates own, a point if point.  Its coordinate k is
+    f_k(p_1) l_1 - own_k, where (p_1, l_1) is (own_1, x) for a point and
+    (x, own_1) for a line, and f is the spec's f_index."""
+    mul, sub = ops.mul, ops.sub
+    p1, l1 = (own[0], x) if point else (x, own[0])
+    return (x, *[sub(mul(f(p1, k - 1), l1), own[k]) for k in range(1, len(own))])
 
 
 def graph_bytes(spec: FamilySpec) -> int:
@@ -316,13 +331,15 @@ class Graph:
 
     def neighbor_ids(self, vid: int) -> list[int]:
         """All q neighbours of vertex vid, ordered by the canonical index of
-        their first coordinate."""
+        their first coordinate: the array's row, or on a lazy graph the rule
+        (_neighbour) stepped over every first coordinate on indices."""
         self._check_id(vid)
         if self._nbrs is not None:
             return self._nbrs[vid].tolist()
-        v = self.decode(vid)
-        through = line_through if isinstance(v, Point) else point_through
-        return [self.encode(through(self.spec, v, x)) for x in self.spec.field.elements()]
+        spec, (side, local) = self.spec, divmod(vid, self.half)
+        q, ops, f = spec.q, spec.field.ops(), spec.f_index
+        own, offset = _coords(local, q, spec.m + 1), 0 if side else self.half
+        return [_index(_neighbour(ops, f, own, x, not side), q) + offset for x in range(q)]
 
     # -- materialization --------------------------------------------------------
 

@@ -19,7 +19,8 @@ it is returned.
 Only graphs.py knows the vertex layout (graphs._digits, Graph.decode,
 graphs._vertex).  Every route here steps on element indices, never through
 the object oracles line_through and point_through: the per-pair routes and
-the cycle witnesses with _neighbour, the batch routes with gathers.
+the cycle witnesses with graphs._neighbour, the rule lazy
+Graph.neighbor_ids steps too, and the batch routes with gathers.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
@@ -69,6 +70,7 @@ from .graphs import (
     _digits,
     _f_table,
     _gather,
+    _neighbour,
     _vertex,
     adjacent,
     layout_certificate,
@@ -534,16 +536,6 @@ class PathWitness:
 # witnesses work on vertices as tuples of canonical element indices with the
 # field's IndexOps, and make Point and Line objects (graphs._vertex) only for
 # what they return.
-
-def _neighbour(ops, f, own, x: int, point: bool) -> tuple[int, ...]:
-    """The neighbour whose first coordinate is x of the vertex with index
-    coordinates own, a point if point.  Its coordinate k is
-    f_k(p_1) l_1 - own_k, where (p_1, l_1) is (own_1, x) for a point and
-    (x, own_1) for a line, and f is the spec's f_index."""
-    mul, sub = ops.mul, ops.sub
-    p1, l1 = (own[0], x) if point else (x, own[0])
-    return (x, *[sub(mul(f(p1, k - 1), l1), own[k]) for k in range(1, len(own))])
-
 
 def _incident(ops, f, P, L) -> bool:
     """l_k + p_k = f_k(p_1) l_1 for every k, on index coordinates; f is f_index."""

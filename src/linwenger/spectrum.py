@@ -126,21 +126,22 @@ def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -
     exactly as many roots as v has hits, and each of the q - (#values hit)
     other constants gives no root.  That is q^m * q evaluations; max_evals
     is still checked against q^(m+1) * q, one field sweep per weight vector,
-    so the budgets callers pass keep their meaning.  The sums run on element
-    indices with the field's IndexOps.  Nothing here uses the rank structure
-    of the linearized family, so the sweep is an independent oracle for
+    so the budgets callers pass keep their meaning; it is checked first, so
+    a refusal tabulates no map.  The sums run on element indices with the
+    field's IndexOps.  Nothing here uses the rank structure of the
+    linearized family, so the sweep is an independent oracle for
     closed_form_linearized.
     """
-    if not spec.theta_injective:
-        raise ThetaNotInjective(
-            "spectrum bookkeeping assumes distinct generator tuples; "
-            "this custom family repeats one"
-        )
     q = spec.q
     total_w = q ** (spec.m + 1)
     if total_w * q > max_evals:
         raise BudgetExceeded(
             f"{total_w * q} evaluations exceed the budget {max_evals}"
+        )
+    if not spec.theta_injective:
+        raise ThetaNotInjective(
+            "spectrum bookkeeping assumes distinct generator tuples; "
+            "this custom family repeats one"
         )
     add, mul = spec.field.ops().add, spec.field.ops().mul
     f_rows = _f_table(spec).T.tolist()  # row x: the indices of f_2(x), ..., f_(m+1)(x)

@@ -29,13 +29,17 @@ L_1(11) pair is solved by common_neighbor alone.
 The seeded samples of criteria 7 and 8 come in bulk from _draws: the same
 ids, from the same stream, that one randrange call per id would give.
 
+Criterion 2 checks the graph against the theorem: the walk counts on each
+certified array against the closed-form spectrum.  Criterion 1 checks that
+closed form against enumeration, so a wrong table fails both.
+
 run_acceptance builds the run's 15 graphs and certifies the 14 layouts, then
-runs the criteria on two cores.  Criteria 1, 2, 5, 6 and 10 share the
-certified orbits and the enumerated spectra, so they run in this process.
-Criteria 3, 4, 7, 8, 9 and 11 read neither, so they run in one forked child
-(_forked), which sends back its results, or the exception it raised, to be
-raised again here.  Where os.fork is missing or fails, they run in this
-process, before the others.
+runs the criteria on two cores.  Criteria 2, 5 and 6 read the certified orbit
+records, so they run in this process, which enumerates no spectrum.  The
+others read none, so they run in one forked child (_forked), criteria 1 and
+10 sharing the enumerated spectra there; the child sends back its results,
+or the exception it raised, to be raised again here.  Where os.fork is
+missing or fails, they run in this process, before the others.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def check_spectrum_closed_vs_enum(run: _Runner) -> tuple[str, str]:
 def check_walk_trace_identity(run: _Runner) -> tuple[str, str]:
     fails = []
     for case in SPECTRUM_CASES:
-        g, hist = run.graph(case), run.enum_report(case).histogram()
+        g, hist = run.graph(case), closed_form_linearized(*case).histogram()
         q = g.spec.q
         for k, actual in enumerate(walk_trace(g, 3), start=1):
             expected = 2 * sum(count * (q * n) ** k for n, count in hist.items())
@@ -454,9 +458,9 @@ CHECKS = (
 )
 
 
-# The criteria that read no orbit record and no enumerated spectrum: they run
-# in the forked child.
-FORKED = (3, 4, 7, 8, 9, 11)
+# The criteria that read no orbit record: they run in the forked child, which
+# enumerates the spectra criteria 1 and 10 share.
+FORKED = (1, 3, 4, 7, 8, 9, 10, 11)
 
 
 def _run_checks(run: _Runner, checks) -> list[CheckResult]:

@@ -6,8 +6,9 @@ Criteria with a stated time budget also assert the wall-clock bound.  A last
 test feeds criteria 4-7 wrong predictions and expects them to fail, and the
 criterion 8 tests feed it wrong common-neighbour answers.  The fork tests
 check that run_acceptance's forked criteria raise through it unchanged,
-leave no process behind, give the same results without a fork, and build
-and certify nothing in the child.
+leave no process behind, give the same results without a fork, and build,
+certify and compute no orbit record in the child, while this process
+enumerates no spectrum.
 """
 
 import dataclasses
@@ -210,15 +211,18 @@ def _raise(exc):
         ("components", ValueError("boom"), cli.EXIT_MISMATCH,
          "error: internal error: ValueError: boom\n"),
         ("component_count_formula", BudgetExceeded("too big"), cli.EXIT_BUDGET, "error: too big\n"),
+        ("spectrum_enumerate", ValueError("boom"), cli.EXIT_MISMATCH,
+         "error: internal error: ValueError: boom\n"),
         ("walk_trace", ValueError("boom"), cli.EXIT_MISMATCH,
          "error: internal error: ValueError: boom\n"),
     ],
-    ids=["child-internal-error", "child-budget", "parent-internal-error"],
+    ids=["child-internal-error", "child-budget", "child-spectrum", "parent-internal-error"],
 )
 def test_an_exception_crosses_the_fork_unchanged(monkeypatch, capsys, name, exc, code, message):
-    """Criterion 4 (components, component_count_formula) runs in the forked
-    child and criterion 2 (walk_trace) in this process: either way the CLI
-    sees the exception itself, so its exit code and line stay the same."""
+    """Criteria 4 (components, component_count_formula) and 1 and 10
+    (spectrum_enumerate) run in the forked child and criterion 2
+    (walk_trace) in this process: either way the CLI sees the exception
+    itself, so its exit code and line stay the same."""
     monkeypatch.setattr(verify, name, _raise(exc))
     assert cli.main(["verify"]) == code
     assert capsys.readouterr().err == message
@@ -296,6 +300,54 @@ def test_the_child_builds_and_certifies_nothing(monkeypatch):
     assert [r.status for r in results] == ["PASS"] * 11
     assert sorted(built) == sorted(verify.ALL_CASES + (verify.SAMPLED_NEIGHBOR_CASE,))
     assert len(built) == 15 and len(certified) == 14
+
+
+def _confine(monkeypatch, module, name, child: bool):
+    """Patch module.name to raise AssertionError when it runs on the wrong
+    side of run_acceptance's fork: outside the child if child, else in it."""
+    pid, real = os.getpid(), getattr(module, name)
+
+    def confined(*args):
+        if (os.getpid() != pid) != child:
+            raise AssertionError(f"{name} ran in the {'main process' if child else 'forked child'}")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, confined)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork every criterion runs here")
+def test_the_main_process_enumerates_no_spectrum(monkeypatch):
+    """Criteria 1 and 10 enumerate the spectra in the child, and criterion 2
+    reads the closed form."""
+    _confine(monkeypatch, verify, "spectrum_enumerate", child=True)
+    results = verify.run_acceptance(seed=0)
+    assert [(r.number, r.name, r.status, r.detail) for r in results] == GOLDEN_SEED_0
+
+
+def test_the_child_computes_no_orbit_record(monkeypatch):
+    """Criteria 2, 5 and 6, which read the certified orbits, run here."""
+    _confine(monkeypatch, metrics, "_candidate_shifts", child=False)
+    results = verify.run_acceptance(seed=0)
+    assert [(r.number, r.name, r.status, r.detail) for r in results] == GOLDEN_SEED_0
+
+
+def _wrong_table(table):
+    """table with one weight vector moved from no root to the most roots."""
+    most = max(table.root_mults)
+    return dataclasses.replace(
+        table,
+        root_mults={**table.root_mults, most: table.root_mults[most] + 1},
+        zero_mult=table.zero_mult - 1,
+    )
+
+
+def test_a_wrong_closed_form_fails_criteria_1_and_2(monkeypatch):
+    """Criterion 1 compares the closed form with enumeration (in the child)
+    and criterion 2 with the walk counts on the graph (here)."""
+    real = verify.closed_form_linearized
+    monkeypatch.setattr(verify, "closed_form_linearized", lambda *case: _wrong_table(real(*case)))
+    results = verify.run_acceptance(seed=0)
+    assert {r.number for r in results if r.status == "FAIL"} == {1, 2}
 
 
 def test_criterion_08_checks_the_same_pairs():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linwenger
-from linwenger import cli, verify
+from linwenger import cli, graphs, spectrum, verify
 from linwenger.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 from linwenger.errors import Acyclic, BudgetExceeded, NotBipartite, SolveFailed
 from linwenger.fields import Field
@@ -160,6 +160,29 @@ class TestSpectrum:
     def test_eval_budget(self, capsys):
         code = main(["spectrum", "--p", "2", "--e", "2", "--m", "2", "--max-evals", "10"])
         assert code == EXIT_BUDGET
+        capsys.readouterr()
+
+    def test_budget_is_checked_before_the_maps_are_tabulated(self, monkeypatch, capsys):
+        """A refusal, or a JSON summary that builds nothing, never tabulates
+        the maps: at q = 2^17 or 3^11 the table alone takes seconds."""
+        def tabulate(spec, dtype=None):
+            raise AssertionError("the maps were tabulated")
+
+        monkeypatch.setattr(graphs, "_f_table", tabulate)
+        monkeypatch.setattr(spectrum, "_f_table", tabulate)
+        assert main(["spectrum", "--p", "2", "--e", "17", "--m", "2"]) == EXIT_BUDGET
+        assert main(["spectrum", "--p", "3", "--e", "11", "--m", "2"]) == EXIT_BUDGET
+        assert main(["build", "--p", "3", "--e", "11", "--m", "2", "--format", "json"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert json.loads(out)["injective_theta"] is True
+        assert "internal error" not in err
+
+    def test_over_budget_non_injective_maps_exit_three(self, capsys):
+        """The budget comes first, so an over-budget custom family is refused
+        as too big (3) before its repeated tuple is found (2)."""
+        argv = ["spectrum", "--p", "3", "--m", "1", "--family", "custom", "--f-list", "0"]
+        assert main(argv) == EXIT_CONFIG
+        assert main(argv + ["--max-evals", "8"]) == EXIT_BUDGET
         capsys.readouterr()
 
     def test_wenger_enumerates(self, capsys):

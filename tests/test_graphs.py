@@ -98,6 +98,26 @@ class TestFamilySpec:
         # constant map collapses everything
         assert not FamilySpec.custom(3, 1, 1, f_indices=((0,),)).theta_injective
 
+    @pytest.mark.parametrize("family", ["linearized", "wenger"])
+    @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 1), (2, 17)])
+    def test_f_2_is_the_identity(self, family, p, e):
+        """f_2(x) = x, on tabled fields and on the coefficient path
+        (GF(2^17)), is what lets theta_injective skip the table."""
+        spec = FamilySpec(p, e, 2, family)
+        q = spec.q
+        xs = range(q) if q <= TABLE_LIMIT else [*range(256), *range(q - 256, q), 12345, 2**16]
+        assert all(spec.f_index(x, 0) == x for x in xs)
+
+    def test_theta_injective_tabulates_custom_maps_only(self, monkeypatch):
+        def tabulate(spec, dtype=None):
+            raise AssertionError("the maps were tabulated")
+
+        monkeypatch.setattr(graphs, "_f_table", tabulate)
+        assert FamilySpec.linearized(3, 11, 2).theta_injective
+        assert FamilySpec.wenger(2, 17, 3).theta_injective
+        with pytest.raises(AssertionError, match="tabulated"):
+            FamilySpec.custom(3, 1, 1, f_indices=((0, 1),)).theta_injective
+
     def test_custom_coefficients_are_element_indices(self):
         # index 10 would act as 10 mod 3 = 1 yet compare and serialize as 10
         with pytest.raises(ConfigError):
@@ -354,8 +374,30 @@ class TestGraph:
                 row = full.adjacency[vid].tolist()
                 assert row == lazy.neighbor_ids(vid)
                 v = full.decode(vid)
+                through = line_through if vid < full.half else point_through
+                assert row == [full.encode(through(spec, v, x)) for x in spec.field.elements()]
                 for w in map(full.decode, row):
                     assert adjacent(spec, *((v, w) if vid < full.half else (w, v)))
+
+    def test_lazy_neighbours_step_on_indices(self, monkeypatch):
+        """The lazy route equals the object route, on both sides, at q = 256
+        where no array is built, and calls neither object oracle."""
+        spec = FamilySpec.linearized(2, 8, 3)
+        g, F = Graph(spec), spec.field
+        rng = np.random.default_rng(31)
+        vids = [0, g.half - 1, g.half, g.n - 1, *rng.integers(0, g.n, 6).tolist()]
+        expected = []
+        for vid in vids:
+            v = g.decode(vid)
+            through = line_through if vid < g.half else point_through
+            expected.append([g.encode(through(spec, v, x)) for x in F.elements()])
+        def refuse(*args):
+            raise AssertionError("an object oracle was called")
+
+        monkeypatch.setattr(graphs, "line_through", refuse)
+        monkeypatch.setattr(graphs, "point_through", refuse)
+        assert [g.neighbor_ids(vid) for vid in vids] == expected
+        assert not g.materialized
 
     def test_blocked_materialize_matches_one_block(self, monkeypatch):
         specs = (

@@ -160,6 +160,12 @@ class TestEnumerate:
         with pytest.raises(BudgetExceeded):
             spectrum_enumerate(FamilySpec.linearized(2, 2, 2), max_evals=10)
 
+    def test_budget_comes_before_injectivity(self):
+        spec = FamilySpec.custom(3, 1, 1, f_indices=((0,),))
+        with pytest.raises(BudgetExceeded):
+            spectrum_enumerate(spec, max_evals=8)
+        assert "theta_injective" not in spec.__dict__
+
     def test_wenger_total_and_energy(self):
         spec = FamilySpec.wenger(3, 1, 2)
         rep = spectrum_enumerate(spec)
