@@ -25,10 +25,10 @@ import sys
 sys.path.insert(0, "src")
 
 from linwenger.fields import (  # noqa: E402
-    _padd,
     _pmod,
     _pmulmod,
     _ppowmod,
+    _psub,
     is_irreducible,
     is_prime,
     prime_divisors,
@@ -63,7 +63,7 @@ def compatible(f: tuple[int, ...], p: int, table: dict) -> bool:
         lower = table[(p, m)]
         acc = [0]
         for b in reversed(lower):  # Horner: acc <- acc*u + b mod f
-            acc = _pmod(_padd(_pmulmod(acc, u, fl, p), [b], p), fl, p)
+            acc = _pmod(_psub(_pmulmod(acc, u, fl, p), [-b % p], p), fl, p)
         if acc != [0]:
             return False
     return True

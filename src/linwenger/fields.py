@@ -57,18 +57,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _is_int(n) -> bool:
+    """n is an int and not a bool: True would otherwise pass for 1."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 def _check_field_params(p, e, m=None) -> None:
     """Reject a characteristic or degree outside what GF(p^e) supports, and
-    m < 1 when a number of maps m is given."""
-    if not isinstance(p, int) or not is_prime(p):
+    m < 1 when a number of maps m is given.  A bool is refused everywhere."""
+    if not _is_int(p) or not is_prime(p):
         raise NonPrime(f"characteristic must be prime, got {p}")
     if p > P_LIMIT:
         raise NonPrime(f"characteristic {p} exceeds the supported bound {P_LIMIT}")
-    if not isinstance(e, int) or e < 1:
+    if not _is_int(e) or e < 1:
         raise DegreeMismatch(f"extension degree must be a positive integer, got {e}")
     if p**e > Q_LIMIT:
         raise DegreeMismatch(f"field size {p}^{e} exceeds the supported bound {Q_LIMIT}")
-    if m is not None and (not isinstance(m, int) or m < 1):
+    if m is not None and (not _is_int(m) or m < 1):
         raise ConfigError(f"need an integer m >= 1, got {m}")
 
 
@@ -105,13 +110,6 @@ def _trim(a: list[int]) -> list[int]:
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     return a
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _trim([(x + y) % p for x, y in zip(a, b)])
 
 
 def _psub(a, b, p):
@@ -197,18 +195,10 @@ def _pinvmod(a, f, p):
     return _pmod([(x * c) % p for x in s0], f, p)
 
 
-def _peval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def is_irreducible(coeffs, p) -> bool:
     """Exact irreducibility over F_p for a monic polynomial of degree >= 1.
 
-    Degrees 2 and 3 reduce to a root scan; higher degrees use the
-    distinct-degree criterion: x^(p^n) = x mod f together with
+    Rabin's criterion at every degree n: x^(p^n) = x mod f together with
     gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n.
     """
     f = _trim([c % p for c in coeffs])
@@ -219,8 +209,6 @@ def is_irreducible(coeffs, p) -> bool:
         return True
     if f[0] == 0:
         return False
-    if n <= 3:
-        return all(_peval(f, a, p) for a in range(p))
     frob = {}
     g = [0, 1]
     for d in range(1, n + 1):

@@ -115,9 +115,6 @@ class FamilySpec:
             raise FieldMismatch(f"f_eval takes an element of {F!r}, got {x!r}")
         return F._elt_at(self.f_index(x.index, k - 2))
 
-    def f_values(self, x: FieldElement) -> tuple[FieldElement, ...]:
-        return tuple(self.f_eval(k, x) for k in range(2, self.m + 2))
-
     @functools.cached_property
     def theta_injective(self) -> bool:
         """Whether x -> (f_2(x), ..., f_(m+1)(x)) is one-to-one.  f_2 is x

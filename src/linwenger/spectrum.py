@@ -23,7 +23,7 @@ from .graphs import FamilySpec, _f_table
 # count_roots is not called here; it stays bound because perfbench/spans.py
 # wraps linwenger.spectrum.count_roots (its linearized.count_roots_* metrics
 # then read 0).
-from .linearized import count_roots, rank_distribution  # noqa: F401
+from .linearized import count_roots  # noqa: F401
 
 DEFAULT_EVAL_BUDGET = 10**8
 
@@ -179,6 +179,42 @@ class MultiplicityTable:
 
     def to_report(self, spec: FamilySpec) -> SpectrumReport:
         return _report_from_histogram(spec, self.histogram(), "closed_form")
+
+
+def _gauss_binomial(n: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def rank_distribution(p: int, e: int, m: int) -> dict[int, int]:
+    """{r: A_r}: how many of the F_p-linear maps x -> sum_k w_k x^(p^(k-2)),
+    k = 2..m'+1 with m' = min(m, e), have rank r.  Only ranks that occur
+    are listed.
+
+    These p^(e m') maps of GF(p^e) form the Gabidulin code of e x e matrices
+    over F_p, a maximum rank distance code with minimum rank d = e - m' + 1.
+    Delsarte (1978, "Bilinear forms over a finite field") gives its rank
+    distribution: A_0 = 1 and, for d <= r <= e,
+
+        A_r = [e r]_p sum_{j=0}^{r-d} (-1)^j p^C(j,2) [r j]_p (p^(e(r-d-j+1)) - 1).
+
+    For m > e each map is the linear part of q^(m-e) of the q^m tuples
+    (w_2, ..., w_(m+1)).
+    """
+    _check_field_params(p, e, m)
+    d = e - min(m, e) + 1
+    dist = {0: 1}
+    for r in range(d, e + 1):
+        dist[r] = _gauss_binomial(e, r, p) * sum(
+            (-1) ** j * p ** (j * (j - 1) // 2) * _gauss_binomial(r, j, p)
+            * (p ** (e * (r - d - j + 1)) - 1)
+            for j in range(r - d + 1)
+        )
+    return dist
 
 
 def closed_form_linearized(p: int, e: int, m: int) -> MultiplicityTable:

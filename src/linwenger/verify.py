@@ -54,7 +54,6 @@ from dataclasses import dataclass
 
 from .fields import GF, _fq_rref
 from .graphs import FamilySpec, Graph, Line, Point, _certify_layout, layout_certificate
-from .linearized import rank_distribution
 from .metrics import (
     common_neighbor,
     common_neighbors,
@@ -74,6 +73,7 @@ from .spectrum import (
     closed_form_linearized,
     component_count_formula,
     expansion_bound,
+    rank_distribution,
     spectrum_enumerate,
 )
 

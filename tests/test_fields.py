@@ -33,6 +33,8 @@ from linwenger.fields import (
     is_irreducible,
     is_prime,
 )
+from linwenger.graphs import FamilySpec
+from linwenger.spectrum import expansion_bound, rank_distribution
 
 
 class TestConstruction:
@@ -74,6 +76,17 @@ class TestConstruction:
             with pytest.raises(ConfigError):
                 Field(2, 2, modulus=bad)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "build", [GF, FamilySpec.linearized, rank_distribution, expansion_bound]
+    )
+    def test_bool_parameters_rejected(self, build, flag):
+        # a bool is an int, so True would otherwise pass for 1
+        args = (2, 1) if build is GF else (2, 1, 1)
+        for pos, error in enumerate((NonPrime, DegreeMismatch, ConfigError)[: len(args)]):
+            with pytest.raises(error):
+                build(*args[:pos], flag, *args[pos + 1:])
+
     def test_same_parameters_same_field_object(self):
         assert GF(3, 2) is GF(3, 2)
         assert GF(3, 2) == GF(3, 2, modulus=(2, 2, 1))
@@ -90,10 +103,37 @@ class TestPrimeHelpers:
         assert is_irreducible((1, 1, 0, 1), 2)
         assert not is_irreducible((1, 1, 1, 1), 2)  # (x + 1)(x^2 + 1)
         assert is_irreducible((2, 2, 1), 3)
-        # degree >= 4 goes through the distinct-degree path
+        # degree 4, where having no root does not prove irreducibility
         assert is_irreducible((1, 1, 0, 0, 1), 2)
-        assert not is_irreducible((1, 0, 0, 0, 1), 2)  # (x^2 + x + 1)^2 + ... reducible
+        assert not is_irreducible((1, 0, 0, 0, 1), 2)  # (x + 1)^4
         assert is_irreducible((2, 10, 8, 0, 1), 11)
+
+    @pytest.mark.parametrize(
+        "p,degrees", [(2, range(1, 5)), (3, range(1, 5)), (5, range(1, 5)), (7, range(2, 4))]
+    )
+    def test_irreducibility_matches_trial_division(self, p, degrees):
+        # every monic polynomial of these degrees, against division by every
+        # monic polynomial of degree <= n/2
+        for n in degrees:
+            divisors = [
+                (*tail, 1) for d in range(1, n // 2 + 1)
+                for tail in itertools.product(range(p), repeat=d)
+            ]
+            for tail in itertools.product(range(p), repeat=n):
+                f = (*tail, 1)
+                expected = not any(_divides(g, f, p) for g in divisors)
+                assert is_irreducible(f, p) == expected, f
+
+
+def _divides(g, f, p) -> bool:
+    """Whether the monic g divides f over F_p, by schoolbook long division
+    (coefficients low-degree-first)."""
+    r = list(f)
+    for i in range(len(f) - len(g), -1, -1):
+        c = r[i + len(g) - 1]
+        for j, gj in enumerate(g):
+            r[i + j] = (r[i + j] - c * gj) % p
+    return not any(r)
 
 
 class TestGF4:
