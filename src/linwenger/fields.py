@@ -77,6 +77,16 @@ def _check_field_params(p, e, m=None) -> None:
         raise ConfigError(f"need an integer m >= 1, got {m}")
 
 
+def _modulus(p, e, modulus) -> tuple[int, ...]:
+    """The modulus of GF(p^e), for GF and Field alike: p and e checked by
+    _check_field_params, then default_modulus(p, e) when modulus is None,
+    else its coefficients read by _integers and reduced mod p."""
+    _check_field_params(p, e)
+    if modulus is None:
+        return default_modulus(p, e)
+    return tuple(c % p for c in _integers(modulus, "a modulus"))
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
     """values as a tuple of ints read through operator.index, so that 1.9
     or "1" is refused rather than truncated or parsed: ConfigError for
@@ -395,28 +405,23 @@ def _fmt_poly(coeffs) -> str:
 class Field:
     """GF(p^e) with a fixed monic irreducible modulus.
 
-    Fields with q <= TABLE_LIMIT build index tables (_Tables) on first use.
+    Its arithmetic, with the index tables and cached elements when q <=
+    TABLE_LIMIT, is one IndexOps built on first use (ops()).
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "basis", "zero", "one", "_tab", "_ops")
+    __slots__ = ("p", "e", "q", "modulus", "basis", "zero", "one", "_ops")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        _check_field_params(p, e)
-        if modulus is None:
-            modulus = default_modulus(p, e)
-        else:
-            modulus = tuple(c % p for c in _integers(modulus, "a modulus"))
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise DegreeMismatch(
-                    f"modulus must be monic of degree {e}, got coefficients {modulus}"
-                )
-            if not is_irreducible(modulus, p):
-                raise ReducibleModulus(f"modulus {modulus} factors over F_{p}")
+        modulus = _modulus(p, e, modulus)
+        if len(modulus) != e + 1 or modulus[-1] != 1:
+            raise DegreeMismatch(f"modulus must be monic of degree {e}, got coefficients {modulus}")
+        if not is_irreducible(modulus, p):
+            raise ReducibleModulus(f"modulus {modulus} factors over F_{p}")
         self.p = p
         self.e = e
         self.q = p**e
-        self.modulus = tuple(modulus)
-        self._tab = self._ops = None
+        self.modulus = modulus
+        self._ops = None
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.basis = tuple(FieldElement(self, p**i) for i in range(e))
@@ -440,26 +445,16 @@ class Field:
     def _elt_at(self, i: int) -> FieldElement:
         """The element of index i in [0, q): the cached one when q <=
         TABLE_LIMIT, else a new one."""
-        T = self._tab or self._tables()
-        if T is None:
-            return FieldElement(self, i)
-        return T.elts[i]
+        elts = (self._ops or self.ops()).elts
+        return FieldElement(self, i) if elts is None else elts[i]
 
     def _elts_at(self, indices) -> list[FieldElement]:
         """The elements of these indices in [0, q), as _elt_at gives them,
-        reading the tables once."""
-        T = self._tab or self._tables()
-        if T is None:
+        reading the cached elements once."""
+        elts = (self._ops or self.ops()).elts
+        if elts is None:
             return [FieldElement(self, i) for i in indices]
-        elts = T.elts
         return [elts[i] for i in indices]
-
-    def _tables(self) -> "_Tables | None":
-        """The index tables, built on first use; None when q > TABLE_LIMIT."""
-        if self.q > TABLE_LIMIT:
-            return None
-        self._tab = _Tables(self)
-        return self._tab
 
     def ops(self) -> "IndexOps":
         """The field's scalar operations on canonical indices, built on first
@@ -478,9 +473,9 @@ class Field:
 
         if 8 * self.q**2 > _TABLE_BYTES:
             raise BudgetExceeded(f"a {self.q} x {self.q} index table exceeds {_TABLE_BYTES} bytes")
-        T = self._tab or self._tables()
-        log = np.array(T.log)
-        mul = np.array(T.exp)[log[:, None] + log]
+        ops = self._ops or self.ops()
+        log = np.array(ops.log)
+        mul = np.array(ops.exp)[log[:, None] + log]
         mul[0] = mul[:, 0] = 0
         digits = np.arange(self.q) // self.p ** np.arange(self.e)[:, None] % self.p
         sub = sum(
@@ -512,20 +507,48 @@ class Field:
         return f"GF({self.p}^{self.e})"
 
 
-class _Tables:
-    """Log/antilog and Zech tables of one field with q <= TABLE_LIMIT, over
-    canonical indices, with the field's cached elements.
+class IndexOps:
+    """The scalar arithmetic of one field, on canonical element indices:
+    add(a, b), sub(a, b), mul(a, b), div(a, b), inv(a), pow(a, k) and
+    frob(a, k) = a^(p^k), each taking and returning ints in [0, q).  It is
+    the field's one arithmetic: FieldElement's operators, the elimination
+    and the per-pair routes all run on it.
 
-    g is the first primitive element in the order t, 1, 2, ..., q - 1.  The
-    powers of g come from the coordinates of g^0 = 1 by repeated doubling: the
-    block g^k..g^(2k-1) is the block g^0..g^(k-1) times the matrix of
-    multiplication by g^k, whose square gives the next one.  The build then
-    certifies itself: those powers must hit every nonzero index exactly once.
-    """
+    With q <= TABLE_LIMIT the operations read log, antilog and Zech lists,
+    O(q) memory, built with the object (_tabled), which also keeps exp, log
+    and the field's cached elements elts.  Above it those three are None and
+    the operations decode the indices to coordinate vectors, run the
+    coefficient arithmetic (Field._mul, _pinvmod) and encode the result.
+    That coefficient arithmetic is the oracle the tables are tested against.
+    In characteristic 2 an index is the coordinate vector as a bit mask, so
+    add and sub are XOR in any field."""
 
-    __slots__ = ("elts", "exp", "log", "zech", "neg", "order", "frob")
+    __slots__ = ("add", "sub", "mul", "div", "inv", "pow", "frob", "exp", "log", "elts")
 
     def __init__(self, F: Field):
+        self.exp = self.log = self.elts = None
+        if F.q > TABLE_LIMIT:
+            self._coefficient(F)
+        else:
+            self._tabled(F)
+        if F.p == 2:
+            self.add = self.sub = operator.xor
+        mul, inv = self.mul, self.inv
+        self.div = lambda a, b: mul(a, inv(b))
+
+    def _tabled(self, F: Field) -> None:
+        """The lists, built once.  g is the first primitive element in the
+        order t, 1, 2, ..., q - 1.  The powers of g come from the coordinates
+        of g^0 = 1 by repeated doubling: the block g^k..g^(2k-1) is the block
+        g^0..g^(k-1) times the matrix of multiplication by g^k, whose square
+        gives the next one.  The build then certifies itself: those powers
+        must hit every nonzero index exactly once.
+
+        exp[i] = g^i over two periods, log[a] = log_g of the element of index
+        a != 0, zech[d] = log_g(1 + g^d) (None where that is zero) over two
+        periods, and neg = log_g(-1).  So a * b = g^(la + lb), a + b = g^la
+        (1 + g^(lb - la)) and -b = g^(lb + neg); every sum or difference of
+        logs below indexes a list directly, negative or not."""
         import numpy as np
 
         p, e, q = F.p, F.e, F.q
@@ -555,50 +578,12 @@ class _Tables:
         # the index of 1 + x is x's index with the low digit stepped mod p
         zech = log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)].tolist()
 
-        self.exp = exp.tolist() * 2
-        self.log = log.tolist()
-        self.neg = self.log[p - 1]  # index p - 1 is the element -1
-        zech[self.neg] = None  # 1 + g^d = 0 exactly when g^d = -1
-        self.zech = zech * 2
-        self.order = order
-        self.frob = tuple(pow(p, k, order) for k in range(e))
-
-
-class IndexOps:
-    """The scalar arithmetic of one field, on canonical element indices:
-    add(a, b), sub(a, b), mul(a, b), div(a, b), inv(a), pow(a, k) and
-    frob(a, k) = a^(p^k), each taking and returning ints in [0, q).  It is
-    the field's one arithmetic: FieldElement's operators, the elimination
-    and the per-pair routes all run on it.
-
-    With q <= TABLE_LIMIT the operations read the log, antilog and Zech lists
-    of _Tables, O(q) memory.  Above it they decode the indices to coordinate
-    vectors, run the coefficient arithmetic (Field._mul, _pinvmod) and encode
-    the result.  That coefficient arithmetic is the oracle the tables are
-    tested against.  In characteristic 2 an index is the coordinate vector
-    as a bit mask, so add and sub are XOR in any field."""
-
-    __slots__ = ("add", "sub", "mul", "div", "inv", "pow", "frob")
-
-    def __init__(self, F: Field):
-        T = F._tab or F._tables()
-        if T is None:
-            self._coefficient(F)
-        else:
-            self._tabled(F, T)
-        if F.p == 2:
-            self.add = self.sub = operator.xor
-        mul, inv = self.mul, self.inv
-        self.div = lambda a, b: mul(a, inv(b))
-
-    # With tables: exp[i] = g^i over two periods, log[a] = log_g of the
-    # element of index a != 0, zech[d] = log_g(1 + g^d) (None where that is
-    # zero) over two periods, and neg = log_g(-1).  So a * b = g^(la + lb),
-    # a + b = g^la (1 + g^(lb - la)) and -b = g^(lb + neg); every sum or
-    # difference of logs below indexes a list directly, negative or not.
-
-    def _tabled(self, F: Field, T: _Tables) -> None:
-        exp, log, zech, neg, order, frob, e = T.exp, T.log, T.zech, T.neg, T.order, T.frob, F.e
+        self.exp = exp = exp.tolist() * 2
+        self.log = log = log.tolist()
+        neg = log[p - 1]  # index p - 1 is the element -1
+        zech[neg] = None  # 1 + g^d = 0 exactly when g^d = -1
+        zech *= 2
+        frob = tuple(pow(p, k, order) for k in range(e))
 
         def add(a, b):
             if not (a and b):
@@ -689,12 +674,7 @@ def GF(p: int, e: int = 1, modulus=None) -> Field:
     lexicographically smallest monic irreducible otherwise, so repeated calls
     return the identical object.
     """
-    _check_field_params(p, e)
-    if modulus is None:
-        modulus = default_modulus(p, e)
-    else:
-        modulus = tuple(c % p for c in _integers(modulus, "a modulus"))
-    return _cached_field(p, e, modulus)
+    return _cached_field(p, e, _modulus(p, e, modulus))
 
 
 # ---------------------------------------------------------------------------

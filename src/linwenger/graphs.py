@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -117,11 +118,16 @@ class FamilySpec:
 
     @functools.cached_property
     def theta_injective(self) -> bool:
-        """Whether x -> (f_2(x), ..., f_(m+1)(x)) is one-to-one.  f_2 is x
-        itself in the linearized and Wenger families, so only custom maps
-        are tabulated (_f_table)."""
+        """Whether x -> (f_2(x), ..., f_(m+1)(x)) is one-to-one: yes if one
+        map permutes GF(q), as f_2(x) = x does for the linearized and Wenger
+        families and a + b x^d (b != 0, d >= 1) does when gcd(d, q - 1) = 1.
+        Other custom maps are tabulated (_f_table)."""
         if self.family != "custom":
             return True
+        for poly in self.f_indices:
+            degrees = [d for d, c in enumerate(poly) if c and d]
+            if len(degrees) == 1 and math.gcd(degrees[0], self.q - 1) == 1:
+                return True
         return len(set(zip(*_f_table(self).tolist()))) == self.q
 
     # -- construction helpers -------------------------------------------------

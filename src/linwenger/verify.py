@@ -135,19 +135,15 @@ class _Runner:
         self._graphs: dict[tuple[int, int, int], Graph] = {}
         self._enum_reports: dict[tuple[int, int, int], object] = {}
 
-    def spec(self, case) -> FamilySpec:
-        p, e, m = case
-        return FamilySpec.linearized(p, e, m)
-
     def graph(self, case) -> Graph:
         """The materialized graph of a case, built once per run."""
         if case not in self._graphs:
-            self._graphs[case] = Graph(self.spec(case)).materialize()
+            self._graphs[case] = Graph(FamilySpec.linearized(*case)).materialize()
         return self._graphs[case]
 
     def enum_report(self, case):
         if case not in self._enum_reports:
-            self._enum_reports[case] = spectrum_enumerate(self.spec(case))
+            self._enum_reports[case] = spectrum_enumerate(FamilySpec.linearized(*case))
         return self._enum_reports[case]
 
     def rng(self, tag: str) -> random.Random:
@@ -180,28 +176,34 @@ def _finish(fails: list[str], ok_detail: str) -> tuple[str, str]:
     return "PASS", ok_detail
 
 
-def check_spectrum_closed_vs_enum(run: _Runner) -> tuple[str, str]:
+def _compare(cases, what: str, got, want, ok_detail: str) -> tuple[str, str]:
+    """got(case), the oracle's value, against want(case), the theory's, on
+    each case: FAIL naming every case where they differ, else PASS with
+    ok_detail.  got and want look up the package's functions when called,
+    so a replaced one is what they compare."""
     fails = []
-    for case in SPECTRUM_CASES:
-        enum_hist = run.enum_report(case).histogram()
-        closed_hist = closed_form_linearized(*case).histogram()
-        if closed_hist != enum_hist:
-            fails.append(f"{_label(case)}: closed {closed_hist} != enum {enum_hist}")
-    return _finish(fails, f"{len(SPECTRUM_CASES)} multiplicity tables match")
+    for case in cases:
+        value, expected = got(case), want(case)
+        if value != expected:
+            fails.append(f"{_label(case)}: {what} {value} != {expected}")
+    return _finish(fails, ok_detail)
+
+
+def check_spectrum_closed_vs_enum(run: _Runner) -> tuple[str, str]:
+    return _compare(SPECTRUM_CASES, "enumerated multiplicities",
+                    lambda case: run.enum_report(case).histogram(),
+                    lambda case: closed_form_linearized(*case).histogram(),
+                    f"{len(SPECTRUM_CASES)} multiplicity tables match")
 
 
 def check_walk_trace_identity(run: _Runner) -> tuple[str, str]:
-    fails = []
-    for case in SPECTRUM_CASES:
-        g, hist = run.graph(case), closed_form_linearized(*case).histogram()
-        q = g.spec.q
-        for k, actual in enumerate(walk_trace(g, 3), start=1):
-            expected = 2 * sum(count * (q * n) ** k for n, count in hist.items())
-            if actual != expected:
-                fails.append(f"{_label(case)} k={k}: trace {actual} != 2*sum (qN)^k = {expected}")
-    return _finish(
-        fails, f"trace(A^2k) identity holds for {len(SPECTRUM_CASES)} graphs, k=1..3"
-    )
+    def closed(case):
+        q, hist = run.graph(case).spec.q, closed_form_linearized(*case).histogram()
+        return [2 * sum(count * (q * n) ** k for n, count in hist.items()) for k in (1, 2, 3)]
+
+    return _compare(SPECTRUM_CASES, "traces of A^2, A^4, A^6",
+                    lambda case: walk_trace(run.graph(case), 3), closed,
+                    f"trace(A^2k) identity holds for {len(SPECTRUM_CASES)} graphs, k=1..3")
 
 
 def check_regularity_and_counts(run: _Runner) -> tuple[str, str]:
@@ -222,36 +224,24 @@ def check_regularity_and_counts(run: _Runner) -> tuple[str, str]:
 
 
 def check_components(run: _Runner) -> tuple[str, str]:
-    fails = []
-    for case in ALL_CASES:
-        g = run.graph(case)
-        count, _sizes = components(g)
-        predicted = component_count_formula(g.spec)
-        if count != predicted:
-            fails.append(f"{_label(case)}: BFS {count} components != formula {predicted}")
-    return _finish(fails, f"BFS component counts match the rank formula on {len(ALL_CASES)} graphs")
+    graph = run.graph
+    return _compare(ALL_CASES, "BFS components", lambda case: components(graph(case))[0],
+                    lambda case: component_count_formula(graph(case).spec),
+                    f"BFS component counts match the rank formula on {len(ALL_CASES)} graphs")
 
 
 def check_diameter(run: _Runner) -> tuple[str, str]:
-    fails = []
-    for case in DIAMETER_CASES:
-        g = run.graph(case)
-        d = diameter(g)
-        predicted = predicted_metrics(g.spec).diameter
-        if d != predicted:
-            fails.append(f"{_label(case)}: BFS diameter {d} != predicted {predicted}")
-    return _finish(fails, f"BFS diameter = 2(m+1) on {len(DIAMETER_CASES)} graphs")
+    graph = run.graph
+    return _compare(DIAMETER_CASES, "BFS diameter", lambda case: diameter(graph(case)),
+                    lambda case: predicted_metrics(graph(case).spec).diameter,
+                    f"BFS diameter = 2(m+1) on {len(DIAMETER_CASES)} graphs")
 
 
 def check_girth(run: _Runner) -> tuple[str, str]:
-    fails = []
-    for case in GIRTH_CASES:
-        g = run.graph(case)
-        got = girth(g)
-        predicted = predicted_metrics(g.spec).girth
-        if got != predicted:
-            fails.append(f"{_label(case)}: BFS girth {got} != predicted {predicted}")
-    return _finish(fails, f"BFS girth matches the 6/8 matrix on {len(GIRTH_CASES)} graphs")
+    graph = run.graph
+    return _compare(GIRTH_CASES, "BFS girth", lambda case: girth(graph(case)),
+                    lambda case: predicted_metrics(graph(case).spec).girth,
+                    f"BFS girth matches the 6/8 matrix on {len(GIRTH_CASES)} graphs")
 
 
 def check_witnesses(run: _Runner) -> tuple[str, str]:
@@ -298,7 +288,7 @@ def check_witnesses(run: _Runner) -> tuple[str, str]:
     builders = {6: cycle_witness_6, 8: cycle_witness_8}
     n_cycles = 0
     for case in ALL_CASES:
-        spec = run.spec(case)
+        spec = FamilySpec.linearized(*case)
         size = predicted_metrics(spec).girth
         if size not in builders:
             fails.append(f"no cycle witness for predicted girth {size} of {_label(case)}")
@@ -381,7 +371,7 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
     fails: list[str] = []
     for case in RANK_CASES:
         p, e, m = case
-        spec = run.spec(case)
+        spec = FamilySpec.linearized(*case)
         F, ops_p = spec.field, GF(p).ops()
         add, mul = F.ops().add, F.ops().mul
         f_basis = [[spec.f_index(p**i, j) for j in range(m)] for i in range(e)]
@@ -404,15 +394,10 @@ def check_rank_distribution(run: _Runner) -> tuple[str, str]:
 
 
 def check_expander_radicand(run: _Runner) -> tuple[str, str]:
-    fails = []
-    for case in EXPANDER_CASES:
-        bound = expansion_bound(*case)
-        second = run.enum_report(case).second_largest_radicand()
-        if second != bound.radicand:
-            fails.append(
-                f"{_label(case)}: second radicand {second} != q*p^(m-1) = {bound.radicand}"
-            )
-    return _finish(fails, "second-largest radicand equals q*p^(m-1) for all m<=e cases")
+    return _compare(EXPANDER_CASES, "second radicand",
+                    lambda case: run.enum_report(case).second_largest_radicand(),
+                    lambda case: expansion_bound(*case).radicand,
+                    "second-largest radicand equals q*p^(m-1) for all m<=e cases")
 
 
 def check_negative_control(run: _Runner) -> tuple[str, str]:
@@ -438,9 +423,8 @@ def check_negative_control(run: _Runner) -> tuple[str, str]:
         fails.append("constructed points differ from the documented sequence")
     if [ln.coords for ln in w.lines] != lns:
         fails.append("constructed lines differ from the documented sequence")
-    if fails:
-        return "FAIL", "; ".join(fails)
-    return "PASS", "L_1(11) six-tuple satisfies the system yet fails cycle validation (P4 = P1)"
+    return _finish(fails, "L_1(11) six-tuple satisfies the system yet fails cycle validation "
+                   "(P4 = P1)")
 
 
 CHECKS = (

@@ -2,6 +2,7 @@
 
 import gc
 import io
+import itertools
 import json
 import tracemalloc
 
@@ -97,6 +98,7 @@ class TestFamilySpec:
         assert FamilySpec.wenger(3, 1, 2).theta_injective
         # constant map collapses everything
         assert not FamilySpec.custom(3, 1, 1, f_indices=((0,),)).theta_injective
+        assert not FamilySpec.custom(3, 1, 1, f_indices=((0, 0, 1),)).theta_injective  # x^2
 
     @pytest.mark.parametrize("family", ["linearized", "wenger"])
     @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 1), (2, 17)])
@@ -115,8 +117,23 @@ class TestFamilySpec:
         monkeypatch.setattr(graphs, "_f_table", tabulate)
         assert FamilySpec.linearized(3, 11, 2).theta_injective
         assert FamilySpec.wenger(2, 17, 3).theta_injective
+        # a + b x^d with gcd(d, q - 1) = 1 permutes GF(q): decided by its shape
+        assert FamilySpec.custom(3, 11, 2, ((0, 1), (1,))).theta_injective
+        assert FamilySpec.custom(3, 2, 1, ((0, 0, 0, 1),)).theta_injective  # x^3, GF(9)
         with pytest.raises(AssertionError, match="tabulated"):
-            FamilySpec.custom(3, 1, 1, f_indices=((0, 1),)).theta_injective
+            FamilySpec.custom(3, 1, 1, f_indices=((0, 0, 1),)).theta_injective  # x^2, GF(3)
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+    def test_theta_injective_by_shape_matches_the_table(self, p, e):
+        """a + b x^d alone, and beside a constant map (never injective),
+        against the images counted here."""
+        q = p**e
+        for d, a, b in itertools.product(range(1, q + 2), (0, q - 1), (1, q - 1)):
+            poly = (a,) + (0,) * (d - 1) + (b,)
+            spec = FamilySpec.custom(p, e, 1, (poly,))
+            images = {spec.f_index(x, 0) for x in range(q)}
+            assert spec.theta_injective == (len(images) == q), (poly, q)
+            assert FamilySpec.custom(p, e, 2, ((1,), poly)).theta_injective == (len(images) == q)
 
     def test_custom_coefficients_are_element_indices(self):
         # index 10 would act as 10 mod 3 = 1 yet compare and serialize as 10

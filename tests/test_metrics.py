@@ -673,7 +673,7 @@ def test_lazy_witnesses_above_the_table_limit():
     equations by plain powering."""
     spec = FamilySpec.linearized(2, 17, 2)
     g, F = Graph(spec), spec.field
-    assert F.q > fields.TABLE_LIMIT and F._tables() is None
+    assert F.q > fields.TABLE_LIMIT and F.ops().elts is None
 
     def incident(P, L):
         return all(
@@ -728,7 +728,7 @@ def test_lazy_witnesses_between_the_table_limits(p, e):
     coefficient arithmetic."""
     spec = FamilySpec.linearized(p, e, 2)
     g, F = Graph(spec), spec.field
-    assert 2048 < F.q <= fields.TABLE_LIMIT and F._tables() is not None
+    assert 2048 < F.q <= fields.TABLE_LIMIT and F.ops().elts is not None
     with pytest.raises(fields.BudgetExceeded):
         F.index_tables()
 
