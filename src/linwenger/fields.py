@@ -7,7 +7,9 @@ a canonical index.  The field's one scalar arithmetic is IndexOps
 most TABLE_LIMIT elements do it by lookups in log/antilog and Zech tables,
 built on first use in O(q) memory; larger fields compute on coordinate
 vectors with the F_p polynomial helpers modulo the modulus, and that
-coefficient arithmetic is the oracle the tables are tested against.
+coefficient arithmetic is the oracle the tables are tested against.  Fields
+with at most ROW_LIMIT elements also keep q x q table rows, built from the
+same lists when the per-pair routes first read them (IndexOps.rows).
 FieldElement's operators are shells over IndexOps.  Linear algebra is one
 Gaussian elimination over GF(p^e), with F_p entry points that run it over
 GF(p).  Its matrices, right-hand sides and answers are element indices, and
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -37,6 +40,10 @@ from .errors import (
 P_LIMIT = 1 << 15  # characteristic stays comfortably inside machine words
 Q_LIMIT = 1 << 24  # enumeration-scale ceiling on the field size
 TABLE_LIMIT = 1 << 16  # fields this small cache every element and use index tables
+# Fields this small also get q x q table rows (IndexOps.rows) for the
+# per-pair routes: 8 bytes an entry, 0.5 MB a table at q = 256, where every
+# entry is one of CPython's cached small ints.
+ROW_LIMIT = 256
 # Bytes of one q x q int64 table of Field.index_tables: q = 2048 is the
 # largest within it, well above the q <= 509 of any graph that
 # graphs.graph_bytes fits in the default 2 GiB budget.
@@ -409,7 +416,7 @@ class Field:
     TABLE_LIMIT, is one IndexOps built on first use (ops()).
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "basis", "zero", "one", "_ops")
+    __slots__ = ("p", "e", "q", "modulus", "basis", "zero", "one", "_ops", "_hash")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         modulus = _modulus(p, e, modulus)
@@ -421,6 +428,7 @@ class Field:
         self.e = e
         self.q = p**e
         self.modulus = modulus
+        self._hash = hash((p, e, modulus))
         self._ops = None
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -448,13 +456,13 @@ class Field:
         elts = (self._ops or self.ops()).elts
         return FieldElement(self, i) if elts is None else elts[i]
 
-    def _elts_at(self, indices) -> list[FieldElement]:
+    def _elts_at(self, indices) -> tuple[FieldElement, ...]:
         """The elements of these indices in [0, q), as _elt_at gives them,
         reading the cached elements once."""
         elts = (self._ops or self.ops()).elts
         if elts is None:
-            return [FieldElement(self, i) for i in indices]
-        return [elts[i] for i in indices]
+            return tuple([FieldElement(self, i) for i in indices])
+        return tuple(map(elts.__getitem__, indices))
 
     def ops(self) -> "IndexOps":
         """The field's scalar operations on canonical indices, built on first
@@ -499,7 +507,7 @@ class Field:
         )
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         if self.e == 1:
@@ -521,12 +529,19 @@ class IndexOps:
     coefficient arithmetic (Field._mul, _pinvmod) and encode the result.
     That coefficient arithmetic is the oracle the tables are tested against.
     In characteristic 2 an index is the coordinate vector as a bit mask, so
-    add and sub are XOR in any field."""
+    add and sub are XOR in any field.
 
-    __slots__ = ("add", "sub", "mul", "div", "inv", "pow", "frob", "exp", "log", "elts")
+    Fields with q <= ROW_LIMIT also have table rows (rows()), built from the
+    same lists on first use: the per-pair routes read them in place of the
+    calls."""
+
+    __slots__ = (
+        "add", "sub", "mul", "div", "inv", "pow", "frob", "exp", "log", "elts", "field", "_rows"
+    )
 
     def __init__(self, F: Field):
-        self.exp = self.log = self.elts = None
+        self.exp = self.log = self.elts = self._rows = None
+        self.field = F
         if F.q > TABLE_LIMIT:
             self._coefficient(F)
         else:
@@ -624,6 +639,13 @@ class IndexOps:
             add, sub, mul, inv, power, frob_k
         )
 
+    def rows(self) -> "Rows | None":
+        """The field's table rows when q <= ROW_LIMIT, built on the first
+        call and kept; None for larger fields."""
+        if self._rows is None and self.field.q <= ROW_LIMIT:
+            self._rows = _table_rows(self.field.p, self.field.e, self.exp, self.log)
+        return self._rows
+
     def _coefficient(self, F: Field) -> None:
         p, e, modulus = F.p, F.e, list(F.modulus)
 
@@ -660,6 +682,42 @@ class IndexOps:
         self.add, self.sub, self.mul, self.inv, self.pow, self.frob = (
             add, sub, mul, inv, power, frob_k
         )
+
+
+class Rows(NamedTuple):
+    """The operations of a field with q <= ROW_LIMIT as nested lists of
+    canonical indices: add[a][b], sub[a][b] and mul[a][b] index a + b, a - b
+    and a * b, and frob[k][x] indexes x^(p^k) for 0 <= k < e.  Every entry is
+    a cached small int, so a q x q table holds 8 bytes an entry; in
+    characteristic 2, add is sub."""
+
+    add: list
+    sub: list
+    mul: list
+    frob: list
+
+
+def _table_rows(p: int, e: int, exp, log) -> Rows:
+    """Rows from the antilog list exp (two periods) and the log list, and
+    from the base-p digits of the indices as Field.index_tables gathers
+    them, all in uint8 and int16 arrays: no q x q int64 temporary."""
+    import numpy as np
+
+    q = p**e
+    order = q - 1
+    exp, log = np.array(exp, dtype=np.uint8), np.array(log, dtype=np.int16)
+    mul = exp[log[:, None] + log]
+    mul[0] = mul[:, 0] = 0
+    digits = np.arange(q, dtype=np.int16) // p ** np.arange(e, dtype=np.int16)[:, None] % p
+
+    def digitwise(sign):
+        return sum((d[:, None] + sign * d) % p * p**j for j, d in enumerate(digits)).tolist()
+
+    sub = digitwise(-1)
+    frob = [exp[log.astype(np.int32) * pow(p, k, order) % order] for k in range(e)]
+    for row in frob:
+        row[0] = 0
+    return Rows(sub if p == 2 else digitwise(1), sub, mul.tolist(), [r.tolist() for r in frob])
 
 
 @functools.lru_cache(maxsize=None)
@@ -788,10 +846,11 @@ def fq_solve(field: Field, rows, rhs) -> list[int] | None:
     None if inconsistent, all on element indices: ValueError for a matrix
     _index_matrix refuses, or unless rhs has one index in [0, q) per row.
 
-    y = E rhs for the cached reduction (pivots, E) of A: a nonzero y past
-    the rank makes the system inconsistent, and y gives the pivot
-    variables.  The cache compares matrices by value, and 1.0 == 1, so the
-    entries' type is checked on every call and their range once."""
+    y = E rhs for the cached reduction (pivots, E) of A, read from the
+    field's table rows when it has them: a nonzero y past the rank makes
+    the system inconsistent, and y gives the pivot variables.  The cache
+    compares matrices by value, and 1.0 == 1, so the entries' type is
+    checked on every call and their range once."""
     q = field.q
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length mismatch")
@@ -802,14 +861,23 @@ def fq_solve(field: Field, rows, rhs) -> list[int] | None:
         raise ValueError(f"matrix entries must be element indices in [0, {q})")
     ops = field.ops()
     pivots, E = _reduction(field, (ops.mul, ops.sub, ops.inv), key)
-    add, mul = ops.add, ops.mul
+    tables = ops.rows()
     y = []
-    for row in E:
-        acc = 0
-        for c, b in zip(row, rhs):
-            if c and b:
-                acc = add(acc, mul(c, b))
-        y.append(acc)
+    if tables is None:
+        add, mul = ops.add, ops.mul
+        for row in E:
+            acc = 0
+            for c, b in zip(row, rhs):
+                if c and b:
+                    acc = add(acc, mul(c, b))
+            y.append(acc)
+    else:
+        add, mul = tables.add, tables.mul
+        for row in E:
+            acc = 0
+            for c, b in zip(row, rhs):
+                acc = add[acc][mul[c][b]]
+            y.append(acc)
     if any(y[len(pivots):]):
         return None
     x = [0] * (len(rows[0]) if rows else 0)

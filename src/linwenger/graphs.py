@@ -23,7 +23,17 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, FieldMismatch, OutOfRange
-from .fields import GF, Field, FieldElement, _check_field_params, _coords, _index, _integers
+from .fields import (
+    GF,
+    Field,
+    FieldElement,
+    TABLE_LIMIT,
+    Rows,
+    _check_field_params,
+    _coords,
+    _index,
+    _integers,
+)
 
 FAMILIES = ("linearized", "wenger", "custom")
 DEFAULT_BYTE_BUDGET = 2 << 30  # the graph_bytes(spec) a Graph may reach by default
@@ -107,6 +117,20 @@ class FamilySpec:
 
         return horner
 
+    @functools.cached_property
+    def arith(self):
+        """(ops, f), the arithmetic the per-vertex routes step with: the
+        field's Rows and f as rows, f[j][x] = f_index(x, j) (_f_table), when
+        q <= ROW_LIMIT, else the field's IndexOps and f_index itself.  The
+        linearized family's f rows are the field's frob rows."""
+        ops = self.field.ops()
+        rows = ops.rows()
+        if rows is None:
+            return ops, self.f_index
+        if self.family == "linearized":
+            return rows, [rows.frob[j % self.e] for j in range(self.m)]
+        return rows, _f_table(self).tolist()
+
     def f_eval(self, k: int, x: FieldElement) -> FieldElement:
         """f_k(x) by f_index, for 2 <= k <= m+1 and x in spec.field."""
         if not 2 <= k <= self.m + 1:
@@ -117,17 +141,20 @@ class FamilySpec:
         return F._elt_at(self.f_index(x.index, k - 2))
 
     @functools.cached_property
-    def theta_injective(self) -> bool:
+    def theta_injective(self) -> bool | None:
         """Whether x -> (f_2(x), ..., f_(m+1)(x)) is one-to-one: yes if one
         map permutes GF(q), as f_2(x) = x does for the linearized and Wenger
         families and a + b x^d (b != 0, d >= 1) does when gcd(d, q - 1) = 1.
-        Other custom maps are tabulated (_f_table)."""
+        Other custom maps are tabulated (_f_table) when q <= TABLE_LIMIT;
+        past it the answer is None, unknown, and nothing is tabulated."""
         if self.family != "custom":
             return True
         for poly in self.f_indices:
             degrees = [d for d, c in enumerate(poly) if c and d]
             if len(degrees) == 1 and math.gcd(degrees[0], self.q - 1) == 1:
                 return True
+        if self.q > TABLE_LIMIT:
+            return None
         return len(set(zip(*_f_table(self).tolist()))) == self.q
 
     # -- construction helpers -------------------------------------------------
@@ -193,7 +220,7 @@ def _vertex(F: Field, coords, point: bool) -> Point | Line:
     """The Point or Line with these index coordinates: the one place the
     package turns indices into vertices.  Field._elts_at reads them
     unchecked, as digits already in [0, q)."""
-    return (Point if point else Line)(tuple(F._elts_at(coords)))
+    return (Point if point else Line)(F._elts_at(coords))
 
 
 def adjacent(spec: FamilySpec, P: Point, L: Line) -> bool:
@@ -227,9 +254,12 @@ def _neighbour(ops, f, own, x: int, point: bool) -> tuple[int, ...]:
     """The neighbour whose first coordinate is x of the vertex with index
     coordinates own, a point if point.  Its coordinate k is
     f_k(p_1) l_1 - own_k, where (p_1, l_1) is (own_1, x) for a point and
-    (x, own_1) for a line, and f is the spec's f_index."""
+    (x, own_1) for a line.  ops and f are spec.arith, or the field's
+    IndexOps and spec.f_index."""
     mul, sub = ops.mul, ops.sub
     p1, l1 = (own[0], x) if point else (x, own[0])
+    if isinstance(ops, Rows):
+        return (x, *[sub[mul[f[k - 1][p1]][l1]][own[k]] for k in range(1, len(own))])
     return (x, *[sub(mul(f(p1, k - 1), l1), own[k]) for k in range(1, len(own))])
 
 
@@ -340,7 +370,7 @@ class Graph:
         if self._nbrs is not None:
             return self._nbrs[vid].tolist()
         spec, (side, local) = self.spec, divmod(vid, self.half)
-        q, ops, f = spec.q, spec.field.ops(), spec.f_index
+        q, (ops, f) = spec.q, spec.arith
         own, offset = _coords(local, q, spec.m + 1), 0 if side else self.half
         return [_index(_neighbour(ops, f, own, x, not side), q) + offset for x in range(q)]
 

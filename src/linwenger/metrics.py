@@ -29,15 +29,16 @@ fq_solve checks and eliminates it once and applies the cached row
 operations to each right-hand side, which stays on indices too.
 diameter_witness takes one pair of Point and Line objects, reads their
 index coordinates in the pass that checks them, and steps on those indices
-with the field's IndexOps (O(q) log lists up to TABLE_LIMIT, coefficient
-arithmetic above it), so it serves lazy graphs of any q.  path_witnesses
+with spec.arith: the field's q x q table rows up to ROW_LIMIT, its IndexOps
+above it (O(q) log lists up to TABLE_LIMIT, coefficient arithmetic above
+that), so it serves lazy graphs of any q.  path_witnesses
 takes whole arrays of vertex-id pairs on a materialized graph, steps by
 gathers from graph.adjacency, and checks every step against it.
 
 Common neighbours have two routes with one rule: two distinct points share a
 line exactly when their difference is (u, l u, l f_3(u), ..., l f_(m+1)(u))
 with u nonzero, and the line is then forced.  common_neighbor solves one pair
-of Point objects on indices with IndexOps, so it serves lazy graphs of any
+of Point objects on indices with spec.arith, so it serves lazy graphs of any
 q.  common_neighbors takes whole arrays of point-id pairs on a materialized
 graph, runs the rule as gathers from the field's q x q index tables, builds
 each line with graphs._gather, the gather that fills the array, and checks
@@ -59,7 +60,7 @@ from .errors import (
     SolveFailed,
     UnsupportedRegime,
 )
-from .fields import FieldElement, fq_solve
+from .fields import FieldElement, Rows, fq_solve
 from .graphs import (
     FamilySpec,
     Graph,
@@ -411,8 +412,9 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
     Two distinct points share a neighbor exactly when their difference has
     the shape (u, l u, l f_3(u), ..., l f_(m+1)(u)) with u nonzero; the line
     is then forced: l_1 = l and l_k = f_k(p_1) l_1 - p_k.  The rule and the
-    check of both incidences of the line run on element indices with IndexOps
-    and spec.f_index, which need no index tables above TABLE_LIMIT."""
+    check of both incidences of the line run on element indices with
+    spec.arith: table rows up to ROW_LIMIT, IndexOps and spec.f_index
+    above it, which need no index tables above TABLE_LIMIT."""
     spec = graph.spec
     _require_frobenius(spec, "common-neighbor solving")
     if not (isinstance(P, Point) and isinstance(P2, Point)):
@@ -420,15 +422,24 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
     a, b = _check_vertex(spec, P), _check_vertex(spec, P2)
     if a == b:
         raise SamePoint("common_neighbor needs two distinct points")
-    ops, f = spec.field.ops(), spec.f_index
+    ops, f = spec.arith
     mul, sub = ops.mul, ops.sub
-    u = sub(a[0], b[0])
-    if not u:
-        return None
-    l = mul(sub(a[1], b[1]), ops.inv(u))
-    for j in range(2, spec.m + 1):
-        if sub(a[j], b[j]) != mul(l, f(u, j - 1)):
+    if isinstance(ops, Rows):
+        u = sub[a[0]][b[0]]
+        if not u:
             return None
+        l = mul[sub[a[1]][b[1]]][spec.field.ops().inv(u)]
+        for j in range(2, spec.m + 1):
+            if sub[a[j]][b[j]] != mul[l][f[j - 1][u]]:
+                return None
+    else:
+        u = sub(a[0], b[0])
+        if not u:
+            return None
+        l = mul(sub(a[1], b[1]), ops.inv(u))
+        for j in range(2, spec.m + 1):
+            if sub(a[j], b[j]) != mul(l, f(u, j - 1)):
+                return None
     line = _neighbour(ops, f, a, l, True)
     if not (_incident(ops, f, a, line) and _incident(ops, f, b, line)):
         raise SolveFailed("constructed line fails adjacency; internal error")
@@ -533,16 +544,21 @@ class PathWitness:
 
 
 # The per-pair routes (diameter_witness, common_neighbor) and the cycle
-# witnesses work on vertices as tuples of canonical element indices with the
-# field's IndexOps, and make Point and Line objects (graphs._vertex) only for
-# what they return.
+# witnesses work on vertices as tuples of canonical element indices with
+# spec.arith, and make Point and Line objects (graphs._vertex) only for what
+# they return.
 
 def _incident(ops, f, P, L) -> bool:
-    """l_k + p_k = f_k(p_1) l_1 for every k, on index coordinates; f is f_index."""
+    """l_k + p_k = f_k(p_1) l_1 for every k, on index coordinates; ops and f
+    as graphs._neighbour takes them."""
     add, mul = ops.add, ops.mul
     p1, l1 = P[0], L[0]
+    tabled = isinstance(ops, Rows)
     for k in range(1, len(P)):
-        if add(L[k], P[k]) != mul(f(p1, k - 1), l1):
+        if tabled:
+            if add[L[k]][P[k]] != mul[f[k - 1][p1]][l1]:
+                return False
+        elif add(L[k], P[k]) != mul(f(p1, k - 1), l1):
             return False
     return True
 
@@ -583,59 +599,135 @@ def _require_witness_regime(spec: FamilySpec) -> None:
         raise UnsupportedRegime(f"witness anchors need m <= e; m={spec.m}, e={spec.e}")
 
 
+def _steps(spec: FamilySpec, ops, f, start, end, x1: int, on_point: bool) -> list:
+    """The walk of the construction above from start towards end, before
+    backtracks are dropped, on IndexOps calls: one Moore solve for the
+    step pairs, then one _neighbour call per vertex."""
+    add, sub, mul = ops.add, ops.sub, ops.mul
+    basis = [spec.p**i for i in range(spec.m)]  # the index of t^i
+    d = [sub(y, x) for x, y in zip(start, end)]
+    if on_point:  # point kind
+        xs = _moore_solve(spec, d[1:]) + [0]
+        ys = basis + [sub(d[0], functools.reduce(add, basis))]
+    else:  # line kind
+        rhs = [sub(d[k], mul(f(x1, k - 1), d[0])) for k in range(1, spec.m + 1)]
+        tail = _moore_solve(spec, rhs)
+        xs = [x1] + [add(x1, t) for t in basis]
+        ys = [sub(d[0], functools.reduce(add, tail))] + tail
+    walk, cur = [start], start
+    for x, y in zip(xs, ys):
+        mid = _neighbour(ops, f, cur, x, on_point)
+        cur = _neighbour(ops, f, mid, add(cur[0], y), not on_point)
+        walk += [mid, cur]
+    return walk
+
+
+def _steps_on_rows(spec: FamilySpec, rows, f, start, end, x1: int, on_point: bool) -> list:
+    """_steps read from the field's table rows, the whole walk in one loop
+    with no call per vertex, which would cost more than its lookups.
+    A step from a vertex with first coordinate c_1 to first coordinates x
+    and then x' = c_1 + y crosses two edges whose first coordinates
+    (p_1, l_1) are (c_1, x) and (x', x) in the point kind, (x, c_1) and
+    (x, x') in the line kind."""
+    add, sub, mul = rows.add, rows.sub, rows.mul
+    ks = range(1, spec.m + 1)
+    basis = [spec.p**i for i in range(spec.m)]
+    d = [sub[y][x] for x, y in zip(start, end)]
+    if on_point:  # point kind
+        xs = _moore_solve(spec, d[1:]) + [0]
+        ys = basis
+    else:  # line kind
+        xs = [x1] + [add[x1][t] for t in basis]
+        ys = _moore_solve(spec, [sub[d[k]][mul[f[k - 1][x1]][d[0]]] for k in ks])
+    rest = d[0]  # y_(m+1) of the point kind, y_1 of the line kind
+    for y in ys:
+        rest = sub[rest][y]
+    ys = ys + [rest] if on_point else [rest] + ys
+    walk, cur = [start], start
+    for x, y in zip(xs, ys):
+        c1 = cur[0]
+        x2 = add[c1][y]
+        mid, nxt = [x], [x2]
+        if on_point:  # both edges have l_1 = x
+            row = mul[x]
+            for k in ks:
+                fk = f[k - 1]
+                mid.append(sub[row[fk[c1]]][cur[k]])
+                nxt.append(sub[row[fk[x2]]][mid[k]])
+        else:  # both edges have p_1 = x
+            for k in ks:
+                row = mul[f[k - 1][x]]
+                mid.append(sub[row[c1]][cur[k]])
+                nxt.append(sub[row[x2]][mid[k]])
+        cur = tuple(nxt)
+        walk += [tuple(mid), cur]
+    return walk
+
+
+def _edges_hold(ops, f, walk, first_point: bool) -> bool:
+    """Every edge of the walk is incident, on IndexOps calls (_incident);
+    vertex i is a point when i is even and first_point."""
+    for i in range(len(walk) - 1):
+        u, v = walk[i], walk[i + 1]
+        if not (_incident(ops, f, u, v) if first_point == (i % 2 == 0) else _incident(ops, f, v, u)):
+            return False
+    return True
+
+
+def _edges_hold_on_rows(rows, f, walk, first_point: bool) -> bool:
+    """_edges_hold read from the field's table rows, the whole walk in one
+    loop with no _incident call per edge."""
+    add, mul = rows.add, rows.mul
+    ks = range(1, len(walk[0]))
+    for i in range(len(walk) - 1):
+        P, L = (walk[i], walk[i + 1]) if first_point == (i % 2 == 0) else (walk[i + 1], walk[i])
+        p1, l1 = P[0], L[0]
+        for k in ks:
+            if add[L[k]][P[k]] != mul[f[k - 1][p1]][l1]:
+                return False
+    return True
+
+
 def diameter_witness(graph: Graph, a, b) -> PathWitness:
     """A walk from a to b of length at most 2(m+1), built in closed form
     (see the construction above) and validated edge by edge.
 
     Works for the Frobenius family with m <= e, on Point and Line objects,
-    so it needs no neighbour array.  Coordinates are element indices and
-    every step runs on the field's IndexOps and spec.f_index, which need no
-    index tables above TABLE_LIMIT.  The Moore matrix is built on indices
-    once per spec and each walk makes one fq_solve call on it with its index
-    right-hand side; the call checks and eliminates the matrix on the spec's
-    first walk and then applies the cached row operations.  Before the walk
-    is returned its ends must be a and b, and each edge must satisfy
-    l_k + p_k = f_k(p_1) l_1 on indices; any miss raises SolveFailed."""
+    so it needs no neighbour array.  Coordinates are element indices, and
+    the walk is stepped and checked with spec.arith: a whole walk at a time
+    on the field's table rows up to ROW_LIMIT (_steps_on_rows,
+    _edges_hold_on_rows), one IndexOps call per operation above it (_steps,
+    _edges_hold), which needs no index tables above TABLE_LIMIT either.  The
+    Moore matrix is built on indices once per spec and each walk makes one
+    fq_solve call on it with its index right-hand side; the call checks and
+    eliminates the matrix on the spec's first walk and then applies the
+    cached row operations.  Before the walk is returned its ends must be a
+    and b, and each edge must satisfy l_k + p_k = f_k(p_1) l_1 on indices;
+    any miss raises SolveFailed."""
     spec = graph.spec
     _require_witness_regime(spec)
     ai, bi = _check_vertex(spec, a), _check_vertex(spec, b)
-    F, m, f = spec.field, spec.m, spec.f_index
-    ops = F.ops()
-    add, sub, mul = ops.add, ops.sub, ops.mul
+    ops, f = spec.arith
+    tabled = isinstance(ops, Rows)
     a_point, b_point = isinstance(a, Point), isinstance(b, Point)
     if a_point == b_point and ai == bi:
         walk = [ai]
     else:
-        basis = [F.p**i for i in range(m)]  # the index of t^i
         start, end, x1, on_point = ai, bi, 0, a_point
         mixed = a_point != b_point
         if mixed:
             pt, end = (ai, bi) if a_point else (bi, ai)
             start, x1, on_point = _neighbour(ops, f, pt, 0, True), pt[0], False
-        d = [sub(y, x) for x, y in zip(start, end)]
-        if on_point:  # point kind
-            xs = _moore_solve(spec, d[1:]) + [0]
-            ys = basis + [sub(d[0], functools.reduce(add, basis))]
-        else:  # line kind
-            rhs = [sub(d[k], mul(f(x1, k - 1), d[0])) for k in range(1, m + 1)]
-            tail = _moore_solve(spec, rhs)
-            xs = [x1] + [add(x1, t) for t in basis]
-            ys = [sub(d[0], functools.reduce(add, tail))] + tail
-        walk, cur = [start], start
-        for x, y in zip(xs, ys):
-            mid = _neighbour(ops, f, cur, x, on_point)
-            cur = _neighbour(ops, f, mid, add(cur[0], y), not on_point)
-            walk += [mid, cur]
+        walk = (_steps_on_rows if tabled else _steps)(spec, ops, f, start, end, x1, on_point)
         walk = _compress_backtracks(walk[1:] if mixed else walk)
         if not a_point and b_point:
             walk.reverse()
     # sides alternate from a's: vertex i is a point when i is even and a is one
     if walk[0] != ai or walk[-1] != bi or len(walk) % 2 != (a_point == b_point):
         raise SolveFailed("walk endpoints do not match the request")
-    for i in range(len(walk) - 1):
-        u, v = walk[i], walk[i + 1]
-        if not (_incident(ops, f, u, v) if a_point == (i % 2 == 0) else _incident(ops, f, v, u)):
-            raise SolveFailed("walk contains a non-edge")
+    if not (_edges_hold_on_rows if tabled else _edges_hold)(ops, f, walk, a_point):
+        raise SolveFailed("walk contains a non-edge")
+    F = spec.field
     return PathWitness(tuple([_vertex(F, v, a_point == (i % 2 == 0)) for i, v in enumerate(walk)]))
 
 
@@ -812,11 +904,12 @@ def cycle_from_coefficients(spec: FamilySpec, us, cs) -> CycleWitness:
     # each coefficient as an element of F: an integer through the prime
     # subfield, and FieldMismatch for an element of another field
     us, cs = (tuple([F.zero + v for v in vs]) for vs in (us, cs))
-    ops, f = F.ops(), spec.f_index
+    ops, f = spec.arith
+    sub = F.ops().sub
     points, lines = [(0,) * (spec.m + 1)], []
     for u, c in zip(us, cs):
         lines.append(_neighbour(ops, f, points[-1], c.index, True))
-        points.append(_neighbour(ops, f, lines[-1], ops.sub(points[-1][0], u.index), False))
+        points.append(_neighbour(ops, f, lines[-1], sub(points[-1][0], u.index), False))
     closure = _vertex(F, points.pop(), True)
     points = tuple([_vertex(F, v, True) for v in points])
     return CycleWitness(spec, points, tuple([_vertex(F, v, False) for v in lines]), us, cs, closure)

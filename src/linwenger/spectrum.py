@@ -138,10 +138,10 @@ def spectrum_enumerate(spec: FamilySpec, max_evals: int = DEFAULT_EVAL_BUDGET) -
         raise BudgetExceeded(
             f"{total_w * q} evaluations exceed the budget {max_evals}"
         )
-    if not spec.theta_injective:
+    if not spec.theta_injective:  # False, or None: not tabulated past TABLE_LIMIT
         raise ThetaNotInjective(
             "spectrum bookkeeping assumes distinct generator tuples; "
-            "this custom family repeats one"
+            "this custom family repeats one or is too large to check"
         )
     add, mul = spec.field.ops().add, spec.field.ops().mul
     f_rows = _f_table(spec).T.tolist()  # row x: the indices of f_2(x), ..., f_(m+1)(x)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,25 @@ class TestSpectrum:
         out, err = capsys.readouterr()
         assert json.loads(out)["injective_theta"] is True
         assert "internal error" not in err
+
+    def test_untabulated_theta_is_reported_unknown(self):
+        """Custom maps that no shape rule decides are not tabulated past
+        TABLE_LIMIT: the summary of L_2(3^11) reports injective_theta null,
+        in a fresh interpreter and in well under the 16 s the q = 177147
+        table took."""
+        argv = ["build", "--p", "3", "--e", "11", "--m", "2", "--family", "custom",
+                "--f-list", "1,0,1;0,0,1", "--format", "json"]
+        src = os.path.dirname(os.path.dirname(linwenger.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "linwenger", *argv],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - t0 < 2
+        assert proc.returncode == EXIT_OK, proc.stderr
+        summary = json.loads(proc.stdout[: proc.stdout.rindex("}") + 1])
+        assert summary["regular"] == 3**11 and summary["injective_theta"] is None
 
     def test_over_budget_non_injective_maps_exit_three(self, capsys):
         """The budget comes first, so an over-budget custom family is refused

@@ -20,10 +20,12 @@ from linwenger import (
     Line,
     OutOfRange,
     Point,
+    ThetaNotInjective,
     adjacent,
     export,
     line_through,
     point_through,
+    spectrum_enumerate,
     walk_trace,
 )
 from linwenger import graphs, metrics
@@ -122,6 +124,18 @@ class TestFamilySpec:
         assert FamilySpec.custom(3, 2, 1, ((0, 0, 0, 1),)).theta_injective  # x^3, GF(9)
         with pytest.raises(AssertionError, match="tabulated"):
             FamilySpec.custom(3, 1, 1, f_indices=((0, 0, 1),)).theta_injective  # x^2, GF(3)
+
+    def test_theta_injective_is_unknown_past_the_table_limit(self, monkeypatch):
+        def tabulate(spec, dtype=None):
+            raise AssertionError("the maps were tabulated")
+
+        monkeypatch.setattr(graphs, "_f_table", tabulate)
+        assert FamilySpec.custom(3, 11, 2, ((1, 0, 1), (0, 0, 1))).theta_injective is None
+        x_plus_x2 = FamilySpec.custom(2, 17, 1, ((0, 1, 1),))
+        assert x_plus_x2.theta_injective is None
+        # within any evaluation budget, the enumeration refuses the unknown
+        with pytest.raises(ThetaNotInjective):
+            spectrum_enumerate(x_plus_x2, max_evals=2**60)
 
     @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
     def test_theta_injective_by_shape_matches_the_table(self, p, e):
