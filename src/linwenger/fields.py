@@ -456,14 +456,6 @@ class Field:
         elts = (self._ops or self.ops()).elts
         return FieldElement(self, i) if elts is None else elts[i]
 
-    def _elts_at(self, indices) -> tuple[FieldElement, ...]:
-        """The elements of these indices in [0, q), as _elt_at gives them,
-        reading the cached elements once."""
-        elts = (self._ops or self.ops()).elts
-        if elts is None:
-            return tuple([FieldElement(self, i) for i in indices])
-        return tuple(map(elts.__getitem__, indices))
-
     def ops(self) -> "IndexOps":
         """The field's scalar operations on canonical indices, built on first
         use."""
@@ -780,8 +772,9 @@ def fp_solve(p: int, rows, b) -> tuple[int, ...] | None:
 # eliminates each coefficient matrix once (_reduction) and applies the
 # recorded row operations to each right-hand side.
 
-# Reductions kept by _reduction: the package solves one matrix per spec (the
-# Moore matrix of metrics._moore_solve), as many as _moore_matrix caches.
+# Reductions kept by _reduction: the package solves one matrix per field and
+# m (the Moore matrix of metrics._moore_solve), as many as _moore_matrix
+# caches.
 _REDUCTIONS = 64
 
 
@@ -854,11 +847,14 @@ def fq_solve(field: Field, rows, rhs) -> list[int] | None:
     q = field.q
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length mismatch")
-    if not all(isinstance(b, int) and 0 <= b < q for b in rhs):
-        raise ValueError(f"right-hand side entries must be element indices in [0, {q})")
+    for b in rhs:
+        if not (isinstance(b, int) and 0 <= b < q):
+            raise ValueError(f"right-hand side entries must be element indices in [0, {q})")
     key = tuple(map(tuple, rows))
-    if not all(isinstance(v, int) for row in key for v in row):
-        raise ValueError(f"matrix entries must be element indices in [0, {q})")
+    for row in key:
+        for v in row:
+            if not isinstance(v, int):
+                raise ValueError(f"matrix entries must be element indices in [0, {q})")
     ops = field.ops()
     pivots, E = _reduction(field, (ops.mul, ops.sub, ops.inv), key)
     tables = ops.rows()

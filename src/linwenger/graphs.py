@@ -216,11 +216,24 @@ def _check_vertex(spec: FamilySpec, v) -> tuple[int, ...]:
     return out
 
 
+def _element_at(F: Field):
+    """The element of an index already in [0, q), read unchecked, as
+    Field._elt_at gives it: the getter of the field's cached elements when
+    q <= TABLE_LIMIT, else a constructor of new ones."""
+    elts = (F._ops or F.ops()).elts
+    return functools.partial(FieldElement, F) if elts is None else elts.__getitem__
+
+
 def _vertex(F: Field, coords, point: bool) -> Point | Line:
-    """The Point or Line with these index coordinates: the one place the
-    package turns indices into vertices.  Field._elts_at reads them
-    unchecked, as digits already in [0, q)."""
-    return (Point if point else Line)(F._elts_at(coords))
+    """The Point or Line with these index coordinates (_element_at)."""
+    return (Point if point else Line)(tuple(map(_element_at(F), coords)))
+
+
+def _walk_vertices(F: Field, walk, point: bool) -> tuple:
+    """_vertex of every index vertex of a walk in one pass, sides alternating
+    from a Point if point, binding _element_at and the two classes once."""
+    at, kinds = _element_at(F), ((Point, Line) if point else (Line, Point))
+    return tuple([kinds[i & 1](tuple(map(at, v))) for i, v in enumerate(walk)])
 
 
 def adjacent(spec: FamilySpec, P: Point, L: Line) -> bool:
@@ -355,10 +368,20 @@ class Graph:
             raise OutOfRange(f"vertex id {vid} outside [0, {self.n})")
 
     def decode(self, vid: int) -> Point | Line:
-        self._check_id(vid)
-        side, local = divmod(vid, self.half)
-        F = self.spec.field
-        return _vertex(F, _coords(local, F.q, self.spec.m + 1), not side)
+        """The vertex of id vid: _check_id, then _vertex of its m + 1 low
+        base-q digits (a line's side digit is past them), written out flat."""
+        if isinstance(vid, bool):
+            raise TypeError("a vertex id must be an integer, not a bool")
+        local = operator.index(vid)  # TypeError unless an integer
+        if not 0 <= local < 2 * self.half:
+            raise OutOfRange(f"vertex id {vid} outside [0, {self.n})")
+        spec = self.spec
+        F, point = spec.field, local < self.half
+        q, coords = F.q, []
+        for _ in range(spec.m + 1):
+            local, c = divmod(local, q)
+            coords.append(c)
+        return _vertex(F, coords, point)
 
     # -- neighbors ------------------------------------------------------------
 

@@ -24,9 +24,9 @@ Graph.neighbor_ids steps too, and the batch routes with gathers.
 
 Path witnesses have two routes that build the same walks in the same shape:
 one Moore solve gives m+1 pairs (x_j, y_j), and one stepping loop turns them
-into a walk.  Every spec has one Moore matrix, held as element indices, and
-fq_solve checks and eliminates it once and applies the cached row
-operations to each right-hand side, which stays on indices too.
+into a walk.  Every field and m have one Moore matrix, held as element
+indices, and fq_solve checks and eliminates it once and applies the cached
+row operations to each right-hand side, which stays on indices too.
 diameter_witness takes one pair of Point and Line objects, reads their
 index coordinates in the pass that checks them, and steps on those indices
 with spec.arith: the field's q x q table rows up to ROW_LIMIT, its IndexOps
@@ -73,6 +73,7 @@ from .graphs import (
     _gather,
     _neighbour,
     _vertex,
+    _walk_vertices,
     adjacent,
     layout_certificate,
 )
@@ -564,10 +565,12 @@ def _incident(ops, f, P, L) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _moore_matrix(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
+def _moore_matrix(f, p: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The Moore matrix B[k][i] = f_k(t^i), 2 <= k <= m+1, 0 <= i < m, as
-    element indices (t^i has index p^i), built once per spec."""
-    f, p, m = spec.f_index, spec.p, spec.m
+    element indices (t^i has index p^i) of f = spec.f_index.  Keyed on f,
+    which equal linearized specs share (their field's IndexOps.frob), so it
+    is built once per field and m, and a fresh spec's lookup hashes no
+    FamilySpec."""
     return tuple(tuple(f(p**i, j) for i in range(m)) for j in range(m))
 
 
@@ -576,7 +579,7 @@ def _moore_solve(spec: FamilySpec, rhs) -> list[int]:
 
     Every witness system reduces to B, because the Frobenius maps f_k are
     additive; the basis powers t^i are F_p-independent, so B is invertible."""
-    x = fq_solve(spec.field, _moore_matrix(spec), rhs)
+    x = fq_solve(spec.field, _moore_matrix(spec.f_index, spec.p, spec.m), rhs)
     if x is None:
         raise SolveFailed("Moore system unsolvable; basis powers not independent?")
     return x
@@ -698,12 +701,13 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
     on the field's table rows up to ROW_LIMIT (_steps_on_rows,
     _edges_hold_on_rows), one IndexOps call per operation above it (_steps,
     _edges_hold), which needs no index tables above TABLE_LIMIT either.  The
-    Moore matrix is built on indices once per spec and each walk makes one
-    fq_solve call on it with its index right-hand side; the call checks and
-    eliminates the matrix on the spec's first walk and then applies the
-    cached row operations.  Before the walk is returned its ends must be a
-    and b, and each edge must satisfy l_k + p_k = f_k(p_1) l_1 on indices;
-    any miss raises SolveFailed."""
+    Moore matrix is built on indices once per field and m, and each walk
+    makes one fq_solve call on it with its index right-hand side; the call
+    checks and eliminates the matrix on the first walk over that field and
+    m and then applies the cached row operations.  Before the walk is
+    returned its ends must be a and b, and each edge must satisfy
+    l_k + p_k = f_k(p_1) l_1 on indices; any miss raises SolveFailed.  The
+    returned objects are built in one pass (graphs._walk_vertices)."""
     spec = graph.spec
     _require_witness_regime(spec)
     ai, bi = _check_vertex(spec, a), _check_vertex(spec, b)
@@ -727,8 +731,7 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
         raise SolveFailed("walk endpoints do not match the request")
     if not (_edges_hold_on_rows if tabled else _edges_hold)(ops, f, walk, a_point):
         raise SolveFailed("walk contains a non-edge")
-    F = spec.field
-    return PathWitness(tuple([_vertex(F, v, a_point == (i % 2 == 0)) for i, v in enumerate(walk)]))
+    return PathWitness(_walk_vertices(spec.field, walk, a_point))
 
 
 def path_witnesses(graph: Graph, sources, targets) -> list[list[int]]:

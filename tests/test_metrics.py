@@ -755,6 +755,62 @@ def test_lazy_witnesses_between_the_table_limits(p, e):
         assert common_neighbor(g, P, g.decode(rng.randrange(g.half))) is None
 
 
+@pytest.mark.parametrize("p,e,m", [(3, 3, 3), (2, 10, 2), (2, 17, 2)])
+def test_returned_vertices_hold_the_fields_elements(p, e, m):
+    """decode and diameter_witness build every coordinate from the field's
+    cached elements when q <= TABLE_LIMIT, on table rows (L_3(27)) and on
+    IndexOps (L_2(2^10)), and from new elements of the field, of int index,
+    above it (L_2(2^17)); for every pair kind, the walk's sides alternate
+    from a's.  A numpy id decodes as the int id does."""
+    spec = FamilySpec.linearized(p, e, m)
+    g, F = Graph(spec), spec.field
+    cached = F.q <= fields.TABLE_LIMIT
+    assert (F.ops().elts is not None) == cached
+
+    def built(v):
+        assert type(v) in (Point, Line) and len(v.coords) == m + 1
+        for c in v.coords:
+            assert type(c) is fields.FieldElement and c.field is F
+            assert type(c.index) is int and 0 <= c.index < F.q
+            assert (c is F._elt_at(c.index)) == cached
+        return v
+
+    rng = random.Random(f"elements:{p}:{e}:{m}")
+    for a_side, b_side in product((0, 1), repeat=2):
+        for _ in range(3):
+            ia = a_side * g.half + rng.randrange(g.half)
+            ib = b_side * g.half + rng.randrange(g.half)
+            a, b = built(g.decode(ia)), built(g.decode(ib))
+            assert built(g.decode(np.int64(ia))) == a and g.encode(a) == ia
+            verts = diameter_witness(g, a, b).vertices
+            assert verts[0] == a and verts[-1] == b
+            for i, v in enumerate(verts):
+                assert isinstance(built(v), Point) == (isinstance(a, Point) == (i % 2 == 0))
+                assert g.decode(g.encode(v)) == v
+
+
+def test_fresh_equal_spec_reads_the_cached_moore_matrix(monkeypatch):
+    """The Moore matrix is cached per field and m: a walk on a freshly built
+    spec equal to one already walked on adds one cache hit and no miss, and
+    hashes and compares no FamilySpec to find it."""
+    g = Graph(FamilySpec.linearized(3, 3, 3))
+    diameter_witness(g, g.decode(0), g.decode(g.half + 5))
+    fresh = Graph(FamilySpec.linearized(3, 3, 3))
+    assert fresh.spec == g.spec and fresh.spec is not g.spec
+    a, b = fresh.decode(7), fresh.decode(fresh.half + 11)
+    spec_calls = []
+    for name in ("__hash__", "__eq__"):
+        method = getattr(FamilySpec, name)
+        monkeypatch.setattr(
+            FamilySpec, name, lambda *args, _m=method, _n=name: spec_calls.append(_n) or _m(*args)
+        )
+    before = metrics_mod._moore_matrix.cache_info()
+    diameter_witness(fresh, a, b)
+    after = metrics_mod._moore_matrix.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert spec_calls == []
+
+
 GOLDEN = Path(__file__).parent / "data" / "witness_golden.json"
 
 
