@@ -7,10 +7,11 @@ a canonical index.  The field's one scalar arithmetic is IndexOps
 most TABLE_LIMIT elements do it by lookups in log/antilog and Zech tables,
 built on first use in O(q) memory; larger fields compute on coordinate
 vectors with the F_p polynomial helpers modulo the modulus, and that
-coefficient arithmetic is the oracle the tables are tested against.  Fields
-with at most ROW_LIMIT elements also keep q x q table rows, built from the
-same lists when the per-pair routes first read them (IndexOps.rows).
-FieldElement's operators are shells over IndexOps.  Linear algebra is one
+coefficient arithmetic is the oracle the tables are tested against.  The
+per-pair routes read that arithmetic in one form, q x q rows
+(IndexOps.rows): lists built from the same lists on fields with at most
+ROW_LIMIT elements, views that call the operations above.  FieldElement's
+operators are shells over IndexOps.  Linear algebra is one
 Gaussian elimination over GF(p^e), with F_p entry points that run it over
 GF(p).  Its matrices, right-hand sides and answers are element indices, and
 no FieldElement enters it: fq_solve checks each coefficient matrix and
@@ -40,9 +41,9 @@ from .errors import (
 P_LIMIT = 1 << 15  # characteristic stays comfortably inside machine words
 Q_LIMIT = 1 << 24  # enumeration-scale ceiling on the field size
 TABLE_LIMIT = 1 << 16  # fields this small cache every element and use index tables
-# Fields this small also get q x q table rows (IndexOps.rows) for the
-# per-pair routes: 8 bytes an entry, 0.5 MB a table at q = 256, where every
-# entry is one of CPython's cached small ints.
+# Fields this small get their q x q rows (IndexOps.rows) as lists: 8 bytes
+# an entry, 0.5 MB a table at q = 256, where every entry is one of CPython's
+# cached small ints.  Larger fields get views that call the operations.
 ROW_LIMIT = 256
 # Bytes of one q x q int64 table of Field.index_tables: q = 2048 is the
 # largest within it, well above the q <= 509 of any graph that
@@ -464,9 +465,9 @@ class Field:
         return self._ops
 
     def index_tables(self):
-        """(mul, sub): q x q numpy arrays of canonical indices, mul[a, b] the
-        index of a * b and sub[a, b] that of a - b, gathered from the log and
-        antilog tables and the coordinate digits.  BudgetExceeded, before
+        """(mul, sub): q x q int64 arrays of canonical indices, mul[a, b] the
+        index of a * b and sub[a, b] that of a - b, as _mul_sub builds them
+        from the log and antilog lists.  BudgetExceeded, before
         anything is built, when one table would pass _TABLE_BYTES (so q is
         always within TABLE_LIMIT)."""
         import numpy as np
@@ -474,14 +475,7 @@ class Field:
         if 8 * self.q**2 > _TABLE_BYTES:
             raise BudgetExceeded(f"a {self.q} x {self.q} index table exceeds {_TABLE_BYTES} bytes")
         ops = self._ops or self.ops()
-        log = np.array(ops.log)
-        mul = np.array(ops.exp)[log[:, None] + log]
-        mul[0] = mul[:, 0] = 0
-        digits = np.arange(self.q) // self.p ** np.arange(self.e)[:, None] % self.p
-        sub = sum(
-            (d[:, None] - d) % self.p * self.p**j for j, d in enumerate(digits)
-        )
-        return mul, sub
+        return tuple(t.astype(np.int64) for t in _mul_sub(self.p, self.e, ops.exp, ops.log))
 
     def elements(self):
         """All field elements in canonical index order."""
@@ -523,9 +517,9 @@ class IndexOps:
     In characteristic 2 an index is the coordinate vector as a bit mask, so
     add and sub are XOR in any field.
 
-    Fields with q <= ROW_LIMIT also have table rows (rows()), built from the
-    same lists on first use: the per-pair routes read them in place of the
-    calls."""
+    The per-pair routes read the same operations as q x q rows (rows()),
+    built on first use: lists when q <= ROW_LIMIT, views that call these
+    operations above it."""
 
     __slots__ = (
         "add", "sub", "mul", "div", "inv", "pow", "frob", "exp", "log", "elts", "field", "_rows"
@@ -631,11 +625,20 @@ class IndexOps:
             add, sub, mul, inv, power, frob_k
         )
 
-    def rows(self) -> "Rows | None":
-        """The field's table rows when q <= ROW_LIMIT, built on the first
-        call and kept; None for larger fields."""
-        if self._rows is None and self.field.q <= ROW_LIMIT:
-            self._rows = _table_rows(self.field.p, self.field.e, self.exp, self.log)
+    def rows(self) -> "Rows":
+        """The field's operations as Rows, built on the first call and kept.
+        When q <= ROW_LIMIT, mul and sub are the _mul_sub arrays as lists and
+        add[a][b] = sub[a][0 - b]; above it the three are _Table views of the
+        calls.  frob is _map_rows of frob either way."""
+        if self._rows is None:
+            F = self.field
+            if F.q <= ROW_LIMIT:
+                mul, sub = _mul_sub(F.p, F.e, self.exp, self.log)
+                add = None if F.p == 2 else sub[:, sub[0]].tolist()
+                mul, sub = mul.tolist(), sub.tolist()
+            else:
+                mul, sub, add = _Table(self.mul), _Table(self.sub), _Table(self.add)
+            self._rows = Rows(sub if F.p == 2 else add, sub, mul, _map_rows(F.q, self.frob, F.e))
         return self._rows
 
     def _coefficient(self, F: Field) -> None:
@@ -677,11 +680,12 @@ class IndexOps:
 
 
 class Rows(NamedTuple):
-    """The operations of a field with q <= ROW_LIMIT as nested lists of
-    canonical indices: add[a][b], sub[a][b] and mul[a][b] index a + b, a - b
-    and a * b, and frob[k][x] indexes x^(p^k) for 0 <= k < e.  Every entry is
-    a cached small int, so a q x q table holds 8 bytes an entry; in
-    characteristic 2, add is sub."""
+    """The operations of a field as q x q rows of canonical indices:
+    add[a][b], sub[a][b] and mul[a][b] index a + b, a - b and a * b, and
+    frob[k][x] indexes x^(p^k) for 0 <= k < e; in characteristic 2, add is
+    sub.  Nested lists when q <= ROW_LIMIT, where every entry is a cached
+    small int and a q x q table holds 8 bytes an entry; views that call
+    IndexOps above it."""
 
     add: list
     sub: list
@@ -689,27 +693,64 @@ class Rows(NamedTuple):
     frob: list
 
 
-def _table_rows(p: int, e: int, exp, log) -> Rows:
-    """Rows from the antilog list exp (two periods) and the log list, and
-    from the base-p digits of the indices as Field.index_tables gathers
-    them, all in uint8 and int16 arrays: no q x q int64 temporary."""
+class _Row:
+    """row[b] = op(a, b): row a of a _Table."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a: int):
+        self.op, self.a = op, a
+
+    def __getitem__(self, b: int) -> int:
+        return self.op(self.a, b)
+
+
+class _MapRow(_Row):
+    """row[x] = op(x, a): the map x -> op(x, a) with its second argument
+    held, as IndexOps.frob and FamilySpec.f_index take their map number."""
+
+    __slots__ = ()
+
+    def __getitem__(self, x: int) -> int:
+        return self.op(x, self.a)
+
+
+class _Table:
+    """table[a][b] = op(a, b): a q x q operation table as a view, for
+    fields past ROW_LIMIT."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, a: int) -> _Row:
+        return _Row(self.op, a)
+
+
+def _map_rows(q: int, op, count: int) -> list:
+    """rows[k][x] = op(x, k) for 0 <= k < count and x in [0, q): lists when
+    q <= ROW_LIMIT, _MapRow views above it."""
+    if q > ROW_LIMIT:
+        return [_MapRow(op, k) for k in range(count)]
+    return [[op(x, k) for x in range(q)] for k in range(count)]
+
+
+def _mul_sub(p: int, e: int, exp, log):
+    """The q x q arrays (mul, sub) of GF(p^e) from the antilog list exp (two
+    periods) and the log list: mul[a, b] = exp[log[a] + log[b]], 0 in row
+    and column 0, and sub[a, b] the index of a - b, summed digit by digit
+    over the base-p digits of the indices.  Both are built in uint8/uint16
+    and int16 arrays, which hold every index and log sum up to q = 2048
+    (the index tables' bound): no q x q int64 temporary."""
     import numpy as np
 
     q = p**e
-    order = q - 1
-    exp, log = np.array(exp, dtype=np.uint8), np.array(log, dtype=np.int16)
+    exp, log = np.array(exp, dtype=np.min_scalar_type(q - 1)), np.array(log, dtype=np.int16)
     mul = exp[log[:, None] + log]
     mul[0] = mul[:, 0] = 0
     digits = np.arange(q, dtype=np.int16) // p ** np.arange(e, dtype=np.int16)[:, None] % p
-
-    def digitwise(sign):
-        return sum((d[:, None] + sign * d) % p * p**j for j, d in enumerate(digits)).tolist()
-
-    sub = digitwise(-1)
-    frob = [exp[log.astype(np.int32) * pow(p, k, order) % order] for k in range(e)]
-    for row in frob:
-        row[0] = 0
-    return Rows(sub if p == 2 else digitwise(1), sub, mul.tolist(), [r.tolist() for r in frob])
+    return mul, sum((d[:, None] - d) % p * p**j for j, d in enumerate(digits))
 
 
 @functools.lru_cache(maxsize=None)
@@ -840,7 +881,7 @@ def fq_solve(field: Field, rows, rhs) -> list[int] | None:
     _index_matrix refuses, or unless rhs has one index in [0, q) per row.
 
     y = E rhs for the cached reduction (pivots, E) of A, read from the
-    field's table rows when it has them: a nonzero y past the rank makes
+    field's rows (IndexOps.rows): a nonzero y past the rank makes
     the system inconsistent, and y gives the pivot variables.  The cache
     compares matrices by value, and 1.0 == 1, so the entries' type is
     checked on every call and their range once."""
@@ -858,22 +899,13 @@ def fq_solve(field: Field, rows, rhs) -> list[int] | None:
     ops = field.ops()
     pivots, E = _reduction(field, (ops.mul, ops.sub, ops.inv), key)
     tables = ops.rows()
+    add, mul = tables.add, tables.mul
     y = []
-    if tables is None:
-        add, mul = ops.add, ops.mul
-        for row in E:
-            acc = 0
-            for c, b in zip(row, rhs):
-                if c and b:
-                    acc = add(acc, mul(c, b))
-            y.append(acc)
-    else:
-        add, mul = tables.add, tables.mul
-        for row in E:
-            acc = 0
-            for c, b in zip(row, rhs):
-                acc = add[acc][mul[c][b]]
-            y.append(acc)
+    for row in E:
+        acc = 0
+        for c, b in zip(row, rhs):
+            acc = add[acc][mul[c][b]]
+        y.append(acc)
     if any(y[len(pivots):]):
         return None
     x = [0] * (len(rows[0]) if rows else 0)

@@ -28,11 +28,11 @@ from .fields import (
     Field,
     FieldElement,
     TABLE_LIMIT,
-    Rows,
     _check_field_params,
     _coords,
     _index,
     _integers,
+    _map_rows,
 )
 
 FAMILIES = ("linearized", "wenger", "custom")
@@ -119,17 +119,15 @@ class FamilySpec:
 
     @functools.cached_property
     def arith(self):
-        """(ops, f), the arithmetic the per-vertex routes step with: the
-        field's Rows and f as rows, f[j][x] = f_index(x, j) (_f_table), when
-        q <= ROW_LIMIT, else the field's IndexOps and f_index itself.  The
-        linearized family's f rows are the field's frob rows."""
-        ops = self.field.ops()
-        rows = ops.rows()
-        if rows is None:
-            return ops, self.f_index
+        """(rows, f), the arithmetic the per-vertex routes step with, one
+        shape for every q: the field's Rows (IndexOps.rows) and f as rows,
+        f[j][x] = f_index(x, j).  The linearized family's f rows are the
+        field's frob rows; the others are _map_rows of f_index, lists up to
+        ROW_LIMIT and views above."""
+        rows = self.field.ops().rows()
         if self.family == "linearized":
             return rows, [rows.frob[j % self.e] for j in range(self.m)]
-        return rows, _f_table(self).tolist()
+        return rows, _map_rows(self.q, self.f_index, self.m)
 
     def f_eval(self, k: int, x: FieldElement) -> FieldElement:
         """f_k(x) by f_index, for 2 <= k <= m+1 and x in spec.field."""
@@ -263,17 +261,14 @@ def line_through(spec: FamilySpec, P: Point, l1: FieldElement) -> Line:
     return Line(tuple(coords))
 
 
-def _neighbour(ops, f, own, x: int, point: bool) -> tuple[int, ...]:
+def _neighbour(rows, f, own, x: int, point: bool) -> tuple[int, ...]:
     """The neighbour whose first coordinate is x of the vertex with index
     coordinates own, a point if point.  Its coordinate k is
     f_k(p_1) l_1 - own_k, where (p_1, l_1) is (own_1, x) for a point and
-    (x, own_1) for a line.  ops and f are spec.arith, or the field's
-    IndexOps and spec.f_index."""
-    mul, sub = ops.mul, ops.sub
+    (x, own_1) for a line.  rows and f are spec.arith."""
+    mul, sub = rows.mul, rows.sub
     p1, l1 = (own[0], x) if point else (x, own[0])
-    if isinstance(ops, Rows):
-        return (x, *[sub[mul[f[k - 1][p1]][l1]][own[k]] for k in range(1, len(own))])
-    return (x, *[sub(mul(f(p1, k - 1), l1), own[k]) for k in range(1, len(own))])
+    return (x, *[sub[mul[f[k - 1][p1]][l1]][own[k]] for k in range(1, len(own))])
 
 
 def graph_bytes(spec: FamilySpec) -> int:
@@ -393,9 +388,9 @@ class Graph:
         if self._nbrs is not None:
             return self._nbrs[vid].tolist()
         spec, (side, local) = self.spec, divmod(vid, self.half)
-        q, (ops, f) = spec.q, spec.arith
+        q, (rows, f) = spec.q, spec.arith
         own, offset = _coords(local, q, spec.m + 1), 0 if side else self.half
-        return [_index(_neighbour(ops, f, own, x, not side), q) + offset for x in range(q)]
+        return [_index(_neighbour(rows, f, own, x, not side), q) + offset for x in range(q)]
 
     # -- materialization --------------------------------------------------------
 

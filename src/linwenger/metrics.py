@@ -29,17 +29,17 @@ indices, and fq_solve checks and eliminates it once and applies the cached
 row operations to each right-hand side, which stays on indices too.
 diameter_witness takes one pair of Point and Line objects, reads their
 index coordinates in the pass that checks them, and steps on those indices
-with spec.arith: the field's q x q table rows up to ROW_LIMIT, its IndexOps
-above it (O(q) log lists up to TABLE_LIMIT, coefficient arithmetic above
-that), so it serves lazy graphs of any q.  path_witnesses
-takes whole arrays of vertex-id pairs on a materialized graph, steps by
-gathers from graph.adjacency, and checks every step against it.
+with spec.arith, the field's q x q rows: lists up to ROW_LIMIT, views that
+call IndexOps above it, so one body serves lazy graphs of any q.
+path_witnesses takes whole arrays of vertex-id pairs on a materialized
+graph, steps by gathers from graph.adjacency, and checks every step
+against it.
 
 Common neighbours have two routes with one rule: two distinct points share a
 line exactly when their difference is (u, l u, l f_3(u), ..., l f_(m+1)(u))
 with u nonzero, and the line is then forced.  common_neighbor solves one pair
-of Point objects on indices with spec.arith, so it serves lazy graphs of any
-q.  common_neighbors takes whole arrays of point-id pairs on a materialized
+of Point objects on indices with the same rows, so it serves lazy graphs of
+any q.  common_neighbors takes whole arrays of point-id pairs on a materialized
 graph, runs the rule as gathers from the field's q x q index tables, builds
 each line with graphs._gather, the gather that fills the array, and checks
 every line it returns against graph.adjacency.  On one pair the batch
@@ -60,7 +60,7 @@ from .errors import (
     SolveFailed,
     UnsupportedRegime,
 )
-from .fields import FieldElement, Rows, fq_solve
+from .fields import FieldElement, fq_solve
 from .graphs import (
     FamilySpec,
     Graph,
@@ -414,8 +414,8 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
     the shape (u, l u, l f_3(u), ..., l f_(m+1)(u)) with u nonzero; the line
     is then forced: l_1 = l and l_k = f_k(p_1) l_1 - p_k.  The rule and the
     check of both incidences of the line run on element indices with
-    spec.arith: table rows up to ROW_LIMIT, IndexOps and spec.f_index
-    above it, which need no index tables above TABLE_LIMIT."""
+    spec.arith, the field's rows (lists up to ROW_LIMIT, views above), so
+    they need no index tables at any q."""
     spec = graph.spec
     _require_frobenius(spec, "common-neighbor solving")
     if not (isinstance(P, Point) and isinstance(P2, Point)):
@@ -423,26 +423,17 @@ def common_neighbor(graph: Graph, P: Point, P2: Point) -> Line | None:
     a, b = _check_vertex(spec, P), _check_vertex(spec, P2)
     if a == b:
         raise SamePoint("common_neighbor needs two distinct points")
-    ops, f = spec.arith
-    mul, sub = ops.mul, ops.sub
-    if isinstance(ops, Rows):
-        u = sub[a[0]][b[0]]
-        if not u:
+    rows, f = spec.arith
+    mul, sub = rows.mul, rows.sub
+    u = sub[a[0]][b[0]]
+    if not u:
+        return None
+    l = mul[sub[a[1]][b[1]]][spec.field.ops().inv(u)]
+    for j in range(2, spec.m + 1):
+        if sub[a[j]][b[j]] != mul[l][f[j - 1][u]]:
             return None
-        l = mul[sub[a[1]][b[1]]][spec.field.ops().inv(u)]
-        for j in range(2, spec.m + 1):
-            if sub[a[j]][b[j]] != mul[l][f[j - 1][u]]:
-                return None
-    else:
-        u = sub(a[0], b[0])
-        if not u:
-            return None
-        l = mul(sub(a[1], b[1]), ops.inv(u))
-        for j in range(2, spec.m + 1):
-            if sub(a[j], b[j]) != mul(l, f(u, j - 1)):
-                return None
-    line = _neighbour(ops, f, a, l, True)
-    if not (_incident(ops, f, a, line) and _incident(ops, f, b, line)):
+    line = _neighbour(rows, f, a, l, True)
+    if not (_incident(rows, f, a, line) and _incident(rows, f, b, line)):
         raise SolveFailed("constructed line fails adjacency; internal error")
     return _vertex(spec.field, line, False)
 
@@ -549,17 +540,13 @@ class PathWitness:
 # spec.arith, and make Point and Line objects (graphs._vertex) only for what
 # they return.
 
-def _incident(ops, f, P, L) -> bool:
-    """l_k + p_k = f_k(p_1) l_1 for every k, on index coordinates; ops and f
-    as graphs._neighbour takes them."""
-    add, mul = ops.add, ops.mul
+def _incident(rows, f, P, L) -> bool:
+    """l_k + p_k = f_k(p_1) l_1 for every k, on index coordinates; rows and
+    f are spec.arith."""
+    add, mul = rows.add, rows.mul
     p1, l1 = P[0], L[0]
-    tabled = isinstance(ops, Rows)
     for k in range(1, len(P)):
-        if tabled:
-            if add[L[k]][P[k]] != mul[f[k - 1][p1]][l1]:
-                return False
-        elif add(L[k], P[k]) != mul(f(p1, k - 1), l1):
+        if add[L[k]][P[k]] != mul[f[k - 1][p1]][l1]:
             return False
     return True
 
@@ -602,32 +589,11 @@ def _require_witness_regime(spec: FamilySpec) -> None:
         raise UnsupportedRegime(f"witness anchors need m <= e; m={spec.m}, e={spec.e}")
 
 
-def _steps(spec: FamilySpec, ops, f, start, end, x1: int, on_point: bool) -> list:
-    """The walk of the construction above from start towards end, before
-    backtracks are dropped, on IndexOps calls: one Moore solve for the
-    step pairs, then one _neighbour call per vertex."""
-    add, sub, mul = ops.add, ops.sub, ops.mul
-    basis = [spec.p**i for i in range(spec.m)]  # the index of t^i
-    d = [sub(y, x) for x, y in zip(start, end)]
-    if on_point:  # point kind
-        xs = _moore_solve(spec, d[1:]) + [0]
-        ys = basis + [sub(d[0], functools.reduce(add, basis))]
-    else:  # line kind
-        rhs = [sub(d[k], mul(f(x1, k - 1), d[0])) for k in range(1, spec.m + 1)]
-        tail = _moore_solve(spec, rhs)
-        xs = [x1] + [add(x1, t) for t in basis]
-        ys = [sub(d[0], functools.reduce(add, tail))] + tail
-    walk, cur = [start], start
-    for x, y in zip(xs, ys):
-        mid = _neighbour(ops, f, cur, x, on_point)
-        cur = _neighbour(ops, f, mid, add(cur[0], y), not on_point)
-        walk += [mid, cur]
-    return walk
-
-
 def _steps_on_rows(spec: FamilySpec, rows, f, start, end, x1: int, on_point: bool) -> list:
-    """_steps read from the field's table rows, the whole walk in one loop
-    with no call per vertex, which would cost more than its lookups.
+    """The walk of the construction above from start towards end, before
+    backtracks are dropped: one Moore solve for the step pairs, then the
+    whole walk in one loop on the field's rows (spec.arith), with no
+    _neighbour call per vertex, which would cost more than its lookups.
     A step from a vertex with first coordinate c_1 to first coordinates x
     and then x' = c_1 + y crosses two edges whose first coordinates
     (p_1, l_1) are (c_1, x) and (x', x) in the point kind, (x, c_1) and
@@ -667,19 +633,10 @@ def _steps_on_rows(spec: FamilySpec, rows, f, start, end, x1: int, on_point: boo
     return walk
 
 
-def _edges_hold(ops, f, walk, first_point: bool) -> bool:
-    """Every edge of the walk is incident, on IndexOps calls (_incident);
-    vertex i is a point when i is even and first_point."""
-    for i in range(len(walk) - 1):
-        u, v = walk[i], walk[i + 1]
-        if not (_incident(ops, f, u, v) if first_point == (i % 2 == 0) else _incident(ops, f, v, u)):
-            return False
-    return True
-
-
 def _edges_hold_on_rows(rows, f, walk, first_point: bool) -> bool:
-    """_edges_hold read from the field's table rows, the whole walk in one
-    loop with no _incident call per edge."""
+    """Every edge of the walk is incident (_incident), checked on the
+    field's rows in one loop with no _incident call per edge; vertex i is a
+    point when i is even and first_point."""
     add, mul = rows.add, rows.mul
     ks = range(1, len(walk[0]))
     for i in range(len(walk) - 1):
@@ -697,22 +654,20 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
 
     Works for the Frobenius family with m <= e, on Point and Line objects,
     so it needs no neighbour array.  Coordinates are element indices, and
-    the walk is stepped and checked with spec.arith: a whole walk at a time
-    on the field's table rows up to ROW_LIMIT (_steps_on_rows,
-    _edges_hold_on_rows), one IndexOps call per operation above it (_steps,
-    _edges_hold), which needs no index tables above TABLE_LIMIT either.  The
-    Moore matrix is built on indices once per field and m, and each walk
-    makes one fq_solve call on it with its index right-hand side; the call
-    checks and eliminates the matrix on the first walk over that field and
-    m and then applies the cached row operations.  Before the walk is
+    the walk is stepped and checked a whole walk at a time with spec.arith,
+    the field's rows (_steps_on_rows, _edges_hold_on_rows): lists up to
+    ROW_LIMIT, views that call IndexOps above it, so no q needs index
+    tables.  The Moore matrix is built on indices once per field and m, and
+    each walk makes one fq_solve call on it with its index right-hand side;
+    the call checks and eliminates the matrix on the first walk over that
+    field and m and then applies the cached row operations.  Before the walk is
     returned its ends must be a and b, and each edge must satisfy
     l_k + p_k = f_k(p_1) l_1 on indices; any miss raises SolveFailed.  The
     returned objects are built in one pass (graphs._walk_vertices)."""
     spec = graph.spec
     _require_witness_regime(spec)
     ai, bi = _check_vertex(spec, a), _check_vertex(spec, b)
-    ops, f = spec.arith
-    tabled = isinstance(ops, Rows)
+    rows, f = spec.arith
     a_point, b_point = isinstance(a, Point), isinstance(b, Point)
     if a_point == b_point and ai == bi:
         walk = [ai]
@@ -721,15 +676,15 @@ def diameter_witness(graph: Graph, a, b) -> PathWitness:
         mixed = a_point != b_point
         if mixed:
             pt, end = (ai, bi) if a_point else (bi, ai)
-            start, x1, on_point = _neighbour(ops, f, pt, 0, True), pt[0], False
-        walk = (_steps_on_rows if tabled else _steps)(spec, ops, f, start, end, x1, on_point)
+            start, x1, on_point = _neighbour(rows, f, pt, 0, True), pt[0], False
+        walk = _steps_on_rows(spec, rows, f, start, end, x1, on_point)
         walk = _compress_backtracks(walk[1:] if mixed else walk)
         if not a_point and b_point:
             walk.reverse()
     # sides alternate from a's: vertex i is a point when i is even and a is one
     if walk[0] != ai or walk[-1] != bi or len(walk) % 2 != (a_point == b_point):
         raise SolveFailed("walk endpoints do not match the request")
-    if not (_edges_hold_on_rows if tabled else _edges_hold)(ops, f, walk, a_point):
+    if not _edges_hold_on_rows(rows, f, walk, a_point):
         raise SolveFailed("walk contains a non-edge")
     return PathWitness(_walk_vertices(spec.field, walk, a_point))
 
@@ -907,12 +862,12 @@ def cycle_from_coefficients(spec: FamilySpec, us, cs) -> CycleWitness:
     # each coefficient as an element of F: an integer through the prime
     # subfield, and FieldMismatch for an element of another field
     us, cs = (tuple([F.zero + v for v in vs]) for vs in (us, cs))
-    ops, f = spec.arith
-    sub = F.ops().sub
+    rows, f = spec.arith
+    sub = rows.sub
     points, lines = [(0,) * (spec.m + 1)], []
     for u, c in zip(us, cs):
-        lines.append(_neighbour(ops, f, points[-1], c.index, True))
-        points.append(_neighbour(ops, f, lines[-1], sub(points[-1][0], u.index), False))
+        lines.append(_neighbour(rows, f, points[-1], c.index, True))
+        points.append(_neighbour(rows, f, lines[-1], sub[points[-1][0]][u.index], False))
     closure = _vertex(F, points.pop(), True)
     points = tuple([_vertex(F, v, True) for v in points])
     return CycleWitness(spec, points, tuple([_vertex(F, v, False) for v in lines]), us, cs, closure)

@@ -834,9 +834,9 @@ def test_lazy_witnesses_match_the_recorded_sample(case):
     assert {line is None for _, _, line in case["common"]} == {True, False}
 
 
-# the custom maps are f_2 = 1 + t x and f_3 = (1 + t) + x^2 over GF(4), and
-# f_2 = 1 + x and f_3 = 2x + x^2 over GF(3): coefficients off the prime field
-# and constant terms both reach the Horner loop
+# the custom maps are f_2 = 1 + t x and f_3 = (1 + t) + x^2 over GF(4) and
+# GF(3^6), and f_2 = 1 + x and f_3 = 2x + x^2 over GF(3): coefficients off
+# the prime field and constant terms both reach the Horner loop
 @pytest.mark.parametrize(
     "spec",
     [
@@ -846,37 +846,53 @@ def test_lazy_witnesses_match_the_recorded_sample(case):
         FamilySpec.wenger(2, 2, 2),
         FamilySpec.custom(2, 2, 2, ((1, 2), (3, 0, 1))),
         FamilySpec.custom(3, 1, 2, ((1, 1), (0, 2, 1))),
+        FamilySpec.wenger(257, 1, 2),
+        FamilySpec.custom(3, 6, 2, ((1, 3), (4, 0, 1))),
     ],
     ids=lambda s: f"{s.family}-{s.p}-{s.e}-{s.m}",
 )
 def test_per_pair_rule_helpers_match_the_object_oracles(spec):
-    """_neighbour and _incident, given spec.f_index as the per-pair routes
+    """_neighbour and _incident, given spec.arith as the per-pair routes
     bind it, agree with line_through/point_through and adjacent, which
-    evaluate the maps through f_eval on objects, for every vertex, first
-    coordinate and point-line pair; and _f_table is the f_eval table."""
+    evaluate the maps through f_eval on objects; the f rows of spec.arith
+    and _f_table are the f_eval table.  Up to ROW_LIMIT every vertex, first
+    coordinate and point-line pair is checked; above it, where spec.arith
+    holds views, a seeded sample of vertices, first coordinates and
+    point-line pairs."""
     g = Graph(spec)
-    F, ops, f = spec.field, spec.field.ops(), spec.f_index
+    F, (rows, f) = spec.field, spec.arith
 
     def ids(coords):
         return tuple(c.index for c in coords)
 
-    vertices = [g.decode(vid) for vid in range(g.n)]
+    if spec.q <= fields.ROW_LIMIT:
+        vertices, firsts = [g.decode(vid) for vid in range(g.n)], list(F.elements())
+    else:
+        rng = random.Random(f"helpers:{spec.family}:{spec.q}:{spec.m}")
+        vertices = [g.decode(rng.randrange(g.n)) for _ in range(40)]
+        firsts = [F.from_index(rng.randrange(F.q)) for _ in range(12)]
     for v in vertices:
         own, point = ids(v.coords), isinstance(v, Point)
         through = line_through if point else point_through
-        for x in F.elements():
-            assert metrics_mod._neighbour(ops, f, own, x.index, point) == ids(
-                through(spec, v, x).coords
-            )
-    points, lines = vertices[: g.half], vertices[g.half :]
+        for x in firsts:
+            w = through(spec, v, x)
+            assert metrics_mod._neighbour(rows, f, own, x.index, point) == ids(w.coords)
+            P, L = (v, w) if point else (w, v)
+            assert metrics_mod._incident(rows, f, ids(P.coords), ids(L.coords))
+    points = [v for v in vertices if isinstance(v, Point)]
+    lines = [v for v in vertices if isinstance(v, Line)]
     edges = 0
     for P in points:
         for L in lines:
-            rule = metrics_mod._incident(ops, f, ids(P.coords), ids(L.coords))
+            rule = metrics_mod._incident(rows, f, ids(P.coords), ids(L.coords))
             assert rule == adjacent(spec, P, L)
             edges += rule
-    assert edges == spec.n_edges
+    if spec.q <= fields.ROW_LIMIT:
+        assert edges == spec.n_edges
+    else:
+        assert points and lines
     table = [[spec.f_eval(k, x).index for x in F.elements()] for k in range(2, spec.m + 2)]
+    assert [[f[j][x] for x in range(spec.q)] for j in range(spec.m)] == table
     assert graphs_mod._f_table(spec).tolist() == table
 
 

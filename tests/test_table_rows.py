@@ -1,12 +1,15 @@
-"""IndexOps.rows, the q x q table rows of fields with q <= ROW_LIMIT, and
-the per-pair routes that read them: every entry against the IndexOps call,
-the same answers with the rows switched off, checks that stay live on a
-corrupted row, and larger fields that still answer through IndexOps."""
+"""IndexOps.rows, the q x q rows every field gives the per-pair routes
+(lists up to ROW_LIMIT, views that call IndexOps above it), and the routes
+that read them: every list entry and sampled view entries against the
+IndexOps call, the same answers from views forced on small fields, checks
+that stay live on a corrupted row, and larger fields that answer through
+the views."""
 
 import random
 
 import pytest
 
+from linwenger import fields
 from linwenger.errors import SolveFailed
 from linwenger.fields import GF, ROW_LIMIT, Field, IndexOps, Rows
 from linwenger.graphs import FamilySpec, Graph, Line, Point, adjacent, line_through, point_through
@@ -37,9 +40,18 @@ def test_every_entry_is_the_indexops_call(p, e):
 
 
 @pytest.mark.parametrize("p,e", [(257, 1), (3, 6), (2, 17)])
-def test_larger_fields_have_no_rows(p, e):
+def test_larger_fields_give_views_of_the_calls(p, e):
     F = GF(p, e)
-    assert F.q > ROW_LIMIT and F.ops().rows() is None
+    ops, q = F.ops(), F.q
+    rows = ops.rows()
+    assert q > ROW_LIMIT and isinstance(rows, Rows) and rows is ops.rows()
+    assert (rows.add is rows.sub) == (p == 2) and len(rows.frob) == e
+    rng = random.Random(f"views:{p}:{e}")
+    sample = [0, 1, q - 1, *(rng.randrange(q) for _ in range(20))]
+    for name in ("add", "sub", "mul"):
+        table, op = getattr(rows, name), getattr(ops, name)
+        assert all(table[a][b] == op(a, b) for a in sample for b in sample), name
+    assert all(rows.frob[k][x] == ops.frob(x, k) for k in range(e) for x in sample)
 
 
 def _pairs(g, rng, n):
@@ -69,9 +81,10 @@ def _point_pairs(g, rng, n):
 
 
 def _answers(key, paths, points):
-    """Walks, common neighbours and lazy neighbour rows on a fresh lazy
-    L_m(q), so that its spec binds the arithmetic of the moment."""
-    g = Graph(FamilySpec.linearized(*key))
+    """Walks, common neighbours, lazy neighbour rows of L_m(q) and W_m(q),
+    and a cycle, on fresh lazy graphs, so that their specs bind the
+    arithmetic of the moment."""
+    g, wenger = Graph(FamilySpec.linearized(*key)), Graph(FamilySpec.wenger(*key))
     walks = [
         [g.encode(v) for v in diameter_witness(g, g.decode(a), g.decode(b)).vertices]
         for a, b in paths
@@ -80,24 +93,39 @@ def _answers(key, paths, points):
     for i, j in points:
         line = common_neighbor(g, g.decode(i), g.decode(j))
         lines.append(None if line is None else g.encode(line))
-    rows = [g.neighbor_ids(v) for pair in paths for v in pair]
+    rows = [h.neighbor_ids(v) for h in (g, wenger) for pair in paths for v in pair]
     witness = cycle_witness_6 if g.spec.p % 2 else cycle_witness_8
     cycle = [g.encode(v) for v in witness(g.spec).points + witness(g.spec).lines]
     return g.spec.arith[0], walks, lines, rows, cycle
 
 
+@pytest.fixture
+def call_views(monkeypatch):
+    """force(F): from then on F's rows are the views of fields past
+    ROW_LIMIT.  fields.ROW_LIMIT is lowered below every field and F's cached
+    rows dropped; both are restored when the test ends."""
+
+    def force(F):
+        monkeypatch.setattr(fields, "ROW_LIMIT", 1)
+        monkeypatch.setattr(F.ops(), "_rows", None)
+
+    return force
+
+
 @pytest.mark.parametrize("key", [(3, 2, 2), (3, 3, 3), (2, 6, 2)], ids=lambda k: "L_{2}({0}^{1})".format(*k))
-def test_rows_switched_off_give_the_same_answers(key, monkeypatch):
+def test_rows_switched_off_give_the_same_answers(key, call_views):
+    """With the list rows switched off, the call views give the same walks,
+    common lines, lazy neighbour rows and cycles."""
     rng = random.Random(f"rows:{key}")
     g = Graph(FamilySpec.linearized(*key))
     paths, points = _pairs(g, rng, 40), _point_pairs(g, rng, 40)
-    arith, *tabled = _answers(key, paths, points)
-    assert isinstance(arith, Rows)
-    monkeypatch.setattr(IndexOps, "rows", lambda self: None)
-    arith, *called = _answers(key, paths, points)
-    assert isinstance(arith, IndexOps)
-    assert called == tabled
-    assert {line is None for line in tabled[1]} == {True, False}
+    rows, *listed = _answers(key, paths, points)
+    assert type(rows.mul) is list
+    call_views(g.spec.field)
+    rows, *viewed = _answers(key, paths, points)
+    assert type(rows.mul) is fields._Table and rows is g.spec.field.ops().rows()
+    assert viewed == listed
+    assert {line is None for line in listed[1]} == {True, False}
 
 
 def test_a_corrupted_mul_entry_is_caught(monkeypatch):
@@ -139,9 +167,11 @@ def test_a_corrupted_mul_entry_is_caught(monkeypatch):
 def test_larger_fields_answer_through_indexops(p, e, m):
     spec = FamilySpec.linearized(p, e, m)
     g, F = Graph(spec), spec.field
-    ops, f = spec.arith
-    assert ops is F.ops() and f == spec.f_index
+    rows, f = spec.arith
+    assert rows is F.ops().rows() and type(rows.mul) is fields._Table
     rng = random.Random(f"large:{p}:{e}")
+    xs = [rng.randrange(F.q) for _ in range(20)]
+    assert all(f[j][x] == spec.f_index(x, j) for j in range(m) for x in xs)
     for i, j in _pairs(g, rng, 8):
         a, b = g.decode(i), g.decode(j)
         verts = diameter_witness(g, a, b).vertices
